@@ -23,11 +23,8 @@ from .objective import (
     CoherenceReport,
     PenaltyParams,
     coherences,
-    grad_measurement,
-    grad_penalty,
-    loss_measurement,
+    evaluate,
     neighborhood_membership,
-    penalty,
 )
 from .solver import (
     InitResult,

@@ -1,10 +1,12 @@
-"""Coherence parameters, the regularized loss and its Wirtinger gradients.
+"""Coherence parameters, the regularized loss and its Wirtinger gradient.
 
 The objective is ``F_tilde = F + G`` where ``F`` is the squared residual of
 the measurement map and ``G`` is a hinge penalty that keeps the iterates
-norm-bounded and spectrally incoherent.  Gradients follow the Wirtinger
-convention (derivative w.r.t. the conjugated variable), so a descent step is
-``z <- z - eta * grad``.
+norm-bounded and spectrally incoherent.  `evaluate` is the single kernel:
+it computes ``F``, ``G`` and, on request, the gradient, batched over
+components; `loss_total` and `grad_total` are thin wrappers around it.
+Gradients follow the Wirtinger convention (derivative w.r.t. the conjugated
+variable), so a descent step is ``z <- z - eta * grad``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .operators import (
     BlockFactorPair,
     MeasurementEnsemble,
     ObservationVector,
-    forward_map,
+    component_spectra,
     partial_dft_adjoint,
     partial_dft_apply,
 )
@@ -26,13 +28,9 @@ __all__ = [
     "CoherenceReport",
     "PenaltyParams",
     "NeighborhoodFlags",
+    "Evaluation",
     "coherences",
-    "g0",
-    "g0_prime",
-    "loss_measurement",
-    "penalty",
-    "grad_measurement",
-    "grad_penalty",
+    "evaluate",
     "grad_total",
     "loss_total",
     "neighborhood_membership",
@@ -111,105 +109,81 @@ class PenaltyParams:
             raise ValueError("mu and nu must be positive")
 
 
-def g0(z: float) -> float:
-    """Hinge: max(z - 1, 0)^2."""
-    return max(z - 1.0, 0.0) ** 2
-
-
-def g0_prime(z: float) -> float:
-    """Derivative of the hinge: 2 max(z - 1, 0)."""
-    return 2.0 * max(z - 1.0, 0.0)
-
-
-def _g0_arr(z: np.ndarray) -> np.ndarray:
+def _hinge(z: np.ndarray) -> np.ndarray:
+    """G0(z) = max(z - 1, 0)^2."""
     return np.maximum(z - 1.0, 0.0) ** 2
 
 
-def _g0_prime_arr(z: np.ndarray) -> np.ndarray:
+def _hinge_prime(z: np.ndarray) -> np.ndarray:
+    """G0'(z) = 2 max(z - 1, 0)."""
     return 2.0 * np.maximum(z - 1.0, 0.0)
 
 
-def loss_measurement(ens: MeasurementEnsemble, z: BlockFactorPair,
-                     y_hat: ObservationVector) -> float:
-    """Measurement loss F = ||A(Z(h, x)) - y_hat||_2^2."""
-    y_hat.check_dims(ens.dims)
-    residual = forward_map(ens, z) - y_hat.samples
-    return float(np.vdot(residual, residual).real)
+@dataclass(frozen=True)
+class Evaluation:
+    """The objective at one point: measurement loss f, penalty g and, when
+    requested, the Wirtinger gradient of f + g."""
+
+    f: float
+    g: float
+    grad: BlockFactorPair | None = None
+
+    @property
+    def f_tilde(self) -> float:
+        return self.f + self.g
 
 
-def penalty(ens: MeasurementEnsemble, z: BlockFactorPair, p: PenaltyParams) -> float:
-    """Hinge penalty G: norm hinges plus spectral/coded incoherence hinges."""
-    z.check_dims(ens.dims)
-    d = ens.dims
-    total = 0.0
-    for n in range(d.N):
-        dn = p.d_n[n]
-        h, x = z.channels[n], z.coefficients[n]
-        total += g0(float(np.vdot(h, h).real) / (2 * dn))
-        total += g0(float(np.vdot(x, x).real) / (2 * dn))
-        spec = np.abs(partial_dft_apply(d.L, h)) ** 2
-        total += float(np.sum(_g0_arr(d.L * spec / (8 * dn * p.mu**2))))
-        coded = np.abs(ens.coding[n] @ x) ** 2
-        total += float(np.sum(_g0_arr(d.Q * coded / (8 * dn * p.nu**2))))
-    return p.rho * total
+def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVector,
+             p: PenaltyParams, *, grad: bool = False) -> Evaluation:
+    """F = ||A(Z(h, x)) - y_hat||^2, the hinge penalty G and optionally the
+    Wirtinger gradient of F + G, batched over components.
 
-
-def grad_measurement(ens: MeasurementEnsemble, z: BlockFactorPair,
-                     y_hat: ObservationVector) -> BlockFactorPair:
-    """Wirtinger gradient of F: per component,
-    grad_h = A_n^*(residual) x_n and grad_x = [A_n^*(residual)]^H h_n,
-    both evaluated without materializing the adjoint block."""
+    One FFT gives the channel spectra, shared by the residual and the
+    spectral hinge.  The gradient adds one inverse FFT of the summed
+    measurement and spectral-hinge terms; the coded hinge and the
+    coefficient gradient are einsums.  Per component,
+    grad_h = A_n^*(residual) x_n + grad_h G and
+    grad_x = [A_n^*(residual)]^H h_n + grad_x G.
+    """
     y_hat.check_dims(ens.dims)
     z.check_dims(ens.dims)
     d = ens.dims
-    residual = forward_map(ens, z) - y_hat.samples
-    gh = np.empty_like(z.channels)
-    gx = np.empty_like(z.coefficients)
-    for n in range(d.N):
-        cc = ens.coded_spectra[n]
-        gh[n] = partial_dft_adjoint(d.L, residual * (np.conj(cc) @ z.coefficients[n]), d.M)
-        ch_spec = partial_dft_apply(d.L, z.channels[n])
-        gx[n] = cc.T @ (np.conj(residual) * ch_spec)
-    return BlockFactorPair(gh, gx)
+    h, x = z.channels, z.coefficients
+    spectra, coded_spectra = component_spectra(ens, z)                # (L, N) each
+    residual = np.sum(spectra * coded_spectra, axis=1) - y_hat.samples
+    coded = np.einsum("nqk,nk->qn", ens.coding, x)                   # (Q, N)
+    # hinge arguments; the trailing axis is the component, matching d_n
+    h_arg = np.sum(np.abs(h) ** 2, axis=1) / (2 * p.d_n)
+    x_arg = np.sum(np.abs(x) ** 2, axis=1) / (2 * p.d_n)
+    spec_arg = d.L * np.abs(spectra) ** 2 / (8 * p.d_n * p.mu**2)
+    coded_arg = d.Q * np.abs(coded) ** 2 / (8 * p.d_n * p.nu**2)
+    f = float(np.vdot(residual, residual).real)
+    g = p.rho * float(sum(np.sum(_hinge(a)) for a in (h_arg, x_arg, spec_arg, coded_arg)))
+    if not grad:
+        return Evaluation(f, g)
 
-
-def grad_penalty(ens: MeasurementEnsemble, z: BlockFactorPair,
-                 p: PenaltyParams) -> BlockFactorPair:
-    """Wirtinger gradient of G.  The spectral hinge sum is an FFT, a
-    real hinge weighting, and an inverse FFT; the coded hinge sum is the
-    analogous weighted normal product with C_n."""
-    z.check_dims(ens.dims)
-    d = ens.dims
-    gh = np.zeros_like(z.channels)
-    gx = np.zeros_like(z.coefficients)
-    for n in range(d.N):
-        dn = p.d_n[n]
-        h, x = z.channels[n], z.coefficients[n]
-
-        g = g0_prime(float(np.vdot(h, h).real) / (2 * dn)) * h
-        spec = partial_dft_apply(d.L, h)
-        wts = _g0_prime_arr(d.L * np.abs(spec) ** 2 / (8 * dn * p.mu**2))
-        g += (d.L / (4 * p.mu**2)) * partial_dft_adjoint(d.L, wts * spec, d.M)
-        gh[n] = (p.rho / (2 * dn)) * g
-
-        g = g0_prime(float(np.vdot(x, x).real) / (2 * dn)) * x
-        coded = ens.coding[n] @ x
-        wts = _g0_prime_arr(d.Q * np.abs(coded) ** 2 / (8 * dn * p.nu**2))
-        g += (d.Q / (4 * p.nu**2)) * (ens.coding[n].T @ (wts * coded))
-        gx[n] = (p.rho / (2 * dn)) * g
-    return BlockFactorPair(gh, gx)
+    scale = p.rho / (2 * p.d_n)                                        # (N,)
+    w = (residual[:, None] * np.conj(coded_spectra)
+         + (scale * d.L / (4 * p.mu**2)) * _hinge_prime(spec_arg) * spectra)
+    gh = (partial_dft_adjoint(d.L, w, d.M).T
+          + (scale * _hinge_prime(h_arg))[:, None] * h)
+    coded_w = (scale * d.Q / (4 * p.nu**2)) * _hinge_prime(coded_arg) * coded
+    gx = (np.einsum("nlk,ln->nk", ens.coded_spectra, np.conj(residual)[:, None] * spectra)
+          + (scale * _hinge_prime(x_arg))[:, None] * x
+          + np.einsum("nqk,qn->nk", ens.coding, coded_w))
+    return Evaluation(f, g, BlockFactorPair(gh, gx))
 
 
 def loss_total(ens: MeasurementEnsemble, z: BlockFactorPair,
                y_hat: ObservationVector, p: PenaltyParams) -> float:
-    return loss_measurement(ens, z, y_hat) + penalty(ens, z, p)
+    """F + G at z."""
+    return evaluate(ens, z, y_hat, p).f_tilde
 
 
 def grad_total(ens: MeasurementEnsemble, z: BlockFactorPair,
                y_hat: ObservationVector, p: PenaltyParams) -> BlockFactorPair:
-    gf = grad_measurement(ens, z, y_hat)
-    gg = grad_penalty(ens, z, p)
-    return BlockFactorPair(gf.channels + gg.channels, gf.coefficients + gg.coefficients)
+    """Wirtinger gradient of F + G at z."""
+    return evaluate(ens, z, y_hat, p, grad=True).grad
 
 
 @dataclass(frozen=True)

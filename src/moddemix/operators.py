@@ -36,6 +36,7 @@ __all__ = [
     "partial_dft_adjoint",
     "forward_component",
     "forward_lifted",
+    "component_spectra",
     "forward_map",
     "adjoint_component",
     "dense_oracle",
@@ -184,10 +185,14 @@ class ObservationVector:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError("non-finite observation samples")
         if self.noise is not None:
             noise = np.asarray(self.noise, dtype=complex)
             if noise.shape != self.samples.shape:
                 raise ValueError("noise shape differs from samples")
+            if not np.all(np.isfinite(noise)):
+                raise ValueError("non-finite noise realization")
             object.__setattr__(self, "noise", noise)
 
     def check_dims(self, dims: Dimensions) -> None:
@@ -220,12 +225,20 @@ def forward_lifted(ens: MeasurementEnsemble, n: int, Z: np.ndarray) -> np.ndarra
     return np.sum(partial_dft_apply(d.L, Z) * ens.coded_spectra[n], axis=1)
 
 
+def component_spectra(ens: MeasurementEnsemble,
+                      z: BlockFactorPair) -> tuple[np.ndarray, np.ndarray]:
+    """Channel spectra F_M h_n and coded spectra conj(B_n) conj(x_n), both as
+    (L, N) columns, from one FFT along the component axis.  Their product
+    summed over n is A(Z(h, x)).  Dimensions are the caller's to check."""
+    spectra = partial_dft_apply(ens.dims.L, z.channels.T)
+    coded = np.einsum("nlk,nk->ln", ens.coded_spectra, np.conj(z.coefficients))
+    return spectra, coded
+
+
 def forward_map(ens: MeasurementEnsemble, z: BlockFactorPair) -> np.ndarray:
     """A(Z(h, x)) = sum_n A_n(h_n x_n^*); equals the noiseless observation."""
     z.check_dims(ens.dims)
-    d = ens.dims
-    spectra = partial_dft_apply(d.L, z.channels.T)                    # (L, N)
-    coded = np.einsum("nlk,nk->ln", ens.coded_spectra, np.conj(z.coefficients))
+    spectra, coded = component_spectra(ens, z)
     return np.sum(spectra * coded, axis=1)
 
 

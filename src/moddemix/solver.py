@@ -18,10 +18,8 @@ from .objective import (
     DegenerateInputError,
     PenaltyParams,
     coherences,
+    evaluate,
     grad_total,
-    loss_measurement,
-    loss_total,
-    penalty,
 )
 from .operators import (
     BlockFactorPair,
@@ -41,7 +39,6 @@ __all__ = [
     "leading_singular_triple",
     "project_incoherent",
     "initialize",
-    "descend_step",
     "solve",
 ]
 
@@ -51,7 +48,7 @@ class DivergenceError(RuntimeError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A gradient or loss evaluation produced non-finite values."""
+    """The objective is non-finite at the start point."""
 
 
 @dataclass
@@ -77,11 +74,9 @@ class SolverConfig:
     power_tol: float = 1e-10
     projection_tol: float = 1e-8
     projection_max_iters: int = 500
-    sequential: bool = False
     start: BlockFactorPair | None = None
     stall_window: int = 50
     stall_rtol: float = 1e-13
-    penalty: PenaltyParams | None = None
 
     def __post_init__(self):
         if isinstance(self.eta, str):
@@ -242,48 +237,21 @@ def initialize(ens: MeasurementEnsemble, y_hat: ObservationVector,
                       start=BlockFactorPair(u0, v0))
 
 
-def _check_finite(g: BlockFactorPair) -> None:
-    if not (np.all(np.isfinite(g.channels)) and np.all(np.isfinite(g.coefficients))):
-        raise NumericalFailureError("non-finite gradient")
-
-
 def _apply_step(z: BlockFactorPair, g: BlockFactorPair, eta: float) -> BlockFactorPair:
     return BlockFactorPair(z.channels - eta * g.channels,
                            z.coefficients - eta * g.coefficients)
 
 
-def _backtrack(ens, z, y_hat, p, g, gn_sq, f_cur, eta, min_eta=1e-20):
-    """Halve eta until sufficient decrease; returns (z_new, f_new, eta) or
-    (z, f_cur, 0.0) when no decrease is achievable (plateau)."""
+def _backtrack(ens, z, y_hat, p, g, gn_sq, cur, eta, min_eta=1e-20):
+    """Halve eta until sufficient decrease; returns (z_new, evaluation at
+    z_new, eta) or (z, cur, 0.0) when no decrease is achievable (plateau)."""
     while eta > min_eta:
         trial = _apply_step(z, g, eta)
-        f_trial = loss_total(ens, trial, y_hat, p)
-        if f_trial <= f_cur - 0.05 * eta * gn_sq:
-            return trial, f_trial, eta
+        ev = evaluate(ens, trial, y_hat, p)
+        if ev.f_tilde <= cur.f_tilde - 0.05 * eta * gn_sq:
+            return trial, ev, eta
         eta *= 0.5
-    return z, f_cur, 0.0
-
-
-def descend_step(ens: MeasurementEnsemble, z: BlockFactorPair,
-                 y_hat: ObservationVector, cfg: SolverConfig) -> tuple[BlockFactorPair, dict]:
-    """One simultaneous Wirtinger update of all 2N blocks from a single
-    gradient evaluation.  Requires cfg.penalty to be set."""
-    if cfg.penalty is None:
-        raise ValueError("descend_step requires cfg.penalty")
-    p = cfg.penalty
-    g = grad_total(ens, z, y_hat, p)
-    _check_finite(g)
-    gn_sq = float(np.linalg.norm(g.channels) ** 2 + np.linalg.norm(g.coefficients) ** 2)
-    f_cur = loss_total(ens, z, y_hat, p)
-    if isinstance(cfg.eta, str):
-        eta0 = 1.0 / (2.0 * operator_norm(ens) ** 2 * p.d)
-        z_new, f_new, eta = _backtrack(ens, z, y_hat, p, g, gn_sq, f_cur, eta0)
-    else:
-        eta = cfg.eta
-        z_new = _apply_step(z, g, eta)
-        f_new = loss_total(ens, z_new, y_hat, p)
-    return z_new, {"eta": eta, "f_before": f_cur, "f_after": f_new,
-                   "grad_norm": float(np.sqrt(gn_sq))}
+    return z, cur, 0.0
 
 
 def _normalize_output(z: BlockFactorPair) -> BlockFactorPair:
@@ -344,49 +312,49 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
 
     rows = []  # (t, f_tilde, f, g, rel_err, grad_norm)
 
-    def record(t, f_t, f_m, gn):
+    def record(t, ev, gn):
         err = relative_error(z, truth) if truth is not None else np.nan
-        rows.append((t, f_t, f_m, f_t - f_m, err, gn))
+        rows.append((t, ev.f_tilde, ev.f, ev.g, err, gn))
         return err
 
-    f_cur = loss_total(ens, z, y_hat, p)
-    f_init = max(f_cur, np.finfo(float).tiny)
+    cur = evaluate(ens, z, y_hat, p)
+    if not np.isfinite(cur.f_tilde):
+        raise NumericalFailureError(
+            f"non-finite objective ({cur.f_tilde}) at the start point")
+    f_init = max(cur.f_tilde, np.finfo(float).tiny)
     stop = "max_iters"
-    err = record(0, f_cur, loss_measurement(ens, z, y_hat), np.nan)
+    err = record(0, cur, np.nan)
     if truth is not None and err < cfg.tol:
         stop = "rel_err"
     else:
         for t in range(1, cfg.max_iters + 1):
             g = grad_total(ens, z, y_hat, p)
-            _check_finite(g)
             gn_sq = float(np.linalg.norm(g.channels) ** 2
                           + np.linalg.norm(g.coefficients) ** 2)
             gn = np.sqrt(gn_sq)
             if gn < cfg.grad_tol * d**2:
                 stop = "grad_tol"
                 break
-            if cfg.sequential:
-                z, f_cur = _sequential_pass(ens, z, y_hat, p, eta)
-            elif backtracking:
+            if backtracking:
                 eta_try = min(2.0 * eta, eta0) if eta > 0 else eta0
-                z, f_cur, eta = _backtrack(ens, z, y_hat, p, g, gn_sq, f_cur, eta_try)
+                z, cur, eta = _backtrack(ens, z, y_hat, p, g, gn_sq, cur, eta_try)
                 if eta == 0.0:
-                    record(t, f_cur, loss_measurement(ens, z, y_hat), gn)
+                    record(t, cur, gn)
                     stop = "no_decrease"
                     break
             else:
                 z = _apply_step(z, g, eta)
-                f_cur = loss_total(ens, z, y_hat, p)
-                if not np.isfinite(f_cur) or f_cur > 10.0 * f_init:
+                cur = evaluate(ens, z, y_hat, p)
+                if not np.isfinite(cur.f_tilde) or cur.f_tilde > 10.0 * f_init:
                     raise DivergenceError(
-                        f"objective grew to {f_cur:.3e} (initial {f_init:.3e}); "
+                        f"objective grew to {cur.f_tilde:.3e} (initial {f_init:.3e}); "
                         "reduce the fixed step size")
-            err = record(t, f_cur, loss_measurement(ens, z, y_hat), gn)
+            err = record(t, cur, gn)
             if truth is not None and err < cfg.tol:
                 stop = "rel_err"
                 break
             w = cfg.stall_window
-            if len(rows) > w and rows[-1 - w][1] - f_cur <= cfg.stall_rtol * f_init:
+            if len(rows) > w and rows[-1 - w][1] - cur.f_tilde <= cfg.stall_rtol * f_init:
                 stop = "stall"
                 break
 
@@ -398,14 +366,3 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     )
     return _normalize_output(z), trace
 
-
-def _sequential_pass(ens, z, y_hat, p, eta):
-    """Gauss-Seidel variant: refresh the gradient after each component's
-    channel/coefficient update.  No backtracking acceptance."""
-    z = z.copy()
-    for n in range(ens.dims.N):
-        g = grad_total(ens, z, y_hat, p)
-        _check_finite(g)
-        z.channels[n] -= eta * g.channels[n]
-        z.coefficients[n] -= eta * g.coefficients[n]
-    return z, loss_total(ens, z, y_hat, p)

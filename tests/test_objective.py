@@ -1,5 +1,6 @@
 """Tests of the coherence measures, the regularized loss and its Wirtinger
-gradients (checked against central finite differences)."""
+gradient: the `evaluate` kernel against dense and direct transcriptions,
+and its gradient against central finite differences."""
 
 import numpy as np
 import pytest
@@ -10,20 +11,17 @@ from moddemix.objective import (
     DegenerateInputError,
     PenaltyParams,
     coherences,
-    g0,
-    g0_prime,
-    grad_measurement,
-    grad_penalty,
+    evaluate,
     grad_total,
-    loss_measurement,
     loss_total,
     neighborhood_membership,
-    penalty,
 )
 from moddemix.operators import (
     BlockFactorPair,
     Dimensions,
     ObservationVector,
+    dense_oracle,
+    dft_basis,
     partial_dft_apply,
 )
 
@@ -77,15 +75,6 @@ class TestCoherences:
         assert rep.mu == 2.0 and rep.nu == 3.0
 
 
-class TestHinge:
-    @pytest.mark.parametrize("z,val,deriv", [
-        (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 1.0, 2.0), (3.5, 6.25, 5.0),
-    ])
-    def test_values(self, z, val, deriv):
-        assert g0(z) == pytest.approx(val)
-        assert g0_prime(z) == pytest.approx(deriv)
-
-
 class TestPenaltyParams:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -100,28 +89,30 @@ class TestLoss:
     @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
     def test_zero_at_truth_noiseless(self, dims):
         ens, truth, obs = make_instance(dims)
-        assert loss_measurement(ens, truth, obs) == pytest.approx(0.0, abs=1e-20)
+        p = oracle_params(ens, truth)
+        assert evaluate(ens, truth, obs, p).f == pytest.approx(0.0, abs=1e-20)
 
     def test_equals_noise_energy_at_truth(self):
         dims = Dimensions(L=64, Q=32, M=4, K=4, N=2)
         ens, truth, obs = make_instance(dims, snr_db=20.0)
         expected = float(np.vdot(obs.noise, obs.noise).real)
-        assert loss_measurement(ens, truth, obs) == pytest.approx(expected, rel=1e-10)
+        p = oracle_params(ens, truth)
+        assert evaluate(ens, truth, obs, p).f == pytest.approx(expected, rel=1e-10)
 
     def test_penalty_zero_inside_region(self):
         dims = Dimensions(L=32, Q=16, M=4, K=3, N=2)
-        ens, truth, _ = make_instance(dims)
+        ens, truth, obs = make_instance(dims)
         p = oracle_params(ens, truth)
         # truth sits at hinge arguments <= 1/2 < 1 for the norm terms and
         # exactly at the coherence bounds / 8 for the sup terms
-        assert penalty(ens, truth, p) == 0.0
+        assert evaluate(ens, truth, obs, p).g == 0.0
 
     def test_penalty_activates_when_scaled(self, rng):
         dims = Dimensions(L=32, Q=16, M=4, K=3, N=2)
-        ens, truth, _ = make_instance(dims)
+        ens, truth, obs = make_instance(dims)
         p = oracle_params(ens, truth)
         big = BlockFactorPair(3.0 * truth.channels, 3.0 * truth.coefficients)
-        assert penalty(ens, big, p) > 0.0
+        assert evaluate(ens, big, obs, p).g > 0.0
 
     def test_scalar_ambiguity_invariance(self, rng):
         dims = Dimensions(L=32, Q=16, M=4, K=3, N=2)
@@ -130,8 +121,9 @@ class TestLoss:
         alpha = np.exp(1j * rng.uniform(0, 2 * np.pi, dims.N))  # unit modulus
         z2 = BlockFactorPair(z.channels * alpha[:, None],
                              z.coefficients * (1.0 / np.conj(alpha))[:, None])
-        assert loss_measurement(ens, z2, obs) == pytest.approx(
-            loss_measurement(ens, z, obs), rel=1e-12)
+        p = oracle_params(ens, truth)
+        assert evaluate(ens, z2, obs, p).f == pytest.approx(
+            evaluate(ens, z, obs, p).f, rel=1e-12)
 
 
 class TestGradients:
@@ -158,28 +150,91 @@ class TestGradients:
     def test_measurement_gradient_zero_at_truth(self):
         dims = Dimensions(L=32, Q=16, M=4, K=3, N=2)
         ens, truth, obs = make_instance(dims)
-        g = grad_measurement(ens, truth, obs)
+        g = grad_total(ens, truth, obs, oracle_params(ens, truth))
         assert np.linalg.norm(g.channels) < 1e-12
         assert np.linalg.norm(g.coefficients) < 1e-12
 
     def test_penalty_gradient_zero_inside_region(self):
+        # inside the region every hinge derivative is exactly zero, so the
+        # penalty weight cannot change the gradient, even with noisy data
         dims = Dimensions(L=32, Q=16, M=4, K=3, N=2)
-        ens, truth, _ = make_instance(dims)
+        ens, truth, obs = make_instance(dims, snr_db=20.0)
         p = oracle_params(ens, truth)
-        g = grad_penalty(ens, truth, p)
-        assert np.linalg.norm(g.channels) == 0.0
-        assert np.linalg.norm(g.coefficients) == 0.0
+        heavy = oracle_params(ens, truth, rho=1e6 * p.rho)
+        g = grad_total(ens, truth, obs, p)
+        g_heavy = grad_total(ens, truth, obs, heavy)
+        assert np.linalg.norm(g.channels) > 0.0
+        np.testing.assert_array_equal(g.channels, g_heavy.channels)
+        np.testing.assert_array_equal(g.coefficients, g_heavy.coefficients)
 
-    def test_total_is_sum_of_parts(self, rng):
-        dims = Dimensions(L=32, Q=16, M=4, K=3, N=2)
+
+def _hinge(z):
+    return max(z - 1.0, 0.0) ** 2
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
+    def test_matches_dense_and_direct_transcription(self, dims, rng):
+        ens, truth, obs = make_instance(dims, snr_db=30.0)
+        p = oracle_params(ens, truth)
+        z = random_pair(dims, rng, scale=1.6)
+        ev = evaluate(ens, z, obs, p)
+
+        lifted = sum(dense_oracle(ens, n) @ z.lifted_block(n).reshape(-1)
+                     for n in range(dims.N))
+        residual = lifted - obs.samples
+        assert ev.f == pytest.approx(np.vdot(residual, residual).real, rel=1e-10)
+
+        fm = dft_basis(dims.L, dims.M)
+        g = 0.0
+        for n in range(dims.N):
+            dn = p.d_n[n]
+            h, x = z.channels[n], z.coefficients[n]
+            g += _hinge(np.linalg.norm(h) ** 2 / (2 * dn))
+            g += _hinge(np.linalg.norm(x) ** 2 / (2 * dn))
+            g += sum(_hinge(dims.L * abs(fm[l] @ h) ** 2 / (8 * dn * p.mu**2))
+                     for l in range(dims.L))
+            g += sum(_hinge(dims.Q * abs(ens.coding[n][q] @ x) ** 2 / (8 * dn * p.nu**2))
+                     for q in range(dims.Q))
+        assert g > 0.0
+        assert ev.g == pytest.approx(p.rho * g, rel=1e-10)
+        assert ev.grad is None
+
+    @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
+    def test_gradient_evaluation_agrees(self, dims, rng):
+        ens, truth, obs = make_instance(dims, snr_db=30.0)
+        p = oracle_params(ens, truth)
+        z = random_pair(dims, rng, scale=1.6)
+        plain = evaluate(ens, z, obs, p)
+        full = evaluate(ens, z, obs, p, grad=True)
+        assert (full.f, full.g) == (plain.f, plain.g)
+        assert full.f_tilde == loss_total(ens, z, obs, p)
+        g = grad_total(ens, z, obs, p)
+        np.testing.assert_array_equal(full.grad.channels, g.channels)
+        np.testing.assert_array_equal(full.grad.coefficients, g.coefficients)
+
+    @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
+    def test_fft_calls_independent_of_components(self, dims, rng, monkeypatch):
         ens, truth, obs = make_instance(dims)
         p = oracle_params(ens, truth)
-        z = random_pair(dims, rng, scale=1.7)
-        g = grad_total(ens, z, obs, p)
-        gf = grad_measurement(ens, z, obs)
-        gg = grad_penalty(ens, z, p)
-        np.testing.assert_allclose(g.channels, gf.channels + gg.channels)
-        np.testing.assert_allclose(g.coefficients, gf.coefficients + gg.coefficients)
+        z = random_pair(dims, rng)
+        calls = []
+
+        def counted(name):
+            fn = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(name))
+        evaluate(ens, z, obs, p)
+        assert calls == ["fft"]
+        calls.clear()
+        evaluate(ens, z, obs, p, grad=True)
+        assert calls == ["fft", "ifft"]
 
 
 class TestNeighborhoods:
@@ -202,7 +257,8 @@ class TestNeighborhoods:
         dims = Dimensions(L=32, Q=16, M=4, K=3, N=2)
         ens, truth, obs = make_instance(dims)
         bad = random_pair(Dimensions(L=32, Q=16, M=5, K=3, N=2), rng)
+        p = oracle_params(ens, truth)
         with pytest.raises(ValueError):
-            loss_measurement(ens, bad, obs)
+            evaluate(ens, bad, obs, p)
         with pytest.raises(ValueError):
-            loss_measurement(ens, truth, ObservationVector(np.ones(31)))
+            evaluate(ens, truth, ObservationVector(np.ones(31)), p)

@@ -222,3 +222,12 @@ class TestObservationVector:
         obs = ObservationVector(np.ones(8))
         with pytest.raises(ValueError):
             obs.check_dims(Dimensions(L=16, Q=8, M=2, K=2, N=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite(self, bad):
+        samples = np.ones(8, dtype=complex)
+        samples[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ObservationVector(samples)
+        with pytest.raises(ValueError, match="non-finite"):
+            ObservationVector(np.ones(8), noise=samples)

@@ -10,6 +10,7 @@ from moddemix.objective import DegenerateInputError, coherences
 from moddemix.operators import BlockFactorPair, Dimensions, ObservationVector, dft_basis
 from moddemix.solver import (
     DivergenceError,
+    NumericalFailureError,
     SolverConfig,
     initialize,
     leading_singular_triple,
@@ -217,11 +218,19 @@ class TestSolve:
             lead = est.channels[n][np.nonzero(est.channels[n])[0][0]]
             assert abs(lead.imag) < 1e-10 * abs(lead)
 
-    def test_sequential_variant_runs(self):
-        ens, truth, obs = make_instance(EASY, seed=6)
-        cfg = SolverConfig(sequential=True, eta=0.05, max_iters=2000)
-        est, _ = solve(ens, obs, cfg, truth=truth)
-        assert relative_error(est, truth) < 1e-2
+    @pytest.mark.parametrize("dims,seed,iterations", [(TWO, 2, 46), (EASY, 1, 11)])
+    def test_pinned_iteration_count(self, dims, seed, iterations):
+        """Step acceptance and stopping are part of the contract: the same
+        seeded solves take the same number of iterations."""
+        ens, truth, obs = make_instance(dims, seed=seed)
+        _, trace = solve(ens, obs, SolverConfig(), truth=truth)
+        assert (trace.iterations, trace.stop_reason) == (iterations, "rel_err")
+
+    def test_non_finite_start_objective_raises(self):
+        ens, truth, obs = make_instance(EASY, seed=1)
+        start = BlockFactorPair(1e100 * truth.channels, 1e100 * truth.coefficients)
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailureError):
+            solve(ens, obs, SolverConfig(start=start), truth=truth)
 
     def test_deterministic(self):
         ens, truth, obs = make_instance(TWO, seed=7)
