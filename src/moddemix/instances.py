@@ -81,8 +81,11 @@ def make_coding_matrix(Q: int, K: int, n: int, stride: int = 1) -> np.ndarray:
         raise ValueError(
             f"column subset {{{n}, {n}+{stride}, ...}} needs {idx[-1] + 1} DCT columns "
             f"but Q={Q}")
-    basis = dct(np.eye(Q), norm="ortho", axis=0)
-    return basis[:, idx]
+    # DCT of the K selected unit vectors: the same columns as the full Q x Q
+    # basis, without forming it
+    select = np.zeros((Q, K))
+    select[idx, np.arange(K)] = 1.0
+    return dct(select, norm="ortho", axis=0)
 
 
 def make_modulation(Q: int, n: int, seed: int) -> np.ndarray:

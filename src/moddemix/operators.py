@@ -2,9 +2,12 @@
 
 The observation model sums, over ``N`` transmitters, the elementwise product
 of two length-``L`` spectra: the channel spectrum ``F_M h_n`` and the coded
-spectrum of the modulated message.  Everything here is FFT-backed; a dense
+spectrum of the modulated message.  The maps are FFT-backed; a dense
 matrix oracle (`dense_oracle`) exists purely so tests can cross-check the
-fast path.
+fast path.  The step-size bound needs ||A|| itself: `operator_norm` computes
+it exactly as the square root of the largest eigenvalue of a real Gram
+matrix of order min(L, NMK), built from the modulated coding columns
+without any FFT.
 
 Conventions
 -----------
@@ -266,26 +269,25 @@ def dense_oracle(ens: MeasurementEnsemble, n: int) -> np.ndarray:
     return (fcols[:, :, None] * ens.coded_spectra[n][:, None, :]).reshape(d.L, d.M * d.K)
 
 
-def operator_norm(ens: MeasurementEnsemble, iters: int = 100, tol: float = 1e-8,
-                  seed: int = 0) -> float:
-    """Spectral norm of the summed lifted map A, by power iteration on A^* A
-    over the block-diagonal lifted space."""
+def operator_norm(ens: MeasurementEnsemble) -> float:
+    """Spectral norm of the summed lifted map A, computed exactly.
+
+    With u_{n,k} = r_n * C_n[:, k] zero-padded to length L, the column of A
+    for lifted entry (n, m, k) is the unitary DFT of u_{n,k} circularly
+    shifted by m, up to conjugation.  So A^* A is the real Gram matrix of
+    the shifted vectors S_m u_{n,k}: block Toeplitz in (m, m'), with block
+    U^T S_{m'-m} U for U = [u_{n,k}] (L x NK).  Its nonzero eigenvalues are
+    those of the L x L matrix sum_m S_m U U^T S_m^T; the smaller of the two
+    is formed and handed to `numpy.linalg.eigvalsh`.
+    """
     d = ens.dims
-    rng = np.random.default_rng(seed)
-    blocks = rng.standard_normal((d.N, d.M, d.K)) + 1j * rng.standard_normal((d.N, d.M, d.K))
-    blocks /= np.linalg.norm(blocks)
-    sigma = 0.0
-    for _ in range(iters):
-        w = np.zeros(d.L, dtype=complex)
-        for n in range(d.N):
-            w += forward_lifted(ens, n, blocks[n])
-        back = np.stack([adjoint_component(ens, n, w) for n in range(d.N)])
-        new_sigma = np.linalg.norm(back)
-        if new_sigma == 0.0:
-            return 0.0
-        blocks = back / new_sigma
-        if abs(new_sigma - sigma) <= tol * new_sigma:
-            sigma = new_sigma
-            break
-        sigma = new_sigma
-    return float(np.sqrt(sigma))
+    U = np.zeros((d.L, d.N * d.K))
+    U[:d.Q] = (ens.modulation[:, :, None] * ens.coding).transpose(1, 0, 2).reshape(d.Q, -1)
+    if d.L <= d.N * d.M * d.K:
+        outer = U @ U.T
+        gram = sum(np.roll(outer, (m, m), axis=(0, 1)) for m in range(d.M))
+    else:
+        lags = [U.T @ np.roll(U, m, axis=0) for m in range(d.M)]
+        gram = np.block([[lags[j - i] if j >= i else lags[i - j].T for j in range(d.M)]
+                         for i in range(d.M)])
+    return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.fft import dct
 
 from moddemix.instances import (
     TrialSpec,
@@ -28,6 +29,13 @@ class TestCodingMatrix:
         C = make_coding_matrix(Q, K, n, stride)
         assert C.shape == (Q, K)
         np.testing.assert_allclose(C.T @ C, np.eye(K), atol=1e-12)
+
+    @pytest.mark.parametrize("Q,K,n,stride", [(8, 2, 1, 2), (24, 3, 2, 3),
+                                              (320, 8, 1, 2), (3200, 12, 1, 2)])
+    def test_equals_dense_dct_columns(self, Q, K, n, stride):
+        """Bit-identical to the columns of the full Q x Q orthonormal DCT-II."""
+        dense = dct(np.eye(Q), norm="ortho", axis=0)[:, n + stride * np.arange(K)]
+        assert np.array_equal(make_coding_matrix(Q, K, n, stride), dense)
 
     def test_components_use_disjoint_columns(self):
         N, Q, K = 3, 24, 5

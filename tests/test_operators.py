@@ -183,12 +183,18 @@ class TestForwardAdjoint:
 
 
 class TestOperatorNorm:
-    @pytest.mark.parametrize("dims", SMALL_DIMS[:3], ids=str)
-    def test_matches_dense_svd(self, dims):
-        ens, _, _ = make_instance(dims)
+    # SMALL_DIMS has two entries with L >= NMK and two with L < NMK, so both
+    # Gram sides are exercised; at the desk case with seed 2 a 100-step power
+    # iteration stopped unconverged, 2.2e-3 low
+    @pytest.mark.parametrize(
+        "dims,seed",
+        [pytest.param(dims, 0, id=str(dims)) for dims in SMALL_DIMS]
+        + [pytest.param(Dimensions(L=320, Q=320, M=8, K=8, N=2), 2, id="desk-seed2")])
+    def test_matches_dense_svd(self, dims, seed):
+        ens, _, _ = make_instance(dims, seed=seed)
         A = np.hstack([dense_oracle(ens, n) for n in range(dims.N)])
         expected = np.linalg.svd(A, compute_uv=False)[0]
-        assert operator_norm(ens, iters=500, tol=1e-12) == pytest.approx(expected, rel=1e-8)
+        assert operator_norm(ens) == pytest.approx(expected, rel=1e-12)
 
 
 class TestBlockFactorPair:

@@ -1,9 +1,15 @@
 """Tests for the spectral initializer, the incoherence projection and the
 regularized Wirtinger descent loop."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import moddemix
 from conftest import make_instance, random_pair
 from moddemix.instances import relative_error
 from moddemix.objective import DegenerateInputError, coherences
@@ -238,3 +244,22 @@ class TestSolve:
         est2, tr2 = solve(ens, obs, SolverConfig(), truth=truth)
         np.testing.assert_array_equal(est1.channels, est2.channels)
         np.testing.assert_array_equal(tr1.f_tilde, tr2.f_tilde)
+
+    def test_solve_imports_no_scipy_linalg_or_sparse(self):
+        """The step-size bound uses numpy.linalg only: importing scipy.linalg
+        alone adds megabytes of resident memory to every solving process."""
+        script = textwrap.dedent("""
+            import sys
+            from moddemix import SolverConfig, TrialSpec, solve, synthesize
+            from moddemix.operators import Dimensions
+            dims = Dimensions(L=16, Q=8, M=3, K=2, N=1)
+            ens, truth, obs = synthesize(TrialSpec(dims, seed=0))
+            solve(ens, obs, SolverConfig(), truth=truth)
+            print(*(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.sparse"))))
+            """)
+        src = os.path.dirname(os.path.dirname(moddemix.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.split() == []
