@@ -1,10 +1,10 @@
 """Spectral initialization and regularized Wirtinger gradient descent.
 
-`initialize` builds the starting point from the leading singular triple of
-each back-projected observation, pushed into the incoherent set by a convex
-projection.  `solve` then runs simultaneous Wirtinger updates of all channel
-and coefficient blocks, by default with a backtracking step size that
-guarantees a non-increasing objective.
+`initialize` builds the starting point from the exact leading singular
+triple (SVD) of each back-projected M x K observation block, pushed into the
+incoherent set by a convex projection.  `solve` then runs simultaneous
+Wirtinger updates of all channel and coefficient blocks, by default with a
+backtracking step size that guarantees a non-increasing objective.
 """
 
 from __future__ import annotations
@@ -43,6 +43,14 @@ __all__ = [
 ]
 
 
+# Backtracking gives up below this step size; the descent stops with
+# "stall" once f_tilde fell by at most _STALL_RTOL * f_init over the last
+# _STALL_WINDOW iterations.
+_MIN_ETA = 1e-20
+_STALL_WINDOW = 50
+_STALL_RTOL = 1e-13
+
+
 class DivergenceError(RuntimeError):
     """Fixed-step descent blew up; retry with a smaller step size."""
 
@@ -70,13 +78,7 @@ class SolverConfig:
     mu: float | None = None
     nu: float | None = None
     oracle_coherence: bool = True
-    power_iters: int = 200
-    power_tol: float = 1e-10
-    projection_tol: float = 1e-8
-    projection_max_iters: int = 500
     start: BlockFactorPair | None = None
-    stall_window: int = 50
-    stall_rtol: float = 1e-13
 
     def __post_init__(self):
         if isinstance(self.eta, str):
@@ -86,18 +88,16 @@ class SolverConfig:
             raise ValueError("fixed step size must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0 or self.grad_tol <= 0 or self.projection_tol <= 0:
+        if self.tol <= 0 or self.grad_tol <= 0:
             raise ValueError("tolerances must be positive")
 
 
 @dataclass
 class InitResult:
-    """Output of the spectral initializer: leading singular values d_n, the
-    unit singular vector pairs, and the projected scaled starting point."""
+    """Output of the spectral initializer: leading singular values d_n and the
+    projected scaled starting point."""
 
     d_n: np.ndarray
-    raw_channels: np.ndarray      # (N, M) unit left singular vectors
-    raw_coefficients: np.ndarray  # (N, K) unit right singular vectors
     start: BlockFactorPair
 
 
@@ -115,39 +115,16 @@ class SolveTrace:
     iterations: int = 0
 
 
-def leading_singular_triple(A: np.ndarray, iters: int = 200,
-                            tol: float = 1e-10) -> tuple[float, np.ndarray, np.ndarray]:
-    """Leading singular triple (d, u, v) of a complex matrix by power
-    iteration on A^H A.  Deterministic start from the dominant column."""
+def leading_singular_triple(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Exact leading singular triple (d, u, v) of a complex matrix, from its
+    SVD: A v = d u with unit u, v."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    col_norms = np.linalg.norm(A, axis=0)
-    if not np.any(col_norms > 0):
+    U, s, Vh = np.linalg.svd(A)
+    if s[0] == 0.0:
         raise DegenerateInputError("zero matrix has no leading singular triple")
-    v = np.zeros(A.shape[1], dtype=complex)
-    v[int(np.argmax(col_norms))] = 1.0
-    sigma_sq = 0.0
-    converged = False
-    for _ in range(iters):
-        w = A.conj().T @ (A @ v)
-        new_sigma_sq = np.linalg.norm(w)
-        if new_sigma_sq == 0.0:
-            break
-        v = w / new_sigma_sq
-        if abs(new_sigma_sq - sigma_sq) <= tol * new_sigma_sq:
-            sigma_sq = new_sigma_sq
-            converged = True
-            break
-        sigma_sq = new_sigma_sq
-    if not converged:
-        warnings.warn("power iteration did not converge; returning best triple",
-                      RuntimeWarning, stacklevel=2)
-    Av = A @ v
-    d = float(np.linalg.norm(Av))
-    if d == 0.0:
-        raise DegenerateInputError("matrix numerically rank deficient at start column")
-    return d, Av / d, v
+    return float(s[0]), U[:, 0], Vh[0].conj()
 
 
 def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float,
@@ -207,34 +184,26 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float,
 
 
 def initialize(ens: MeasurementEnsemble, y_hat: ObservationVector,
-               mu: float, nu: float, cfg: SolverConfig | None = None) -> InitResult:
-    """Spectral initialization: per component, the leading singular triple of
-    the back-projected observation, scaled by sqrt(d_n) and projected into
-    the incoherent set."""
-    cfg = cfg or SolverConfig()
+               mu: float, nu: float) -> InitResult:
+    """Spectral initialization: per component, the exact leading singular
+    triple of the back-projected M x K observation block, scaled by
+    sqrt(d_n) and projected into the incoherent set."""
     y_hat.check_dims(ens.dims)
     if not np.any(y_hat.samples):
         raise DegenerateInputError("cannot initialize from a zero observation")
     d = ens.dims
     fm = dft_basis(d.L, d.M)
     d_n = np.empty(d.N)
-    raw_h = np.empty((d.N, d.M), dtype=complex)
-    raw_x = np.empty((d.N, d.K), dtype=complex)
     u0 = np.empty((d.N, d.M), dtype=complex)
     v0 = np.empty((d.N, d.K), dtype=complex)
     for n in range(d.N):
         block = adjoint_component(ens, n, y_hat.samples)
-        dn, hv, xv = leading_singular_triple(block, cfg.power_iters, cfg.power_tol)
+        dn, hv, xv = leading_singular_triple(block)
         d_n[n] = dn
-        raw_h[n] = hv
-        raw_x[n] = xv
         root = np.sqrt(dn)
-        u0[n] = project_incoherent(root * hv, fm, 2 * root * mu,
-                                   cfg.projection_tol, cfg.projection_max_iters)
-        v0[n] = project_incoherent(root * xv, ens.coding[n], 2 * root * nu,
-                                   cfg.projection_tol, cfg.projection_max_iters)
-    return InitResult(d_n=d_n, raw_channels=raw_h, raw_coefficients=raw_x,
-                      start=BlockFactorPair(u0, v0))
+        u0[n] = project_incoherent(root * hv, fm, 2 * root * mu)
+        v0[n] = project_incoherent(root * xv, ens.coding[n], 2 * root * nu)
+    return InitResult(d_n=d_n, start=BlockFactorPair(u0, v0))
 
 
 def _apply_step(z: BlockFactorPair, g: BlockFactorPair, eta: float) -> BlockFactorPair:
@@ -242,10 +211,10 @@ def _apply_step(z: BlockFactorPair, g: BlockFactorPair, eta: float) -> BlockFact
                            z.coefficients - eta * g.coefficients)
 
 
-def _backtrack(ens, z, y_hat, p, g, gn_sq, cur, eta, min_eta=1e-20):
+def _backtrack(ens, z, y_hat, p, g, gn_sq, cur, eta):
     """Halve eta until sufficient decrease; returns (z_new, evaluation at
     z_new, eta) or (z, cur, 0.0) when no decrease is achievable (plateau)."""
-    while eta > min_eta:
+    while eta > _MIN_ETA:
         trial = _apply_step(z, g, eta)
         ev = evaluate(ens, trial, y_hat, p)
         if ev.f_tilde <= cur.f_tilde - 0.05 * eta * gn_sq:
@@ -294,7 +263,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
         d_n = np.linalg.norm(z.channels, axis=1) * np.linalg.norm(z.coefficients, axis=1)
         d_n = np.where(d_n > 0, d_n, 1.0)
     else:
-        init = initialize(ens, y_hat, mu, nu, cfg)
+        init = initialize(ens, y_hat, mu, nu)
         z = init.start
         d_n = init.d_n
     d = float(np.sqrt(np.sum(d_n**2)))
@@ -336,8 +305,8 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
                 stop = "grad_tol"
                 break
             if backtracking:
-                eta_try = min(2.0 * eta, eta0) if eta > 0 else eta0
-                z, cur, eta = _backtrack(ens, z, y_hat, p, g, gn_sq, cur, eta_try)
+                z, cur, eta = _backtrack(ens, z, y_hat, p, g, gn_sq, cur,
+                                         min(2.0 * eta, eta0))
                 if eta == 0.0:
                     record(t, cur, gn)
                     stop = "no_decrease"
@@ -353,8 +322,8 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
             if truth is not None and err < cfg.tol:
                 stop = "rel_err"
                 break
-            w = cfg.stall_window
-            if len(rows) > w and rows[-1 - w][1] - cur.f_tilde <= cfg.stall_rtol * f_init:
+            if (len(rows) > _STALL_WINDOW and rows[-1 - _STALL_WINDOW][1] - cur.f_tilde
+                    <= _STALL_RTOL * f_init):
                 stop = "stall"
                 break
 

@@ -46,7 +46,7 @@ class TestLeadingSingularTriple:
     @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (8, 8), (1, 5)])
     def test_matches_svd(self, shape, rng):
         A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        d, u, v = leading_singular_triple(A, iters=2000, tol=1e-14)
+        d, u, v = leading_singular_triple(A)
         s = np.linalg.svd(A, compute_uv=False)
         assert d == pytest.approx(s[0], rel=1e-10)
         # u, v reproduce the rank-1 action: A v = d u
@@ -60,6 +60,14 @@ class TestLeadingSingularTriple:
         A = np.outer(a, b)
         d, u, v = leading_singular_triple(A)
         assert d == pytest.approx(np.linalg.norm(a) * np.linalg.norm(b), rel=1e-12)
+
+    def test_leading_value_not_at_dominant_column(self):
+        """The largest column (norm 2.2) is an eigenvector of A^H A, but not
+        the leading one: a power iteration started there stays at 2.2."""
+        A = np.array([[2.2, 0, 0], [0, 1.5, 1.5], [0, 1.5, 1.5]])
+        d, u, v = leading_singular_triple(A)
+        assert d == pytest.approx(3.0, rel=1e-12)
+        np.testing.assert_allclose(A @ v, d * u, atol=1e-12)
 
     def test_zero_matrix_raises(self):
         with pytest.raises(DegenerateInputError):
@@ -147,6 +155,21 @@ class TestInitialize:
                 * np.linalg.norm(truth.coefficients, axis=1))
         np.testing.assert_allclose(init.d_n, d_n0, rtol=0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+    def test_scale_equivariant(self, scale):
+        """The model is homogeneous: scaling y by s scales d_n by s and the
+        start by sqrt(s), without warnings, overflow or underflow."""
+        ens, truth, obs = make_instance(TWO, seed=5)
+        rep = coherences(ens, truth)
+        ref = initialize(ens, obs, rep.mu, rep.nu)
+        init = initialize(ens, ObservationVector(scale * obs.samples), rep.mu, rep.nu)
+        np.testing.assert_allclose(init.d_n, scale * ref.d_n, rtol=1e-12)
+        for got, want in [(init.start.channels, ref.start.channels),
+                          (init.start.coefficients, ref.start.coefficients)]:
+            assert np.linalg.norm(got - np.sqrt(scale) * want) \
+                <= 1e-12 * np.sqrt(scale) * np.linalg.norm(want)
+
     def test_zero_observation_raises(self):
         ens, truth, _ = make_instance(TWO, seed=5)
         obs = ObservationVector(np.zeros(TWO.L))
@@ -231,6 +254,13 @@ class TestSolve:
         ens, truth, obs = make_instance(dims, seed=seed)
         _, trace = solve(ens, obs, SolverConfig(), truth=truth)
         assert (trace.iterations, trace.stop_reason) == (iterations, "rel_err")
+
+    def test_stall_stop(self):
+        """A step too small to move f_tilde stops on "stall" after the fixed
+        50-iteration window."""
+        ens, truth, obs = make_instance(EASY, seed=1)
+        _, trace = solve(ens, obs, SolverConfig(eta=1e-30), truth=truth)
+        assert (trace.stop_reason, trace.iterations) == ("stall", 50)
 
     def test_non_finite_start_objective_raises(self):
         ens, truth, obs = make_instance(EASY, seed=1)
