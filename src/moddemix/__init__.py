@@ -12,8 +12,6 @@ from .operators import (
     ObservationVector,
     adjoint_component,
     dense_oracle,
-    forward_component,
-    forward_lifted,
     forward_map,
     operator_norm,
     partial_dft_adjoint,
@@ -24,7 +22,6 @@ from .objective import (
     PenaltyParams,
     coherences,
     evaluate,
-    neighborhood_membership,
 )
 from .solver import (
     InitResult,

@@ -45,33 +45,34 @@ def _add_dims(p, L=64, Q=64, M=4, K=4, N=2):
     p.add_argument("--N", type=int, default=N, help="number of components")
 
 
-def _add_solver(p):
-    p.add_argument("--max-iters", type=int, default=5000)
+def _add_solver(p, max_iters):
+    p.add_argument("--max-iters", type=int, default=max_iters)
     p.add_argument("--eta", type=float, default=None,
                    help="fixed step size (default: backtracking)")
     p.add_argument("--rho", type=float, default=None, help="penalty weight override")
-    p.add_argument("--oracle-coherence", action=argparse.BooleanOptionalAction,
-                   default=True, help="take mu/nu from the ground truth")
-    p.add_argument("--mu", type=float, default=None, help="blind-mode mu bound")
-    p.add_argument("--nu", type=float, default=None, help="blind-mode nu bound")
+    p.add_argument("--mu", type=float, default=None,
+                   help="channel coherence bound (with --nu; default: the truth's)")
+    p.add_argument("--nu", type=float, default=None,
+                   help="message coherence bound (with --mu; default: the truth's)")
 
 
-def _add_common(p):
+def _add_seed_out(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", type=str, default=None, help="output CSV/JSON path")
+
+
+def _add_sweep(p):
+    p.add_argument("--trials", type=int, default=10)
     p.add_argument("--workers", type=int, default=1)
 
 
-def _solver_config(args, max_iters=None) -> SolverConfig:
+def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         eta="backtracking" if args.eta is None else args.eta,
-        max_iters=max_iters if max_iters is not None else args.max_iters,
+        max_iters=args.max_iters,
         rho=args.rho,
         mu=args.mu,
         nu=args.nu,
-        oracle_coherence=args.oracle_coherence,
     )
 
 
@@ -82,16 +83,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trial", help="run one seeded trial")
     _add_dims(p, L=320, Q=320, M=8, K=8)
-    _add_solver(p)
-    _add_common(p)
+    _add_solver(p, max_iters=5000)
+    _add_seed_out(p)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--snr-db", type=float, default=None)
     p.add_argument("--dump-instance", type=str, default=None,
                    help="write the instance snapshot JSON here")
 
     p = sub.add_parser("phase",
                        help="K vs M phase-transition grid over Q")
-    _add_solver(p)
-    _add_common(p)
+    _add_solver(p, max_iters=400)
+    _add_seed_out(p)
+    _add_sweep(p)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--L", type=int, default=None)
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--Q-values", type=int, nargs="+", default=None)
@@ -102,15 +106,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("snr", help="SNR sweep")
     _add_dims(p, L=320, Q=320, M=8, K=8)
-    _add_solver(p)
-    _add_common(p)
+    _add_solver(p, max_iters=2000)
+    _add_seed_out(p)
+    _add_sweep(p)
     p.add_argument("--snr-db", type=float, nargs="+",
                    default=[10.0, 20.0, 30.0, 40.0, 50.0])
 
     p = sub.add_parser("scaling",
                        help="minimum observations vs transmitter count")
-    _add_solver(p)
-    _add_common(p)
+    _add_solver(p, max_iters=400)
+    _add_seed_out(p)
+    _add_sweep(p)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--N-max", type=int, default=4)
     p.add_argument("--K", type=int, default=4)
     p.add_argument("--M", type=int, default=4)
@@ -120,15 +127,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace",
                        help="per-iteration convergence trace")
     _add_dims(p, L=320, Q=320, M=8, K=8)
-    _add_solver(p)
-    _add_common(p)
+    _add_solver(p, max_iters=5000)
+    _add_seed_out(p)
     p.add_argument("--snr-db", type=float, default=None)
 
     p = sub.add_parser("probe",
                        help="numerical identity probes")
     p.add_argument("kind", choices=["adjoint", "isometry", "rip", "gradcheck"])
     _add_dims(p, L=32, Q=16, M=6, K=4)
-    _add_common(p)
+    _add_seed_out(p)
+    p.add_argument("--trials", type=int, default=10)
     p.add_argument("--draws", type=int, default=500, help="rip probe draw count")
     return parser
 
@@ -136,11 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_trial(args) -> int:
     dims = Dimensions(L=args.L, Q=args.Q, M=args.M, K=args.K, N=args.N)
     spec = TrialSpec(dims, seed=args.seed, snr_db=args.snr_db)
+    cfg = _solver_config(args)
     if args.dump_instance:
         ens, truth, obs = synthesize(spec)
         with open(args.dump_instance, "w", encoding="utf-8") as fh:
             fh.write(snapshot_to_json(spec, ens, truth, obs))
-    rec = run_trial(spec, _solver_config(args), args.threshold)
+    rec = run_trial(spec, cfg, args.threshold)
     doc = {k: getattr(rec, k) for k in rec.fieldnames()}
     text = json.dumps(doc, default=str, indent=2)
     if args.out:
@@ -162,7 +171,7 @@ def _cmd_phase(args) -> int:
         vals = getattr(args, name)
         if vals is not None:
             grid = replace(grid, **{name: tuple(vals)})
-    rows = run_phase_transition(grid, _solver_config(args, max_iters=min(args.max_iters, 400)),
+    rows = run_phase_transition(grid, _solver_config(args),
                                 out=args.out, base_seed=args.seed, workers=args.workers)
     print(f"phase grid: {len(rows)} cells"
           + (f" -> {args.out}" if args.out else ""))
@@ -171,7 +180,7 @@ def _cmd_phase(args) -> int:
 
 def _cmd_snr(args) -> int:
     dims = Dimensions(L=args.L, Q=args.Q, M=args.M, K=args.K, N=args.N)
-    rows = run_snr_sweep(dims, args.snr_db, _solver_config(args, max_iters=min(args.max_iters, 2000)),
+    rows = run_snr_sweep(dims, args.snr_db, _solver_config(args),
                          out=args.out, trials=args.trials, base_seed=args.seed,
                          workers=args.workers)
     for r in rows:
@@ -181,7 +190,7 @@ def _cmd_snr(args) -> int:
 
 def _cmd_scaling(args) -> int:
     rows = run_transmitter_sweep(
-        _solver_config(args, max_iters=min(args.max_iters, 400)), out=args.out,
+        _solver_config(args), out=args.out,
         N_values=tuple(range(1, args.N_max + 1)), K=args.K, M=args.M,
         L_step=args.L_step, L_max=args.L_max, trials=args.trials,
         threshold=args.threshold, base_seed=args.seed, workers=args.workers)

@@ -64,12 +64,6 @@ class TrialRecord:
         return ["L", "Q", "M", "K", "N", "seed", "snr_db", "iterations",
                 "rel_err", "success", "wall_time", "stop_reason"]
 
-    def row(self) -> list:
-        return [self.L, self.Q, self.M, self.K, self.N, self.seed,
-                "" if self.snr_db is None else self.snr_db,
-                self.iterations, f"{self.rel_err:.6e}", int(self.success),
-                f"{self.wall_time:.4f}", self.stop_reason]
-
 
 def run_trial(spec: TrialSpec, cfg: SolverConfig | None = None,
               threshold: float = DEFAULT_THRESHOLD) -> TrialRecord:

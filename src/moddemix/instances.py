@@ -48,21 +48,12 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """One reproducible experiment instance: geometry, seed, optional SNR in
-    dB (None = noiseless) and per-component target energies d_n0."""
+    """One reproducible experiment instance: geometry, seed and optional SNR
+    in dB (None = noiseless)."""
 
     dims: Dimensions
     seed: int
     snr_db: float | None = None
-    normalization: float | tuple = 1.0
-    real_truth: bool = False
-
-    def component_scales(self) -> np.ndarray:
-        scales = np.broadcast_to(np.asarray(self.normalization, dtype=float),
-                                 (self.dims.N,)).copy()
-        if np.any(scales <= 0):
-            raise ValueError("target component energies must be positive")
-        return scales
 
 
 def make_coding_matrix(Q: int, K: int, n: int, stride: int = 1) -> np.ndarray:
@@ -95,22 +86,14 @@ def make_modulation(Q: int, n: int, seed: int) -> np.ndarray:
 
 
 def make_ground_truth(spec: TrialSpec) -> BlockFactorPair:
-    """Complex (or real) Gaussian factors, each rescaled so that
-    ||h_n||^2 = ||x_n||^2 = d_n0."""
+    """Complex Gaussian factors, each rescaled to unit norm."""
     d = spec.dims
-    scales = spec.component_scales()
     rng_h = _rng(spec.seed, _STREAM_CHANNELS)
     rng_x = _rng(spec.seed, _STREAM_COEFFICIENTS)
-
-    def draw(rng, shape):
-        if spec.real_truth:
-            return rng.standard_normal(shape).astype(complex)
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    h = draw(rng_h, (d.N, d.M))
-    x = draw(rng_x, (d.N, d.K))
-    h *= (np.sqrt(scales) / np.linalg.norm(h, axis=1))[:, None]
-    x *= (np.sqrt(scales) / np.linalg.norm(x, axis=1))[:, None]
+    h = rng_h.standard_normal((d.N, d.M)) + 1j * rng_h.standard_normal((d.N, d.M))
+    x = rng_x.standard_normal((d.N, d.K)) + 1j * rng_x.standard_normal((d.N, d.K))
+    h *= (1.0 / np.linalg.norm(h, axis=1))[:, None]
+    x *= (1.0 / np.linalg.norm(x, axis=1))[:, None]
     return BlockFactorPair(h, x)
 
 

@@ -27,13 +27,11 @@ from .operators import (
 __all__ = [
     "CoherenceReport",
     "PenaltyParams",
-    "NeighborhoodFlags",
     "Evaluation",
     "coherences",
     "evaluate",
     "grad_total",
     "loss_total",
-    "neighborhood_membership",
 ]
 
 
@@ -184,48 +182,3 @@ def grad_total(ens: MeasurementEnsemble, z: BlockFactorPair,
                y_hat: ObservationVector, p: PenaltyParams) -> BlockFactorPair:
     """Wirtinger gradient of F + G at z."""
     return evaluate(ens, z, y_hat, p, grad=True).grad
-
-
-@dataclass(frozen=True)
-class NeighborhoodFlags:
-    """Membership in the norm, spectral-incoherence, coded-incoherence and
-    proximity neighborhoods of the ground truth."""
-
-    norm: bool
-    spectral: bool
-    coded: bool
-    proximity: bool
-
-    @property
-    def all_incoherence(self) -> bool:
-        return self.norm and self.spectral and self.coded
-
-
-def neighborhood_membership(ens: MeasurementEnsemble, z: BlockFactorPair,
-                            truth: BlockFactorPair, eps: float) -> NeighborhoodFlags:
-    """Evaluate the four neighborhood predicates of ``z`` around ``truth``."""
-    z.check_dims(ens.dims)
-    truth.check_dims(ens.dims)
-    d = ens.dims
-    d_n0 = np.linalg.norm(truth.channels, axis=1) * np.linalg.norm(truth.coefficients, axis=1)
-    if np.any(d_n0 == 0.0):
-        raise DegenerateInputError("truth has a zero component")
-    root = np.sqrt(d_n0)
-
-    h_norms = np.linalg.norm(z.channels, axis=1)
-    x_norms = np.linalg.norm(z.coefficients, axis=1)
-    in_norm = bool(np.all(h_norms <= 2 * root) and np.all(x_norms <= 2 * root))
-
-    report = coherences(ens, truth)
-    spec_inf = np.max(np.abs(partial_dft_apply(d.L, z.channels.T)), axis=0)
-    in_spec = bool(np.all(np.sqrt(d.L) * spec_inf <= 4 * report.mu * root))
-
-    coded_inf = np.array([np.max(np.abs(ens.coding[n] @ z.coefficients[n]))
-                          for n in range(d.N)])
-    in_coded = bool(np.all(np.sqrt(d.Q) * coded_inf <= 4 * report.nu * root))
-
-    prox = np.array([
-        np.linalg.norm(z.lifted_block(n) - truth.lifted_block(n)) for n in range(d.N)
-    ])
-    in_prox = bool(np.all(prox <= eps * d_n0))
-    return NeighborhoodFlags(in_norm, in_spec, in_coded, in_prox)

@@ -37,8 +37,6 @@ __all__ = [
     "ObservationVector",
     "partial_dft_apply",
     "partial_dft_adjoint",
-    "forward_component",
-    "forward_lifted",
     "component_spectra",
     "forward_map",
     "adjoint_component",
@@ -159,10 +157,6 @@ class BlockFactorPair:
         if not (np.all(np.isfinite(self.channels)) and np.all(np.isfinite(self.coefficients))):
             raise ValueError("non-finite entries in factor pair")
 
-    @property
-    def n_components(self) -> int:
-        return self.channels.shape[0]
-
     def check_dims(self, dims: Dimensions) -> None:
         if self.channels.shape != (dims.N, dims.M):
             raise ValueError(f"channels shape {self.channels.shape} != {(dims.N, dims.M)}")
@@ -201,31 +195,6 @@ class ObservationVector:
     def check_dims(self, dims: Dimensions) -> None:
         if self.samples.shape != (dims.L,):
             raise ValueError(f"samples shape {self.samples.shape} != ({dims.L},)")
-
-
-def forward_component(ens: MeasurementEnsemble, n: int,
-                      h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A_n(h x^*): elementwise product of the channel spectrum with the
-    conjugate-coded message spectrum.  Length-L complex output."""
-    ens._check_component(n)
-    d = ens.dims
-    h = np.asarray(h, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    if h.shape != (d.M,):
-        raise ValueError(f"channel length {h.shape} != ({d.M},)")
-    if x.shape != (d.K,):
-        raise ValueError(f"coefficient length {x.shape} != ({d.K},)")
-    return partial_dft_apply(d.L, h) * (ens.coded_spectra[n] @ np.conj(x))
-
-
-def forward_lifted(ens: MeasurementEnsemble, n: int, Z: np.ndarray) -> np.ndarray:
-    """A_n applied to a dense M x K lifted block (linear in Z)."""
-    ens._check_component(n)
-    d = ens.dims
-    Z = np.asarray(Z, dtype=complex)
-    if Z.shape != (d.M, d.K):
-        raise ValueError(f"lifted block shape {Z.shape} != {(d.M, d.K)}")
-    return np.sum(partial_dft_apply(d.L, Z) * ens.coded_spectra[n], axis=1)
 
 
 def component_spectra(ens: MeasurementEnsemble,

@@ -66,8 +66,10 @@ class SolverConfig:
     eta is either the string "backtracking" (default) or a fixed positive
     step size.  tol is the relative-error stopping threshold used when the
     ground truth is supplied; grad_tol stops on gradient norm below
-    grad_tol * d^2.  mu/nu are blind-mode coherence bounds, used when no
-    truth is available or oracle_coherence is off.
+    grad_tol * d^2.  mu/nu are the coherence bounds of the penalty and the
+    initial projection: set both or neither.  When set they are used as
+    given; otherwise `solve` takes the ground truth's coherences, and
+    without truth it raises ValueError.
     """
 
     eta: float | str = "backtracking"
@@ -77,7 +79,6 @@ class SolverConfig:
     rho: float | None = None
     mu: float | None = None
     nu: float | None = None
-    oracle_coherence: bool = True
     start: BlockFactorPair | None = None
 
     def __post_init__(self):
@@ -90,6 +91,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0 or self.grad_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if (self.mu is None) != (self.nu is None):
+            raise ValueError("set both mu and nu, or neither")
 
 
 @dataclass
@@ -240,26 +243,50 @@ def _normalize_output(z: BlockFactorPair) -> BlockFactorPair:
     return BlockFactorPair(h, x)
 
 
+def _scaled(z: BlockFactorPair, c: float) -> BlockFactorPair:
+    return BlockFactorPair(c * z.channels, c * z.coefficients)
+
+
+def _scale_exponent(y: np.ndarray) -> int:
+    """j such that 4^j is the power of four nearest ||y|| (0 for y = 0)."""
+    peak = float(np.max(np.abs(y)))
+    if peak == 0.0:
+        return 0
+    return int(np.round((np.log2(peak) + np.log2(np.linalg.norm(y / peak))) / 2))
+
+
 def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
           cfg: SolverConfig | None = None,
           truth: BlockFactorPair | None = None) -> tuple[BlockFactorPair, SolveTrace]:
     """Initialize (unless cfg.start is given) and descend until max_iters,
-    a small gradient, or (with truth) a small relative error."""
+    a small gradient, or (with truth) a small relative error.
+
+    The model is homogeneous: y -> s y takes the factors to sqrt(s) times
+    theirs.  The descent therefore runs on y / 4^j, 4^j the power of four
+    nearest ||y||, with truth, start, rho and a fixed eta scaled to match;
+    the estimate and the trace are scaled back by exact powers of two.
+    """
     from .instances import relative_error
 
     cfg = cfg or SolverConfig()
     y_hat.check_dims(ens.dims)
+    j = _scale_exponent(y_hat.samples)
+    c = float(np.ldexp(1.0, -j))  # factors scale by c, y by c^2
+    y_hat = ObservationVector(
+        c * c * y_hat.samples, None if y_hat.noise is None else c * c * y_hat.noise)
+    if truth is not None:
+        truth = _scaled(truth, c)
 
-    if cfg.oracle_coherence and truth is not None:
+    if cfg.mu is not None:
+        mu, nu = cfg.mu, cfg.nu
+    elif truth is not None:
         rep = coherences(ens, truth)
         mu, nu = rep.mu, rep.nu
-    elif cfg.mu is not None and cfg.nu is not None:
-        mu, nu = cfg.mu, cfg.nu
     else:
-        raise ValueError("need cfg.mu/cfg.nu bounds when no oracle truth is available")
+        raise ValueError("need cfg.mu/cfg.nu bounds when no truth is available")
 
     if cfg.start is not None:
-        z = cfg.start.copy()
+        z = _scaled(cfg.start, c)
         d_n = np.linalg.norm(z.channels, axis=1) * np.linalg.norm(z.coefficients, axis=1)
         d_n = np.where(d_n > 0, d_n, 1.0)
     else:
@@ -268,7 +295,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
         d_n = init.d_n
     d = float(np.sqrt(np.sum(d_n**2)))
     if cfg.rho is not None:
-        rho = cfg.rho
+        rho = float(np.ldexp(cfg.rho, -4 * j))
     elif y_hat.noise is not None:
         rho = d**2 + 2.0 * float(np.vdot(y_hat.noise, y_hat.noise).real)
     else:
@@ -276,7 +303,8 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     p = PenaltyParams(rho=rho, d=d, d_n=d_n, mu=mu, nu=nu)
 
     backtracking = isinstance(cfg.eta, str)
-    eta0 = (1.0 / (2.0 * operator_norm(ens) ** 2 * d)) if backtracking else float(cfg.eta)
+    eta0 = (1.0 / (2.0 * operator_norm(ens) ** 2 * d)) if backtracking \
+        else float(np.ldexp(cfg.eta, 2 * j))
     eta = eta0
 
     rows = []  # (t, f_tilde, f, g, rel_err, grad_norm)
@@ -329,9 +357,10 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
 
     arr = np.array(rows, dtype=float)
     trace = SolveTrace(
-        t=arr[:, 0].astype(int), f_tilde=arr[:, 1], f=arr[:, 2], g=arr[:, 3],
-        rel_err=arr[:, 4], grad_norm=arr[:, 5],
+        t=arr[:, 0].astype(int), f_tilde=np.ldexp(arr[:, 1], 4 * j),
+        f=np.ldexp(arr[:, 2], 4 * j), g=np.ldexp(arr[:, 3], 4 * j),
+        rel_err=arr[:, 4], grad_norm=np.ldexp(arr[:, 5], 3 * j),
         stop_reason=stop, iterations=int(arr[-1, 0]),
     )
-    return _normalize_output(z), trace
+    return _scaled(_normalize_output(z), 1.0 / c), trace
 

@@ -1,14 +1,18 @@
 """Tests of the experiment harness (trials, sweeps, probes) and the command
 line surface, including exit codes and output files."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from moddemix.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+import moddemix.cli as cli
+import moddemix.solver as solver_module
+from moddemix.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from moddemix.harness import (
     SweepGrid,
     TrialRecord,
@@ -24,6 +28,19 @@ from moddemix.operators import Dimensions
 from moddemix.solver import SolverConfig
 
 EASY = Dimensions(L=64, Q=64, M=3, K=3, N=1)
+TINY = ["--L", "32", "--Q", "16", "--M", "3", "--K", "2", "--N", "1"]
+
+
+def _recording_namespace(reads: set) -> argparse.Namespace:
+    """Namespace that adds the name of every parsed option read to reads."""
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            if name in object.__getattribute__(self, "__dict__"):
+                reads.add(name)
+            return object.__getattribute__(self, name)
+
+    return Recorder()
 
 
 class TestRunTrial:
@@ -47,8 +64,8 @@ class TestRunTrial:
         assert rec.stop_reason == "DivergenceError"
 
     def test_row_matches_fieldnames(self):
-        rec = run_trial(TrialSpec(EASY, seed=1))
-        assert len(rec.row()) == len(TrialRecord.fieldnames())
+        """fieldnames() names every field of the record, in order."""
+        assert TrialRecord.fieldnames() == [f.name for f in dataclasses.fields(TrialRecord)]
 
 
 class TestSweeps:
@@ -218,3 +235,64 @@ class TestCli:
         code = main(["trace", "--L", "64", "--Q", "64", "--M", "3", "--K", "3",
                      "--N", "1", "--eta", "50.0"])
         assert code == EXIT_NUMERIC
+
+    def test_mu_nu_override_truth(self, monkeypatch, capsys):
+        seen = []
+        initialize = solver_module.initialize
+
+        def spy(ens, y_hat, mu, nu):
+            seen.append((mu, nu))
+            return initialize(ens, y_hat, mu, nu)
+
+        monkeypatch.setattr(solver_module, "initialize", spy)
+        code = main(["trial", *TINY, "--mu", "7", "--nu", "7", "--max-iters", "5"])
+        assert code == EXIT_OK
+        assert seen == [(7.0, 7.0)]
+
+    def test_mu_without_nu_is_usage_error(self, capsys):
+        assert main(["trial", *TINY, "--mu", "7"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command,runner,default", [
+        ("phase", "run_phase_transition", 400),
+        ("scaling", "run_transmitter_sweep", 400),
+        ("snr", "run_snr_sweep", 2000),
+    ])
+    def test_max_iters_reaches_harness(self, monkeypatch, capsys, command, runner, default):
+        seen = []
+
+        def fake(*args, **kwargs):
+            seen.extend(a.max_iters for a in args if isinstance(a, SolverConfig))
+            return []
+
+        monkeypatch.setattr(cli, runner, fake)
+        assert main([command]) == EXIT_OK
+        assert main([command, "--max-iters", "1000"]) == EXIT_OK
+        assert seen == [default, 1000]
+
+    def test_unread_flag_rejected(self, capsys):
+        assert main(["trace", *TINY, "--workers", "2"]) == EXIT_USAGE
+
+    def test_every_flag_is_read(self, tmp_path, capsys):
+        """Each subcommand reads every option it accepts (probe: over its
+        adjoint and rip kinds)."""
+        runs = {
+            "trial": [["trial", *TINY, "--max-iters", "5",
+                       "--dump-instance", str(tmp_path / "inst.json")]],
+            "phase": [["phase", "--L", "32", "--N", "1", "--trials", "1", "--Q-values", "16",
+                       "--K-values", "2", "--M-values", "2", "--max-iters", "5"]],
+            "snr": [["snr", *TINY, "--trials", "1", "--snr-db", "20", "--max-iters", "5"]],
+            "scaling": [["scaling", "--N-max", "1", "--K", "2", "--M", "2", "--L-step", "16",
+                         "--L-max", "16", "--trials", "1", "--max-iters", "5"]],
+            "trace": [["trace", *TINY, "--max-iters", "5"]],
+            "probe": [["probe", "adjoint", "--trials", "1"], ["probe", "rip", "--draws", "2"]],
+        }
+        parser = build_parser()
+        for command, argvs in runs.items():
+            accepted, read, reads = set(), set(), set()
+            for argv in argvs:
+                args = parser.parse_args(argv, namespace=_recording_namespace(reads))
+                accepted |= set(vars(args)) - {"command"}
+                reads.clear()
+                assert cli._COMMANDS[command](args) == EXIT_OK
+                read |= reads
+            assert accepted - read == set(), command

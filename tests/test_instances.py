@@ -72,20 +72,11 @@ class TestModulation:
 
 class TestGroundTruth:
     def test_component_energies(self):
-        spec = TrialSpec(DIMS, seed=0, normalization=(2.0, 0.5))
-        truth = make_ground_truth(spec)
-        np.testing.assert_allclose(np.linalg.norm(truth.channels, axis=1) ** 2,
-                                   [2.0, 0.5], rtol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(truth.coefficients, axis=1) ** 2,
-                                   [2.0, 0.5], rtol=1e-12)
-
-    def test_real_truth_flag(self):
-        truth = make_ground_truth(TrialSpec(DIMS, seed=0, real_truth=True))
-        assert np.all(truth.channels.imag == 0)
-
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            TrialSpec(DIMS, seed=0, normalization=0.0).component_scales()
+        """Every true factor is complex with unit norm."""
+        truth = make_ground_truth(TrialSpec(DIMS, seed=0))
+        for factor in (truth.channels, truth.coefficients):
+            np.testing.assert_allclose(np.linalg.norm(factor, axis=1), 1.0, rtol=1e-12)
+            assert np.all(np.any(factor.imag != 0, axis=1))
 
 
 class TestSynthesize:

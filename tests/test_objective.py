@@ -14,7 +14,6 @@ from moddemix.objective import (
     evaluate,
     grad_total,
     loss_total,
-    neighborhood_membership,
 )
 from moddemix.operators import (
     BlockFactorPair,
@@ -235,23 +234,6 @@ class TestEvaluate:
         calls.clear()
         evaluate(ens, z, obs, p, grad=True)
         assert calls == ["fft", "ifft"]
-
-
-class TestNeighborhoods:
-    def test_truth_is_inside(self):
-        dims = Dimensions(L=32, Q=16, M=4, K=3, N=2)
-        ens, truth, _ = make_instance(dims)
-        flags = neighborhood_membership(ens, truth, truth, eps=0.1)
-        assert flags.norm and flags.spectral and flags.coded and flags.proximity
-        assert flags.all_incoherence
-
-    def test_far_point_outside_proximity(self, rng):
-        dims = Dimensions(L=32, Q=16, M=4, K=3, N=2)
-        ens, truth, _ = make_instance(dims)
-        far = BlockFactorPair(10.0 * truth.channels, truth.coefficients)
-        flags = neighborhood_membership(ens, far, truth, eps=0.1)
-        assert not flags.proximity
-        assert not flags.norm
 
     def test_shape_mismatch_raises(self, rng):
         dims = Dimensions(L=32, Q=16, M=4, K=3, N=2)

@@ -11,10 +11,9 @@ from moddemix.operators import (
     MeasurementEnsemble,
     ObservationVector,
     adjoint_component,
+    component_spectra,
     dense_oracle,
     dft_basis,
-    forward_component,
-    forward_lifted,
     forward_map,
     operator_norm,
     partial_dft_adjoint,
@@ -109,40 +108,19 @@ class TestEnsemble:
 class TestForwardAdjoint:
     @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
     def test_forward_component_matches_oracle(self, dims, rng):
+        """Column n of the batched spectra product is A_n(h_n x_n^*)."""
         ens, _, _ = make_instance(dims)
         z = random_pair(dims, rng)
+        spectra, coded = component_spectra(ens, z)
         for n in range(dims.N):
-            direct = forward_component(ens, n, z.channels[n], z.coefficients[n])
             via_matrix = dense_oracle(ens, n) @ z.lifted_block(n).ravel()
-            np.testing.assert_allclose(direct, via_matrix, atol=1e-12)
-
-    @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
-    def test_forward_lifted_agrees_with_component(self, dims, rng):
-        ens, _, _ = make_instance(dims)
-        z = random_pair(dims, rng)
-        for n in range(dims.N):
-            np.testing.assert_allclose(
-                forward_lifted(ens, n, z.lifted_block(n)),
-                forward_component(ens, n, z.channels[n], z.coefficients[n]),
-                atol=1e-12)
-
-    def test_forward_lifted_is_linear(self, rng):
-        dims = Dimensions(L=32, Q=16, M=4, K=3, N=1)
-        ens, _, _ = make_instance(dims)
-        Z1 = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        Z2 = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        a = 0.7 - 1.3j
-        np.testing.assert_allclose(
-            forward_lifted(ens, 0, a * Z1 + Z2),
-            a * forward_lifted(ens, 0, Z1) + forward_lifted(ens, 0, Z2),
-            atol=1e-12)
+            np.testing.assert_allclose(spectra[:, n] * coded[:, n], via_matrix, atol=1e-12)
 
     @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
     def test_forward_map_sums_components(self, dims, rng):
         ens, _, _ = make_instance(dims)
         z = random_pair(dims, rng)
-        total = sum(forward_component(ens, n, z.channels[n], z.coefficients[n])
-                    for n in range(dims.N))
+        total = sum(dense_oracle(ens, n) @ z.lifted_block(n).ravel() for n in range(dims.N))
         np.testing.assert_allclose(forward_map(ens, z), total, atol=1e-12)
 
     @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
@@ -173,13 +151,11 @@ class TestForwardAdjoint:
         dims = Dimensions(L=16, Q=8, M=3, K=2, N=1)
         ens, _, _ = make_instance(dims)
         with pytest.raises(ValueError):
-            forward_component(ens, 0, np.ones(4), np.ones(2))
-        with pytest.raises(ValueError):
-            forward_lifted(ens, 0, np.ones((2, 2)))
+            forward_map(ens, BlockFactorPair(np.ones((1, 4)), np.ones((1, 2))))
         with pytest.raises(ValueError):
             adjoint_component(ens, 0, np.ones(15))
         with pytest.raises(ValueError):
-            forward_component(ens, 1, np.ones(3), np.ones(2))
+            adjoint_component(ens, 1, np.ones(16))
 
 
 class TestOperatorNorm:

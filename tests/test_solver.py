@@ -32,10 +32,11 @@ class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.eta == "backtracking"
-        assert cfg.oracle_coherence
+        assert cfg.mu is None and cfg.nu is None
 
     @pytest.mark.parametrize("kwargs", [
         dict(eta="newton"), dict(eta=-0.5), dict(max_iters=0), dict(tol=0.0),
+        dict(mu=1.0), dict(nu=1.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -220,13 +221,12 @@ class TestSolve:
     def test_blind_mode_needs_bounds(self):
         ens, truth, obs = make_instance(EASY, seed=1)
         with pytest.raises(ValueError, match="mu/") :
-            solve(ens, obs, SolverConfig(oracle_coherence=False))
+            solve(ens, obs, SolverConfig())
 
     def test_blind_mode_with_bounds(self):
         ens, truth, obs = make_instance(EASY, seed=1)
         rep = coherences(ens, truth)
-        cfg = SolverConfig(oracle_coherence=False, mu=2 * rep.mu, nu=2 * rep.nu,
-                           max_iters=2000)
+        cfg = SolverConfig(mu=2 * rep.mu, nu=2 * rep.nu, max_iters=2000)
         est, _ = solve(ens, obs, cfg, truth=None)
         assert relative_error(est, truth) < 1e-2
 
@@ -267,6 +267,39 @@ class TestSolve:
         start = BlockFactorPair(1e100 * truth.channels, 1e100 * truth.coefficients)
         with np.errstate(all="ignore"), pytest.raises(NumericalFailureError):
             solve(ens, obs, SolverConfig(start=start), truth=truth)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+    def test_scale_equivariant(self, scale):
+        """y * s takes the same path as y (TWO seed 5: 56 iterations to the
+        rel_err stop) and returns sqrt(s) times its estimate."""
+        ens, truth, obs = make_instance(TWO, seed=5)
+        ref, ref_trace = solve(ens, obs, SolverConfig(), truth=truth)
+        root = np.sqrt(scale)
+        est, trace = solve(ens, ObservationVector(scale * obs.samples), SolverConfig(),
+                           truth=BlockFactorPair(root * truth.channels,
+                                                 root * truth.coefficients))
+        assert (ref_trace.iterations, ref_trace.stop_reason) == (56, "rel_err")
+        assert (trace.iterations, trace.stop_reason) == (56, "rel_err")
+        for got, want in [(est.channels, ref.channels),
+                          (est.coefficients, ref.coefficients)]:
+            assert np.linalg.norm(got - root * want) <= 1e-12 * root * np.linalg.norm(want)
+        np.testing.assert_allclose(trace.f_tilde, scale**2 * ref_trace.f_tilde, rtol=1e-9)
+        np.testing.assert_allclose(trace.rel_err, ref_trace.rel_err, rtol=1e-9)
+
+    def test_power_of_four_scale_is_exact(self):
+        """Scaling y by a power of four is undone exactly: same path, bits
+        and all."""
+        ens, truth, obs = make_instance(TWO, seed=5)
+        ref, ref_trace = solve(ens, obs, SolverConfig(), truth=truth)
+        s, root = 4.0**-200, 2.0**-200
+        est, trace = solve(ens, ObservationVector(s * obs.samples), SolverConfig(),
+                           truth=BlockFactorPair(root * truth.channels,
+                                                 root * truth.coefficients))
+        np.testing.assert_array_equal(est.channels, root * ref.channels)
+        np.testing.assert_array_equal(est.coefficients, root * ref.coefficients)
+        np.testing.assert_array_equal(trace.rel_err, ref_trace.rel_err)
+        np.testing.assert_array_equal(trace.f_tilde, s * s * ref_trace.f_tilde)
 
     def test_deterministic(self):
         ens, truth, obs = make_instance(TWO, seed=7)
