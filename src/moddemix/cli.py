@@ -9,9 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .harness import (
     DEFAULT_THRESHOLD,
+    PROBE_DIMS,
     SweepGrid,
     run_convergence_trace,
     run_phase_transition,
@@ -133,11 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe",
                        help="numerical identity probes")
-    p.add_argument("kind", choices=["adjoint", "isometry", "rip", "gradcheck"])
-    _add_dims(p, L=32, Q=16, M=6, K=4)
+    p.add_argument("kind", choices=list(PROBE_DIMS))
+    _add_dims(p, L=None, Q=None, M=None, K=None, N=None)
     _add_seed_out(p)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--draws", type=int, default=500, help="rip probe draw count")
+    p.add_argument("--trials", type=int, help="adjoint and gradcheck trial count")
+    p.add_argument("--draws", type=int, help="rip probe draw count")
     return parser
 
 
@@ -160,8 +162,6 @@ def _cmd_trial(args) -> int:
 
 
 def _cmd_phase(args) -> int:
-    from dataclasses import replace
-
     grid = SweepGrid.paper_scale() if args.paper_scale else SweepGrid()
     grid = replace(grid, L=args.L or grid.L, N=args.N,
                    trials=args.trials, threshold=args.threshold)
@@ -209,13 +209,11 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    dims = Dimensions(L=args.L, Q=args.Q, M=args.M, K=args.K, N=args.N)
-    params = {"dims": dims, "seed": args.seed, "trials": args.trials}
-    if args.kind == "isometry":
-        params.pop("trials")
-    if args.kind == "rip":
-        params.pop("trials")
-        params["draws"] = args.draws
+    # forward only the flags given, so run_probe rejects those the kind ignores
+    params = {k: v for k in ("seed", "trials", "draws") if (v := getattr(args, k)) is not None}
+    dims = {k: v for k in ("L", "Q", "M", "K", "N") if (v := getattr(args, k)) is not None}
+    if dims:
+        params["dims"] = replace(PROBE_DIMS[args.kind], **dims)
     report = run_probe(args.kind, params, out=args.out)
     print(json.dumps(report, indent=2))
     return EXIT_OK

@@ -5,6 +5,11 @@ All runs are deterministic given the base seed: per-trial seeds are derived
 by SeedSequence mixing of (base seed, cell indices, trial index), so worker
 parallelism cannot change any outcome.  Results are emitted as CSV with a
 header row; every row echoes the parameter tuple that produced it.
+
+Each sweep writes its CSV through `_csv_rows`, which opens `out` before any
+work and flushes every row as it completes, so a failing sweep keeps its
+finished rows; `_trial_runner` runs its trials in-process, or with
+`workers > 1` on one process pool for the whole sweep.
 """
 
 from __future__ import annotations
@@ -13,11 +18,13 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
+from itertools import islice, repeat
 
 import numpy as np
 
-from .instances import TrialSpec, make_coding_matrix, relative_error, synthesize
+from .instances import TrialSpec, relative_error, synthesize
 from .objective import PenaltyParams, coherences, grad_total, loss_total
 from .operators import BlockFactorPair, Dimensions, adjoint_component, forward_map
 from .solver import DivergenceError, NumericalFailureError, SolverConfig, solve
@@ -32,6 +39,7 @@ __all__ = [
     "run_convergence_trace",
     "run_probe",
     "DEFAULT_THRESHOLD",
+    "PROBE_DIMS",
 ]
 
 DEFAULT_THRESHOLD = 1e-2
@@ -59,10 +67,9 @@ class TrialRecord:
     wall_time: float
     stop_reason: str
 
-    @staticmethod
-    def fieldnames() -> list[str]:
-        return ["L", "Q", "M", "K", "N", "seed", "snr_db", "iterations",
-                "rel_err", "success", "wall_time", "stop_reason"]
+    @classmethod
+    def fieldnames(cls) -> list[str]:
+        return [f.name for f in fields(cls)]
 
 
 def run_trial(spec: TrialSpec, cfg: SolverConfig | None = None,
@@ -85,30 +92,42 @@ def run_trial(spec: TrialSpec, cfg: SolverConfig | None = None,
     )
 
 
-def _trial_worker(args) -> TrialRecord:
-    spec, cfg, threshold = args
-    return run_trial(spec, cfg, threshold)
-
-
-def _run_many(specs, cfg, threshold, workers: int = 1) -> list[TrialRecord]:
-    jobs = [(s, cfg, threshold) for s in specs]
-    if workers <= 1:
-        return [_trial_worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_trial_worker, jobs, chunksize=4))
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+@contextmanager
+def _csv_rows(out, header: list[str], formats: dict[str, str]):
+    """Yield emit(values), which returns the row dict {header: values} and,
+    with `out`, writes the row (spec from `formats`, else csv's own) and
+    flushes.  The header goes first, so an unwritable `out` fails early."""
+    if out is None:
+        yield lambda values: dict(zip(header, values))
+        return
+    with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+
+        def emit(values) -> dict:
+            row = dict(zip(header, values))
+            writer.writerow([format(v, formats[c]) if c in formats else v
+                             for c, v in row.items()])
+            fh.flush()
+            return row
+
+        yield emit
 
 
-def _touch(path) -> None:
-    # fail on unwritable output before any computation
-    with open(path, "w", encoding="utf-8"):
-        pass
+@contextmanager
+def _trial_runner(cfg: SolverConfig, threshold: float, workers: int):
+    """Yield run(specs): an iterator of TrialRecords in spec order, each
+    yielded once it and all before it are done.  In-process, `run_trial` is
+    looked up per call, so a rebinding of `harness.run_trial` takes effect."""
+    if workers <= 1:
+        yield lambda specs: (run_trial(s, cfg, threshold) for s in specs)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield lambda specs: pool.map(run_trial, specs, repeat(cfg), repeat(threshold),
+                                     chunksize=4)
+    finally:  # a failed sweep drops the trials that have not started
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -147,61 +166,47 @@ class SweepGrid:
 def run_phase_transition(grid: SweepGrid, cfg: SolverConfig | None = None,
                          out=None, base_seed: int = 0,
                          workers: int = 1) -> list[dict]:
-    """Success fraction per (K, M, Q) cell.  Returns the rows and, when
-    `out` is given, writes them as CSV."""
+    """Success fraction per (K, M, Q) cell, in (Q, K, M) order.  Returns the
+    rows and, when `out` is given, writes each as CSV when its cell ends."""
     cells = grid.cells()  # validates every cell up front
-    if out is not None:
-        _touch(out)
-    cfg = cfg or SolverConfig(max_iters=400)
-    results = []
-    for ci, d in enumerate(cells):
-        specs = [TrialSpec(d, seed=_derive_seed(base_seed, ci, t))
-                 for t in range(grid.trials)]
-        recs = _run_many(specs, cfg, grid.threshold, workers)
-        errs = [r.rel_err for r in recs if math.isfinite(r.rel_err)]
-        results.append({
-            "K": d.K, "M": d.M, "Q": d.Q, "L": d.L, "N": d.N,
-            "trials": grid.trials,
-            "successes": sum(r.success for r in recs),
-            "mean_error": float(np.mean(errs)) if errs else math.inf,
-        })
-    results.sort(key=lambda r: (r["Q"], r["K"], r["M"]))
-    if out is not None:
-        _write_csv(out, ["K", "M", "Q", "L", "N", "trials", "successes", "mean_error"],
-                   [[r["K"], r["M"], r["Q"], r["L"], r["N"], r["trials"],
-                     r["successes"], f"{r['mean_error']:.6e}"] for r in results])
-    return results
+    # a cell's seeds derive from its index in grid.cells(), not its run order
+    order = sorted(range(len(cells)), key=lambda ci: (cells[ci].Q, cells[ci].K, cells[ci].M))
+    header = ["K", "M", "Q", "L", "N", "trials", "successes", "mean_error"]
+    rows = []
+    with _csv_rows(out, header, {"mean_error": ".6e"}) as emit, \
+            _trial_runner(cfg or SolverConfig(max_iters=400), grid.threshold, workers) as run:
+        records = run(TrialSpec(cells[ci], seed=_derive_seed(base_seed, ci, t))
+                      for ci in order for t in range(grid.trials))
+        for ci in order:
+            d = cells[ci]
+            recs = list(islice(records, grid.trials))
+            errs = [r.rel_err for r in recs if math.isfinite(r.rel_err)]
+            rows.append(emit((d.K, d.M, d.Q, d.L, d.N, grid.trials,
+                              sum(r.success for r in recs),
+                              float(np.mean(errs)) if errs else math.inf)))
+    return rows
 
 
 def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
                   out=None, trials: int = 10, base_seed: int = 0,
                   workers: int = 1) -> list[dict]:
-    """Geometric-mean relative error per SNR point, same seeds reused across
-    SNR values so the comparison is paired."""
-    if out is not None:
-        _touch(out)
-    cfg = cfg or SolverConfig(max_iters=2000)
+    """Geometric-mean relative error per SNR point, in ascending SNR order
+    with the noiseless point (None or inf) last.  The same seeds are reused
+    across SNR values so the comparison is paired."""
+    points = [None if s is None or math.isinf(s) else float(s) for s in snr_values]
+    points.sort(key=lambda s: math.inf if s is None else s)
+    header = ["snr_db", "L", "Q", "M", "K", "N", "trials", "mean_rel_err", "std_log10"]
     rows = []
-    for snr in snr_values:
-        snr_db = None if snr is None or math.isinf(snr) else float(snr)
-        specs = [TrialSpec(dims, seed=_derive_seed(base_seed, t), snr_db=snr_db)
-                 for t in range(trials)]
-        recs = _run_many(specs, cfg, DEFAULT_THRESHOLD, workers)
-        logs = np.log10([max(r.rel_err, 1e-300) for r in recs])
-        rows.append({
-            "snr_db": math.inf if snr_db is None else snr_db,
-            "L": dims.L, "Q": dims.Q, "M": dims.M, "K": dims.K, "N": dims.N,
-            "trials": trials,
-            "mean_rel_err": float(10.0 ** np.mean(logs)),
-            "std_log10": float(np.std(logs)),
-        })
-    rows.sort(key=lambda r: r["snr_db"])
-    if out is not None:
-        _write_csv(out, ["snr_db", "L", "Q", "M", "K", "N", "trials",
-                         "mean_rel_err", "std_log10"],
-                   [[r["snr_db"], r["L"], r["Q"], r["M"], r["K"], r["N"],
-                     r["trials"], f"{r['mean_rel_err']:.6e}",
-                     f"{r['std_log10']:.4f}"] for r in rows])
+    with _csv_rows(out, header, {"mean_rel_err": ".6e", "std_log10": ".4f"}) as emit, \
+            _trial_runner(cfg or SolverConfig(max_iters=2000), DEFAULT_THRESHOLD,
+                          workers) as run:
+        records = run(TrialSpec(dims, seed=_derive_seed(base_seed, t), snr_db=snr_db)
+                      for snr_db in points for t in range(trials))
+        for snr_db in points:
+            logs = np.log10([max(r.rel_err, 1e-300) for r in islice(records, trials)])
+            rows.append(emit((math.inf if snr_db is None else snr_db,
+                              dims.L, dims.Q, dims.M, dims.K, dims.N, trials,
+                              float(10.0 ** np.mean(logs)), float(np.std(logs)))))
     return rows
 
 
@@ -212,74 +217,77 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
                           threshold: float = DEFAULT_THRESHOLD,
                           base_seed: int = 0, workers: int = 1) -> list[dict]:
     """Smallest L (with Q = L) reaching the success target, per transmitter
-    count N, located by bisection over the L grid."""
-    if out is not None:
-        _touch(out)
-    cfg = cfg or SolverConfig(max_iters=400)
-
-    def succeeds(N, L) -> bool:
-        d = Dimensions(L=L, Q=L, M=M, K=K, N=N)
-        specs = [TrialSpec(d, seed=_derive_seed(base_seed, N, L, t))
-                 for t in range(trials)]
-        recs = _run_many(specs, cfg, threshold, workers)
-        return sum(r.success for r in recs) >= target_successes
-
+    count N, located by bisection over the L grid (nan when even L_max
+    falls short)."""
+    header = ["N", "L_min", "K", "M", "trials", "target"]
     rows = []
-    for N in N_values:
-        L_lo = max(L_step, L_step * math.ceil(max(K * N, M, K) / L_step))
-        grid_pts = list(range(L_lo, L_max + 1, L_step))
-        lo, hi = 0, len(grid_pts) - 1
-        if not succeeds(N, grid_pts[hi]):
-            rows.append({"N": N, "L_min": math.nan, "K": K, "M": M,
-                         "trials": trials, "target": target_successes})
-            continue
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if succeeds(N, grid_pts[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        rows.append({"N": N, "L_min": grid_pts[hi], "K": K, "M": M,
-                     "trials": trials, "target": target_successes})
-    if out is not None:
-        _write_csv(out, ["N", "L_min", "K", "M", "trials", "target"],
-                   [[r["N"], r["L_min"], r["K"], r["M"], r["trials"], r["target"]]
-                    for r in rows])
+    with _csv_rows(out, header, {}) as emit, \
+            _trial_runner(cfg or SolverConfig(max_iters=400), threshold, workers) as run:
+
+        def succeeds(N, L) -> bool:
+            d = Dimensions(L=L, Q=L, M=M, K=K, N=N)
+            recs = run(TrialSpec(d, seed=_derive_seed(base_seed, N, L, t))
+                       for t in range(trials))
+            return sum(r.success for r in recs) >= target_successes
+
+        for N in N_values:
+            L_lo = max(L_step, L_step * math.ceil(max(K * N, M, K) / L_step))
+            grid_pts = list(range(L_lo, L_max + 1, L_step))
+            lo, hi = 0, len(grid_pts) - 1
+            L_min = math.nan
+            if succeeds(N, grid_pts[hi]):
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if succeeds(N, grid_pts[mid]):
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                L_min = grid_pts[hi]
+            rows.append(emit((N, L_min, K, M, trials, target_successes)))
     return rows
 
 
 def run_convergence_trace(spec: TrialSpec, cfg: SolverConfig | None = None,
                           out=None) -> dict:
     """Per-iteration objective/error history of one trial."""
-    if out is not None:
-        _touch(out)
-    cfg = cfg or SolverConfig()
-    ens, truth, obs = synthesize(spec)
-    est, trace = solve(ens, obs, cfg, truth=truth)
-    if out is not None:
-        _write_csv(out, ["t", "f_tilde", "f", "g", "rel_err", "grad_norm"],
-                   [[int(t), f"{ft:.10e}", f"{f:.10e}", f"{g:.10e}",
-                     f"{e:.6e}", f"{gn:.6e}"]
-                    for t, ft, f, g, e, gn in zip(trace.t, trace.f_tilde, trace.f,
-                                                  trace.g, trace.rel_err,
-                                                  trace.grad_norm)])
+    header = ["t", "f_tilde", "f", "g", "rel_err", "grad_norm"]
+    formats = {"f_tilde": ".10e", "f": ".10e", "g": ".10e",
+               "rel_err": ".6e", "grad_norm": ".6e"}
+    with _csv_rows(out, header, formats) as emit:
+        ens, truth, obs = synthesize(spec)
+        est, trace = solve(ens, obs, cfg or SolverConfig(), truth=truth)
+        for t, *values in zip(trace.t, trace.f_tilde, trace.f, trace.g,
+                              trace.rel_err, trace.grad_norm):
+            emit((int(t), *values))
     return {"rel_err": relative_error(est, truth), "trace": trace}
 
 
 # ---------------------------------------------------------------------------
 # numerical probes
 
+def _complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-def _probe_adjoint(dims: Dimensions, trials: int, seed: int) -> dict:
+
+def _perturbed_point(dims: Dimensions, seed: int, tag: int):
+    """Seed's ensemble, truth Z0, Z = Z0 + 0.3 complex noise (stream `tag`), ||Z - Z0||_F^2."""
+    ens, truth, _ = synthesize(TrialSpec(dims, seed=seed))
+    rng = np.random.default_rng(_derive_seed(seed, tag))
+    z = BlockFactorPair(truth.channels + 0.3 * _complex_normal(rng, dims.N, dims.M),
+                        truth.coefficients + 0.3 * _complex_normal(rng, dims.N, dims.K))
+    fro = sum(np.linalg.norm(z.lifted_block(n) - truth.lifted_block(n)) ** 2
+              for n in range(dims.N))
+    return ens, truth, z, fro
+
+
+def _probe_adjoint(dims: Dimensions, seed: int, trials: int) -> dict:
     worst = 0.0
     for t in range(trials):
-        spec = TrialSpec(dims, seed=_derive_seed(seed, t))
-        ens, _, _ = synthesize(spec)
+        ens, _, _ = synthesize(TrialSpec(dims, seed=_derive_seed(seed, t)))
         rng = np.random.default_rng(_derive_seed(seed, t, 1))
-        h = rng.standard_normal((dims.N, dims.M)) + 1j * rng.standard_normal((dims.N, dims.M))
-        x = rng.standard_normal((dims.N, dims.K)) + 1j * rng.standard_normal((dims.N, dims.K))
-        w = rng.standard_normal(dims.L) + 1j * rng.standard_normal(dims.L)
-        z = BlockFactorPair(h, x)
+        z = BlockFactorPair(_complex_normal(rng, dims.N, dims.M),
+                            _complex_normal(rng, dims.N, dims.K))
+        w = _complex_normal(rng, dims.L)
         lhs = np.vdot(forward_map(ens, z), w)
         rhs = sum(np.vdot(z.lifted_block(n), adjoint_component(ens, n, w))
                   for n in range(dims.N))
@@ -295,19 +303,11 @@ def _probe_isometry(dims: Dimensions, seed: int) -> dict:
         raise ValueError(
             f"exhaustive isometry needs Q*N <= {_ISOMETRY_GUARD}, got {bits}; "
             "reduce Q or N (or use the rip probe for Monte-Carlo sampling)")
-    base = TrialSpec(dims, seed=seed)
-    _, truth, _ = synthesize(base)
-    rng = np.random.default_rng(_derive_seed(seed, 7))
-    h = truth.channels + 0.3 * (rng.standard_normal((dims.N, dims.M))
-                                + 1j * rng.standard_normal((dims.N, dims.M)))
-    x = truth.coefficients + 0.3 * (rng.standard_normal((dims.N, dims.K))
-                                    + 1j * rng.standard_normal((dims.N, dims.K)))
-    coding = np.stack([make_coding_matrix(dims.Q, dims.K, n, stride=dims.N)
-                       for n in range(dims.N)])
+    ens, truth, z, fro = _perturbed_point(dims, seed, 7)
     # per-component time/spectral profiles; the map is linear in each r_n
-    p = np.einsum("nqk,nk->nq", coding, x)            # C_n x_n
-    p0 = np.einsum("nqk,nk->nq", coding, truth.coefficients)
-    a = np.fft.fft(h, n=dims.L, axis=1) / np.sqrt(dims.L)
+    p = np.einsum("nqk,nk->nq", ens.coding, z.coefficients)            # C_n x_n
+    p0 = np.einsum("nqk,nk->nq", ens.coding, truth.coefficients)
+    a = np.fft.fft(z.channels, n=dims.L, axis=1) / np.sqrt(dims.L)
     a0 = np.fft.fft(truth.channels, n=dims.L, axis=1) / np.sqrt(dims.L)
 
     total = 0.0
@@ -324,31 +324,17 @@ def _probe_isometry(dims: Dimensions, seed: int) -> dict:
             res -= np.conj(np.fft.fft(r * p0[n], n=dims.L, axis=1)) * a0[n]
         total += float(np.sum(np.abs(res) ** 2))
     mean = total / count
-    fro = sum(np.linalg.norm(np.outer(h[n], np.conj(x[n]))
-                             - np.outer(truth.channels[n],
-                                        np.conj(truth.coefficients[n]))) ** 2
-              for n in range(dims.N))
     return {"mean_energy": mean, "frobenius_sq": float(fro),
             "ratio": mean / fro, "patterns": count}
 
 
-def _probe_rip(dims: Dimensions, draws: int, seed: int) -> dict:
+def _probe_rip(dims: Dimensions, seed: int, draws: int) -> dict:
     """Monte-Carlo concentration of ||A(Z - Z0)||^2 / ||Z - Z0||_F^2 over
     random modulation draws."""
-    base = TrialSpec(dims, seed=seed)
-    _, truth, _ = synthesize(base)
-    rng = np.random.default_rng(_derive_seed(seed, 11))
-    h = truth.channels + 0.3 * (rng.standard_normal((dims.N, dims.M))
-                                + 1j * rng.standard_normal((dims.N, dims.M)))
-    x = truth.coefficients + 0.3 * (rng.standard_normal((dims.N, dims.K))
-                                    + 1j * rng.standard_normal((dims.N, dims.K)))
-    z = BlockFactorPair(h, x)
-    fro = sum(np.linalg.norm(z.lifted_block(n) - truth.lifted_block(n)) ** 2
-              for n in range(dims.N))
+    _, truth, z, fro = _perturbed_point(dims, seed, 11)
     ratios = np.empty(draws)
     for t in range(draws):
-        spec = TrialSpec(dims, seed=_derive_seed(seed, 13, t))
-        ens, _, _ = synthesize(spec)
+        ens, _, _ = synthesize(TrialSpec(dims, seed=_derive_seed(seed, 13, t)))
         res = forward_map(ens, z) - forward_map(ens, truth)
         ratios[t] = float(np.vdot(res, res).real) / fro
     inside = float(np.mean((ratios >= 0.75) & (ratios <= 1.25)))
@@ -357,23 +343,19 @@ def _probe_rip(dims: Dimensions, draws: int, seed: int) -> dict:
             "min_ratio": float(np.min(ratios)), "max_ratio": float(np.max(ratios))}
 
 
-def _probe_gradcheck(dims: Dimensions, trials: int, seed: int) -> dict:
+def _probe_gradcheck(dims: Dimensions, seed: int, trials: int) -> dict:
     eps = 1e-5
     worst = 0.0
     for t in range(trials):
-        spec = TrialSpec(dims, seed=_derive_seed(seed, t))
-        ens, truth, obs = synthesize(spec)
+        ens, truth, obs = synthesize(TrialSpec(dims, seed=_derive_seed(seed, t)))
         rep = coherences(ens, truth)
         p = PenaltyParams(rho=rep.d0**2, d=rep.d0, d_n=rep.d_n, mu=rep.mu, nu=rep.nu)
         rng = np.random.default_rng(_derive_seed(seed, t, 3))
         scale = 1.0 if t % 2 == 0 else 1.6  # odd trials push into the hinges
-        h = scale * (rng.standard_normal((dims.N, dims.M))
-                     + 1j * rng.standard_normal((dims.N, dims.M)))
-        x = scale * (rng.standard_normal((dims.N, dims.K))
-                     + 1j * rng.standard_normal((dims.N, dims.K)))
-        z = BlockFactorPair(h, x)
-        dh = rng.standard_normal((dims.N, dims.M)) + 1j * rng.standard_normal((dims.N, dims.M))
-        dx = rng.standard_normal((dims.N, dims.K)) + 1j * rng.standard_normal((dims.N, dims.K))
+        z = BlockFactorPair(scale * _complex_normal(rng, dims.N, dims.M),
+                            scale * _complex_normal(rng, dims.N, dims.K))
+        dh = _complex_normal(rng, dims.N, dims.M)
+        dx = _complex_normal(rng, dims.N, dims.K)
         g = grad_total(ens, z, obs, p)
 
         def val(s):
@@ -386,30 +368,33 @@ def _probe_gradcheck(dims: Dimensions, trials: int, seed: int) -> dict:
     return {"max_rel_mismatch": worst}
 
 
+# per kind: the probe, its default dims, and the count it reads with its default
+_PROBES = {
+    "adjoint": (_probe_adjoint, Dimensions(L=32, Q=16, M=6, K=4, N=2), "trials", 100),
+    "isometry": (_probe_isometry, Dimensions(L=16, Q=8, M=3, K=2, N=2), None, None),
+    "rip": (_probe_rip, Dimensions(L=256, Q=256, M=4, K=4, N=2), "draws", 500),
+    "gradcheck": (_probe_gradcheck, Dimensions(L=32, Q=16, M=6, K=4, N=2), "trials", 50),
+}
+PROBE_DIMS = {kind: entry[1] for kind, entry in _PROBES.items()}
+
+
 def run_probe(kind: str, params: dict | None = None, out=None) -> dict:
     """Run a numerical identity probe and return (optionally JSON-dump) the
-    report.  kinds: adjoint | isometry | rip | gradcheck."""
+    report.  kinds: adjoint | isometry | rip | gradcheck.  params: `dims`,
+    `seed` and the kind's count (`trials` or `draws`), defaults per kind in
+    `_PROBES`; any other key is rejected before the probe runs."""
     import json
 
+    if kind not in _PROBES:
+        raise ValueError(f"unknown probe kind {kind!r}")
+    probe, dims, count, default = _PROBES[kind]
     params = dict(params or {})
     seed = int(params.pop("seed", 0))
-    if kind == "adjoint":
-        dims = params.pop("dims", Dimensions(L=32, Q=16, M=6, K=4, N=2))
-        report = _probe_adjoint(dims, int(params.pop("trials", 100)), seed)
-    elif kind == "isometry":
-        dims = params.pop("dims", Dimensions(L=16, Q=8, M=3, K=2, N=2))
-        report = _probe_isometry(dims, seed)
-    elif kind == "rip":
-        dims = params.pop("dims", Dimensions(L=256, Q=256, M=4, K=4, N=2))
-        report = _probe_rip(dims, int(params.pop("draws", 500)), seed)
-    elif kind == "gradcheck":
-        dims = params.pop("dims", Dimensions(L=32, Q=16, M=6, K=4, N=2))
-        report = _probe_gradcheck(dims, int(params.pop("trials", 50)), seed)
-    else:
-        raise ValueError(f"unknown probe kind {kind!r}")
+    dims = params.pop("dims", dims)
+    counts = () if count is None else (int(params.pop(count, default)),)
     if params:
         raise ValueError(f"unused probe parameters: {sorted(params)}")
-    report = {"kind": kind, "seed": seed, **report}
+    report = {"kind": kind, "seed": seed, **probe(dims, seed, *counts)}
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,20 +124,35 @@ def synthesize(spec: TrialSpec) -> tuple[MeasurementEnsemble, BlockFactorPair, O
 def relative_error(est: BlockFactorPair, truth: BlockFactorPair) -> float:
     """Normalized Frobenius distance between estimated and true lifted
     blocks, via the factored Gram identity (no M x K matrices formed).
-    Invariant under the per-component (alpha, conj(alpha)^-1) ambiguity."""
+    Invariant under the per-component (alpha, conj(alpha)^-1) ambiguity, and
+    exact at extreme scales (see `_pow2_scaled`)."""
     if est.channels.shape != truth.channels.shape or \
             est.coefficients.shape != truth.coefficients.shape:
         raise ValueError("estimate/truth shapes differ")
-    h, x = est.channels, est.coefficients
-    h0, x0 = truth.channels, truth.coefficients
+    hs, xs = (est.channels, truth.channels), (est.coefficients, truth.coefficients)
+    with np.errstate(all="ignore"):  # an overflow or underflow is redone below
+        num, den = _error_terms(*hs, *xs)
+    if not (math.isfinite(num) and den > 2.0 ** -600):  # overflow, or near underflow
+        num, den = _error_terms(*_pow2_scaled(*hs), *_pow2_scaled(*xs))
+    if not den > 0:
+        raise ValueError("degenerate zero truth")
+    return float(np.sqrt(max(num, 0.0) / den))
+
+
+def _error_terms(h, h0, x, x0) -> tuple[float, float]:
+    """Sum_n ||h_n x_n^* - h0_n x0_n^*||_F^2 and sum_n ||h0_n x0_n^*||_F^2."""
     hh = np.linalg.norm(h, axis=1) ** 2 * np.linalg.norm(x, axis=1) ** 2
     tt = np.linalg.norm(h0, axis=1) ** 2 * np.linalg.norm(x0, axis=1) ** 2
-    if not np.any(tt > 0):
-        raise ValueError("degenerate zero truth")
     cross = np.einsum("nm,nm->n", np.conj(h0), h) * np.conj(
         np.einsum("nk,nk->n", np.conj(x0), x))
-    num = np.sum(hh) + np.sum(tt) - 2.0 * np.sum(cross.real)
-    return float(np.sqrt(max(num, 0.0) / np.sum(tt)))
+    return np.sum(hh) + np.sum(tt) - 2.0 * np.sum(cross.real), np.sum(tt)
+
+
+def _pow2_scaled(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # one exact power of two (finite for e >= -1022) that puts the largest entry
+    # in [0.5, 1): the error's ratio is unchanged and norm products stay in range
+    scale = 2.0 ** -max(math.frexp(max(abs(a).max(), abs(b).max()))[1], -1022)
+    return a * scale, b * scale
 
 
 def _encode(arr: np.ndarray) -> dict:

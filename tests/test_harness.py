@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import moddemix.cli as cli
+import moddemix.harness as harness
 import moddemix.solver as solver_module
 from moddemix.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from moddemix.harness import (
@@ -123,6 +124,38 @@ class TestSweeps:
         assert data[0] == ["t", "f_tilde", "f", "g", "rel_err", "grad_norm"]
         assert len(data) == res["trace"].iterations + 2  # header + rows 0..T
 
+    def test_phase_keeps_rows_finished_before_a_failure(self, tmp_path, monkeypatch):
+        """Rows are written as their cells end: when the third cell raises,
+        the header and the first two rows are already in the file."""
+        calls = []
+        run_trial = harness.run_trial
+
+        def third_cell_raises(spec, cfg, threshold):
+            calls.append(spec)
+            if len(calls) == 3:
+                raise RuntimeError("bad trial")
+            return run_trial(spec, cfg, threshold)
+
+        monkeypatch.setattr(harness, "run_trial", third_cell_raises)
+        grid = SweepGrid(L=64, N=1, Q_values=(64,), K_values=(2,), M_values=(2, 3, 4),
+                         trials=1)
+        out = tmp_path / "phase.csv"
+        with pytest.raises(RuntimeError, match="bad trial"):
+            run_phase_transition(grid, SolverConfig(max_iters=50), out=out)
+        with open(out, newline="") as fh:
+            data = list(csv.reader(fh))
+        assert data[0][:3] == ["K", "M", "Q"]
+        assert [r[:3] for r in data[1:]] == [["2", "2", "64"], ["2", "3", "64"]]
+
+    def test_phase_workers_match_in_process(self, tmp_path):
+        grid = SweepGrid(L=64, N=1, Q_values=(64, 32), K_values=(2,), M_values=(3, 2),
+                         trials=3)
+        cfg = SolverConfig(max_iters=100)
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        rows = run_phase_transition(grid, cfg, out=one, workers=1)
+        assert run_phase_transition(grid, cfg, out=two, workers=2) == rows
+        assert two.read_bytes() == one.read_bytes()
+
     def test_unwritable_output_fails_before_compute(self, tmp_path):
         grid = SweepGrid(L=64, N=1, Q_values=(64,), K_values=(2,),
                          M_values=(2,), trials=1)
@@ -205,6 +238,28 @@ class TestCli:
         assert main(["probe", "adjoint", "--trials", "5"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["max_rel_mismatch"] < 1e-10
+
+    def test_probe_isometry_defaults(self, capsys):
+        """isometry runs at its own default dims (Q*N = 16), and a partial
+        --Q takes the other dims from them."""
+        assert main(["probe", "isometry"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["patterns"] == 2 ** 16
+        assert main(["probe", "isometry", "--Q", "6"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["patterns"] == 2 ** 12
+
+    def test_probe_rip_defaults(self, monkeypatch, capsys):
+        seen = []
+        synthesize = harness.synthesize
+        monkeypatch.setattr(harness, "synthesize",
+                            lambda spec: seen.append(spec.dims) or synthesize(spec))
+        assert main(["probe", "rip", "--draws", "2"]) == EXIT_OK
+        assert set(seen) == {Dimensions(L=256, Q=256, M=4, K=4, N=2)}
+
+    @pytest.mark.parametrize("argv", [["probe", "isometry", "--trials", "3"],
+                                      ["probe", "adjoint", "--draws", "3"]])
+    def test_probe_rejects_flag_its_kind_ignores(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert "unused probe parameters" in capsys.readouterr().err
 
     def test_snr_command(self, tmp_path, capsys):
         out = tmp_path / "snr.csv"

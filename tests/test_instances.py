@@ -141,6 +141,24 @@ class TestRelativeError:
                               truth.coefficients / np.conj(alpha)[:, None])
         assert relative_error(est, truth) < 1e-12
 
+    @pytest.mark.parametrize("s", [1e-200, 1e-160, 1e160, 1e200])
+    def test_extreme_scales_match_unit_scale(self, s):
+        """Scaling every factor by s leaves the error unchanged, without
+        overflowing ||h||^2 ||x||^2 (nan) or underflowing it (zero truth)."""
+        _, truth, _ = synthesize(TrialSpec(DIMS, seed=0))
+        est = BlockFactorPair(1.01 * truth.channels, truth.coefficients)
+        with np.errstate(all="raise"):
+            scaled = relative_error(BlockFactorPair(s * est.channels, s * est.coefficients),
+                                    BlockFactorPair(s * truth.channels, s * truth.coefficients))
+        assert scaled == pytest.approx(relative_error(est, truth), abs=1e-12)
+
+    def test_zero_truth_raises(self):
+        _, truth, _ = synthesize(TrialSpec(DIMS, seed=0))
+        zero = BlockFactorPair(np.zeros_like(truth.channels),
+                               np.zeros_like(truth.coefficients))
+        with pytest.raises(ValueError, match="degenerate"):
+            relative_error(truth, zero)
+
     def test_shape_mismatch(self):
         _, truth, _ = synthesize(TrialSpec(DIMS, seed=0))
         other = BlockFactorPair(np.ones((2, 5)), np.ones((2, 3)))
