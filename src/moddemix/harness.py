@@ -218,7 +218,14 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
                           base_seed: int = 0, workers: int = 1) -> list[dict]:
     """Smallest L (with Q = L) reaching the success target, per transmitter
     count N, located by bisection over the L grid (nan when even L_max
-    falls short)."""
+    falls short).  Raises ValueError before any trial when some N admits
+    no L up to L_max."""
+    grids = []  # (N, admissible L values); the coding needs Q = L >= K * N
+    for N in N_values:
+        L_lo = max(L_step, L_step * math.ceil(max(K * N, M, K) / L_step))
+        if L_lo > L_max:
+            raise ValueError(f"N={N} needs L >= {L_lo}, above L_max={L_max}")
+        grids.append((N, list(range(L_lo, L_max + 1, L_step))))
     header = ["N", "L_min", "K", "M", "trials", "target"]
     rows = []
     with _csv_rows(out, header, {}) as emit, \
@@ -230,9 +237,7 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
                        for t in range(trials))
             return sum(r.success for r in recs) >= target_successes
 
-        for N in N_values:
-            L_lo = max(L_step, L_step * math.ceil(max(K * N, M, K) / L_step))
-            grid_pts = list(range(L_lo, L_max + 1, L_step))
+        for N, grid_pts in grids:
             lo, hi = 0, len(grid_pts) - 1
             L_min = math.nan
             if succeeds(N, grid_pts[hi]):

@@ -13,6 +13,7 @@ import base64
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.fft import dct
@@ -32,6 +33,7 @@ __all__ = [
     "make_ground_truth",
     "synthesize",
     "relative_error",
+    "relative_error_to",
     "snapshot_to_json",
     "snapshot_from_json",
 ]
@@ -126,26 +128,44 @@ def relative_error(est: BlockFactorPair, truth: BlockFactorPair) -> float:
     blocks, via the factored Gram identity (no M x K matrices formed).
     Invariant under the per-component (alpha, conj(alpha)^-1) ambiguity, and
     exact at extreme scales (see `_pow2_scaled`)."""
-    if est.channels.shape != truth.channels.shape or \
-            est.coefficients.shape != truth.coefficients.shape:
-        raise ValueError("estimate/truth shapes differ")
-    hs, xs = (est.channels, truth.channels), (est.coefficients, truth.coefficients)
-    with np.errstate(all="ignore"):  # an overflow or underflow is redone below
-        num, den = _error_terms(*hs, *xs)
-    if not (math.isfinite(num) and den > 2.0 ** -600):  # overflow, or near underflow
-        num, den = _error_terms(*_pow2_scaled(*hs), *_pow2_scaled(*xs))
-    if not den > 0:
-        raise ValueError("degenerate zero truth")
-    return float(np.sqrt(max(num, 0.0) / den))
+    return relative_error_to(truth)(est)
 
 
-def _error_terms(h, h0, x, x0) -> tuple[float, float]:
-    """Sum_n ||h_n x_n^* - h0_n x0_n^*||_F^2 and sum_n ||h0_n x0_n^*||_F^2."""
-    hh = np.linalg.norm(h, axis=1) ** 2 * np.linalg.norm(x, axis=1) ** 2
-    tt = np.linalg.norm(h0, axis=1) ** 2 * np.linalg.norm(x0, axis=1) ** 2
-    cross = np.einsum("nm,nm->n", np.conj(h0), h) * np.conj(
-        np.einsum("nk,nk->n", np.conj(x0), x))
-    return np.sum(hh) + np.sum(tt) - 2.0 * np.sum(cross.real), np.sum(tt)
+def relative_error_to(truth: BlockFactorPair) -> Callable[[BlockFactorPair], float]:
+    """`relative_error(est, truth)` as a function of est, with the truth's
+    side (its conjugates and sum_n ||h0_n||^2 ||x0_n||^2) computed once."""
+    h0, x0 = truth.channels, truth.coefficients
+    conj_truth = np.conj(h0)[:, None], np.conj(x0)[:, None]
+    with np.errstate(all="ignore"):
+        energy = _energy(h0, x0)
+
+    def error(est: BlockFactorPair) -> float:
+        h, x = est.channels, est.coefficients
+        if h.shape != h0.shape or x.shape != x0.shape:
+            raise ValueError("estimate/truth shapes differ")
+        with np.errstate(all="ignore"):  # an overflow or underflow is redone below
+            num, den = _distance_sq(h, x, *conj_truth, energy), energy
+        if not (math.isfinite(num) and den > 2.0 ** -600):  # overflow, or near underflow
+            (h, h0s), (x, x0s) = _pow2_scaled(h, h0), _pow2_scaled(x, x0)
+            den = _energy(h0s, x0s)
+            num = _distance_sq(h, x, np.conj(h0s)[:, None], np.conj(x0s)[:, None], den)
+        if not den > 0:
+            raise ValueError("degenerate zero truth")
+        return float(np.sqrt(max(num, 0.0) / den))
+
+    return error
+
+
+def _energy(h: np.ndarray, x: np.ndarray) -> float:
+    """Sum_n ||h_n x_n^*||_F^2 = sum_n ||h_n||^2 ||x_n||^2."""
+    return float(np.sum((np.linalg.norm(h, axis=1) * np.linalg.norm(x, axis=1)) ** 2))
+
+
+def _distance_sq(h, x, conj_h0, conj_x0, energy0: float) -> float:
+    """Sum_n ||h_n x_n^* - h0_n x0_n^*||_F^2, given conj(h0), conj(x0) as
+    (N, 1, M), (N, 1, K) row stacks and energy0 = _energy(h0, x0)."""
+    cross = (conj_h0 @ h[:, :, None]) * np.conj(conj_x0 @ x[:, :, None])
+    return _energy(h, x) + energy0 - 2.0 * float(np.sum(cross.real))
 
 
 def _pow2_scaled(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,13 +4,15 @@ The objective is ``F_tilde = F + G`` where ``F`` is the squared residual of
 the measurement map and ``G`` is a hinge penalty that keeps the iterates
 norm-bounded and spectrally incoherent.  `evaluate` is the single kernel:
 it computes ``F``, ``G`` and, on request, the gradient, batched over
-components; `loss_total` and `grad_total` are thin wrappers around it.
+components, with its contractions as batched BLAS products; `loss_total`
+and `grad_total` are thin wrappers around it.
 Gradients follow the Wirtinger convention (derivative w.r.t. the conjugated
 variable), so a descent step is ``z <- z - eta * grad``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,10 +140,14 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
 
     One FFT gives the channel spectra, shared by the residual and the
     spectral hinge.  The gradient adds one inverse FFT of the summed
-    measurement and spectral-hinge terms; the coded hinge and the
-    coefficient gradient are einsums.  Per component,
+    measurement and spectral-hinge terms; the coded messages, the
+    coefficient gradient and the coded hinge are batched matrix products.
+    Per component,
     grad_h = A_n^*(residual) x_n + grad_h G and
     grad_x = [A_n^*(residual)]^H h_n + grad_x G.
+    The hinge terms of the gradient are skipped when G = 0, where they
+    vanish, and no gradient is formed (grad is None) where F + G is not
+    finite.
     """
     y_hat.check_dims(ens.dims)
     z.check_dims(ens.dims)
@@ -149,7 +155,9 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     h, x = z.channels, z.coefficients
     spectra, coded_spectra = component_spectra(ens, z)                # (L, N) each
     residual = np.sum(spectra * coded_spectra, axis=1) - y_hat.samples
-    coded = np.einsum("nqk,nk->qn", ens.coding, x)                   # (Q, N)
+    # the coding is real: one real product on (re, im) pairs, viewed as complex
+    coded = (ens.coding @ np.stack([x.real, x.imag], axis=-1)).view(complex)
+    coded = coded[..., 0].T                                            # (Q, N)
     # hinge arguments; the trailing axis is the component, matching d_n
     h_arg = np.sum(np.abs(h) ** 2, axis=1) / (2 * p.d_n)
     x_arg = np.sum(np.abs(x) ** 2, axis=1) / (2 * p.d_n)
@@ -157,18 +165,20 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     coded_arg = d.Q * np.abs(coded) ** 2 / (8 * p.d_n * p.nu**2)
     f = float(np.vdot(residual, residual).real)
     g = p.rho * float(sum(np.sum(_hinge(a)) for a in (h_arg, x_arg, spec_arg, coded_arg)))
-    if not grad:
+    if not grad or not math.isfinite(f + g):
         return Evaluation(f, g)
 
-    scale = p.rho / (2 * p.d_n)                                        # (N,)
-    w = (residual[:, None] * np.conj(coded_spectra)
-         + (scale * d.L / (4 * p.mu**2)) * _hinge_prime(spec_arg) * spectra)
-    gh = (partial_dft_adjoint(d.L, w, d.M).T
-          + (scale * _hinge_prime(h_arg))[:, None] * h)
-    coded_w = (scale * d.Q / (4 * p.nu**2)) * _hinge_prime(coded_arg) * coded
-    gx = (np.einsum("nlk,ln->nk", ens.coded_spectra, np.conj(residual)[:, None] * spectra)
-          + (scale * _hinge_prime(x_arg))[:, None] * x
-          + np.einsum("nqk,qn->nk", ens.coding, coded_w))
+    w = residual[:, None] * np.conj(coded_spectra)                      # (L, N)
+    gx = ((np.conj(residual)[:, None] * spectra).T[:, None, :] @ ens.coded_spectra)[:, 0]
+    gh_hinge = 0.0
+    if g > 0:  # G0' is zero wherever G0 is, so at g == 0 these terms vanish
+        scale = p.rho / (2 * p.d_n)                                    # (N,)
+        w = w + (scale * d.L / (4 * p.mu**2)) * _hinge_prime(spec_arg) * spectra
+        gh_hinge = (scale * _hinge_prime(h_arg))[:, None] * h
+        coded_w = (scale * d.Q / (4 * p.nu**2)) * _hinge_prime(coded_arg) * coded
+        gx = (gx + (scale * _hinge_prime(x_arg))[:, None] * x
+              + (coded_w.T[:, None, :] @ ens.coding)[:, 0])
+    gh = partial_dft_adjoint(d.L, w, d.M).T + gh_hinge
     return Evaluation(f, g, BlockFactorPair(gh, gx))
 
 
@@ -179,6 +189,6 @@ def loss_total(ens: MeasurementEnsemble, z: BlockFactorPair,
 
 
 def grad_total(ens: MeasurementEnsemble, z: BlockFactorPair,
-               y_hat: ObservationVector, p: PenaltyParams) -> BlockFactorPair:
-    """Wirtinger gradient of F + G at z."""
+               y_hat: ObservationVector, p: PenaltyParams) -> BlockFactorPair | None:
+    """Wirtinger gradient of F + G at z (None where F + G is not finite)."""
     return evaluate(ens, z, y_hat, p, grad=True).grad

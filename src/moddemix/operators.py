@@ -203,8 +203,8 @@ def component_spectra(ens: MeasurementEnsemble,
     (L, N) columns, from one FFT along the component axis.  Their product
     summed over n is A(Z(h, x)).  Dimensions are the caller's to check."""
     spectra = partial_dft_apply(ens.dims.L, z.channels.T)
-    coded = np.einsum("nlk,nk->ln", ens.coded_spectra, np.conj(z.coefficients))
-    return spectra, coded
+    coded = ens.coded_spectra @ np.conj(z.coefficients)[:, :, None]   # (N, L, 1)
+    return spectra, coded[:, :, 0].T
 
 
 def forward_map(ens: MeasurementEnsemble, z: BlockFactorPair) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .instances import relative_error_to
 from .objective import (
     DegenerateInputError,
     PenaltyParams,
@@ -216,10 +217,11 @@ def _apply_step(z: BlockFactorPair, g: BlockFactorPair, eta: float) -> BlockFact
 
 def _backtrack(ens, z, y_hat, p, g, gn_sq, cur, eta):
     """Halve eta until sufficient decrease; returns (z_new, evaluation at
-    z_new, eta) or (z, cur, 0.0) when no decrease is achievable (plateau)."""
+    z_new with its gradient, eta) or (z, cur, 0.0) when no decrease is
+    achievable (plateau)."""
     while eta > _MIN_ETA:
         trial = _apply_step(z, g, eta)
-        ev = evaluate(ens, trial, y_hat, p)
+        ev = evaluate(ens, trial, y_hat, p, grad=True)
         if ev.f_tilde <= cur.f_tilde - 0.05 * eta * gn_sq:
             return trial, ev, eta
         eta *= 0.5
@@ -261,13 +263,16 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     """Initialize (unless cfg.start is given) and descend until max_iters,
     a small gradient, or (with truth) a small relative error.
 
+    Each iteration evaluates the objective once per step-size trial, with
+    the gradient: the accepted trial's gradient drives the next step, so
+    `grad_total` runs only for the start point.  The relative error against
+    the truth is prepared once (`relative_error_to`).
+
     The model is homogeneous: y -> s y takes the factors to sqrt(s) times
     theirs.  The descent therefore runs on y / 4^j, 4^j the power of four
     nearest ||y||, with truth, start, rho and a fixed eta scaled to match;
     the estimate and the trace are scaled back by exact powers of two.
     """
-    from .instances import relative_error
-
     cfg = cfg or SolverConfig()
     y_hat.check_dims(ens.dims)
     j = _scale_exponent(y_hat.samples)
@@ -308,9 +313,10 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     eta = eta0
 
     rows = []  # (t, f_tilde, f, g, rel_err, grad_norm)
+    error = relative_error_to(truth) if truth is not None else None
 
     def record(t, ev, gn):
-        err = relative_error(z, truth) if truth is not None else np.nan
+        err = error(z) if error is not None else np.nan
         rows.append((t, ev.f_tilde, ev.f, ev.g, err, gn))
         return err
 
@@ -324,8 +330,8 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     if truth is not None and err < cfg.tol:
         stop = "rel_err"
     else:
+        g = grad_total(ens, z, y_hat, p)
         for t in range(1, cfg.max_iters + 1):
-            g = grad_total(ens, z, y_hat, p)
             gn_sq = float(np.linalg.norm(g.channels) ** 2
                           + np.linalg.norm(g.coefficients) ** 2)
             gn = np.sqrt(gn_sq)
@@ -341,11 +347,12 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
                     break
             else:
                 z = _apply_step(z, g, eta)
-                cur = evaluate(ens, z, y_hat, p)
+                cur = evaluate(ens, z, y_hat, p, grad=True)
                 if not np.isfinite(cur.f_tilde) or cur.f_tilde > 10.0 * f_init:
                     raise DivergenceError(
                         f"objective grew to {cur.f_tilde:.3e} (initial {f_init:.3e}); "
                         "reduce the fixed step size")
+            g = cur.grad
             err = record(t, cur, gn)
             if truth is not None and err < cfg.tol:
                 stop = "rel_err"

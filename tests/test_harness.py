@@ -115,6 +115,18 @@ class TestSweeps:
                                      target_successes=2)
         assert math.isnan(rows[0]["L_min"])
 
+    def test_transmitter_sweep_rejects_N_without_L_before_any_trial(self, tmp_path,
+                                                                   monkeypatch):
+        """N=3 with K=8 needs L >= 32 > L_max: ValueError before any trial
+        runs or the CSV is opened."""
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        out = tmp_path / "scaling.csv"
+        with pytest.raises(ValueError, match="N=3 needs L >= 32"):
+            run_transmitter_sweep(SolverConfig(max_iters=5), out=out, N_values=(1, 2, 3),
+                                  K=8, M=2, L_step=16, L_max=16, trials=1)
+        assert calls == [] and not out.exists()
+
     def test_convergence_trace_csv(self, tmp_path):
         out = tmp_path / "trace.csv"
         res = run_convergence_trace(TrialSpec(EASY, seed=1), out=out)
@@ -225,6 +237,15 @@ class TestCli:
 
     def test_invalid_dimensions(self, capsys):
         assert main(["trial", "--L", "4", "--Q", "9"]) == EXIT_USAGE
+
+    def test_scaling_without_admissible_L(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        out = tmp_path / "scaling.csv"
+        assert main(["scaling", "--N-max", "3", "--K", "8", "--M", "2", "--L-max", "16",
+                     "--trials", "1", "--max-iters", "5", "--out", str(out)]) == EXIT_USAGE
+        assert "N=3 needs L >= 32" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_io_error(self):
         code = main(["trial", "--L", "32", "--Q", "16", "--M", "2", "--K", "2",

@@ -212,6 +212,17 @@ class TestEvaluate:
         np.testing.assert_array_equal(full.grad.channels, g.channels)
         np.testing.assert_array_equal(full.grad.coefficients, g.coefficients)
 
+    def test_no_gradient_at_non_finite_point(self):
+        """At 1e100 x truth F + G overflows: evaluate reports it and forms no
+        gradient, rather than raising on the gradient's non-finite entries."""
+        ens, truth, obs = make_instance(Dimensions(L=64, Q=64, M=3, K=3, N=1), seed=1)
+        p = oracle_params(ens, truth)
+        z = BlockFactorPair(1e100 * truth.channels, 1e100 * truth.coefficients)
+        with np.errstate(all="ignore"):
+            ev = evaluate(ens, z, obs, p, grad=True)
+        assert not np.isfinite(ev.f_tilde)
+        assert ev.grad is None
+
     @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
     def test_fft_calls_independent_of_components(self, dims, rng, monkeypatch):
         ens, truth, obs = make_instance(dims)

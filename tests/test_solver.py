@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import moddemix
+import moddemix.solver as solver_module
 from conftest import make_instance, random_pair
 from moddemix.instances import relative_error
 from moddemix.objective import DegenerateInputError, coherences
@@ -254,6 +255,44 @@ class TestSolve:
         ens, truth, obs = make_instance(dims, seed=seed)
         _, trace = solve(ens, obs, SolverConfig(), truth=truth)
         assert (trace.iterations, trace.stop_reason) == (iterations, "rel_err")
+
+    def test_one_evaluation_per_step_trial(self, monkeypatch):
+        """grad_total runs once, at the start point; every other evaluate is
+        a backtracking trial, whose gradient is reused when it is accepted,
+        so no accepted point is evaluated a second time."""
+        points, grad_points, steps = [], [], []
+
+        def spy(fn, seen):
+            def wrapper(ens, z, *args, **kwargs):
+                seen.append((z, kwargs.get("grad", False)))
+                return fn(ens, z, *args, **kwargs)
+            return wrapper
+
+        apply_step = solver_module._apply_step
+        monkeypatch.setattr(solver_module, "evaluate", spy(solver_module.evaluate, points))
+        monkeypatch.setattr(solver_module, "grad_total",
+                            spy(solver_module.grad_total, grad_points))
+        monkeypatch.setattr(solver_module, "_apply_step",
+                            lambda *args: steps.append(1) or apply_step(*args))
+        ens, truth, obs = make_instance(TWO, seed=2)
+        _, trace = solve(ens, obs, SolverConfig(), truth=truth)
+        assert (trace.iterations, trace.stop_reason) == (46, "rel_err")
+        assert len(grad_points) == 1 and grad_points[0][0] is points[0][0]
+        assert len(points) == 1 + len(steps) and len(steps) >= trace.iterations
+        assert [g for _, g in points] == [False] + [True] * len(steps)
+        stacked = [np.concatenate([z.channels.ravel(), z.coefficients.ravel()])
+                   for z, _ in points]
+        assert len({a.tobytes() for a in stacked}) == len(points)
+
+    @pytest.mark.parametrize("dims,seed,snr_db,max_iters",
+                             [(TWO, 2, None, 5000), (EASY, 1, None, 5000),
+                              (TWO, 3, 20.0, 30)])
+    def test_trace_error_is_relative_error(self, dims, seed, snr_db, max_iters):
+        """The trace's error, against the truth prepared once per solve,
+        matches the public relative_error of the normalized estimate."""
+        ens, truth, obs = make_instance(dims, seed=seed, snr_db=snr_db)
+        est, trace = solve(ens, obs, SolverConfig(max_iters=max_iters), truth=truth)
+        assert abs(trace.rel_err[-1] - relative_error(est, truth)) <= 1e-12
 
     def test_stall_stop(self):
         """A step too small to move f_tilde stops on "stall" after the fixed
