@@ -255,15 +255,15 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
 def run_convergence_trace(spec: TrialSpec, cfg: SolverConfig | None = None,
                           out=None) -> dict:
     """Per-iteration objective/error history of one trial."""
-    header = ["t", "f_tilde", "f", "g", "rel_err", "grad_norm"]
+    header = ["t", "f_tilde", "f", "g", "rel_err", "grad_norm", "eta", "evals"]
     formats = {"f_tilde": ".10e", "f": ".10e", "g": ".10e",
-               "rel_err": ".6e", "grad_norm": ".6e"}
+               "rel_err": ".6e", "grad_norm": ".6e", "eta": ".6e"}
     with _csv_rows(out, header, formats) as emit:
         ens, truth, obs = synthesize(spec)
         est, trace = solve(ens, obs, cfg or SolverConfig(), truth=truth)
-        for t, *values in zip(trace.t, trace.f_tilde, trace.f, trace.g,
-                              trace.rel_err, trace.grad_norm):
-            emit((int(t), *values))
+        for row in zip(trace.t, trace.f_tilde, trace.f, trace.g, trace.rel_err,
+                       trace.grad_norm, trace.eta, trace.evals):
+            emit(row)
     return {"rel_err": relative_error(est, truth), "trace": trace}
 
 

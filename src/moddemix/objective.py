@@ -179,7 +179,7 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
         gx = (gx + (scale * _hinge_prime(x_arg))[:, None] * x
               + (coded_w.T[:, None, :] @ ens.coding)[:, 0])
     gh = partial_dft_adjoint(d.L, w, d.M).T + gh_hinge
-    return Evaluation(f, g, BlockFactorPair(gh, gx))
+    return Evaluation(f, g, BlockFactorPair.unchecked(gh, gx))
 
 
 def loss_total(ens: MeasurementEnsemble, z: BlockFactorPair,

@@ -4,10 +4,8 @@ The observation model sums, over ``N`` transmitters, the elementwise product
 of two length-``L`` spectra: the channel spectrum ``F_M h_n`` and the coded
 spectrum of the modulated message.  The maps are FFT-backed; a dense
 matrix oracle (`dense_oracle`) exists purely so tests can cross-check the
-fast path.  The step-size bound needs ||A|| itself: `operator_norm` computes
-it exactly as the square root of the largest eigenvalue of a real Gram
-matrix of order min(L, NMK), built from the modulated coding columns
-without any FFT.
+fast path.  The solver's first step size needs no norm of A: ||A||^2 <= N M
+holds for every ensemble (see `moddemix.solver.solve`).
 
 Conventions
 -----------
@@ -41,7 +39,6 @@ __all__ = [
     "forward_map",
     "adjoint_component",
     "dense_oracle",
-    "operator_norm",
     "dft_basis",
 ]
 
@@ -157,6 +154,14 @@ class BlockFactorPair:
         if not (np.all(np.isfinite(self.channels)) and np.all(np.isfinite(self.coefficients))):
             raise ValueError("non-finite entries in factor pair")
 
+    @classmethod
+    def unchecked(cls, channels: np.ndarray, coefficients: np.ndarray) -> "BlockFactorPair":
+        """Pair of complex 2-D arrays derived from checked pairs, taken as
+        they are (no finiteness scan): for the descent loop's own points."""
+        z = object.__new__(cls)
+        z.channels, z.coefficients = channels, coefficients
+        return z
+
     def check_dims(self, dims: Dimensions) -> None:
         if self.channels.shape != (dims.N, dims.M):
             raise ValueError(f"channels shape {self.channels.shape} != {(dims.N, dims.M)}")
@@ -237,26 +242,3 @@ def dense_oracle(ens: MeasurementEnsemble, n: int) -> np.ndarray:
     fcols = partial_dft_apply(d.L, np.eye(d.M))                       # (L, M)
     return (fcols[:, :, None] * ens.coded_spectra[n][:, None, :]).reshape(d.L, d.M * d.K)
 
-
-def operator_norm(ens: MeasurementEnsemble) -> float:
-    """Spectral norm of the summed lifted map A, computed exactly.
-
-    With u_{n,k} = r_n * C_n[:, k] zero-padded to length L, the column of A
-    for lifted entry (n, m, k) is the unitary DFT of u_{n,k} circularly
-    shifted by m, up to conjugation.  So A^* A is the real Gram matrix of
-    the shifted vectors S_m u_{n,k}: block Toeplitz in (m, m'), with block
-    U^T S_{m'-m} U for U = [u_{n,k}] (L x NK).  Its nonzero eigenvalues are
-    those of the L x L matrix sum_m S_m U U^T S_m^T; the smaller of the two
-    is formed and handed to `numpy.linalg.eigvalsh`.
-    """
-    d = ens.dims
-    U = np.zeros((d.L, d.N * d.K))
-    U[:d.Q] = (ens.modulation[:, :, None] * ens.coding).transpose(1, 0, 2).reshape(d.Q, -1)
-    if d.L <= d.N * d.M * d.K:
-        outer = U @ U.T
-        gram = sum(np.roll(outer, (m, m), axis=(0, 1)) for m in range(d.M))
-    else:
-        lags = [U.T @ np.roll(U, m, axis=0) for m in range(d.M)]
-        gram = np.block([[lags[j - i] if j >= i else lags[i - j].T for j in range(d.M)]
-                         for i in range(d.M)])
-    return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))

@@ -28,7 +28,6 @@ from .operators import (
     ObservationVector,
     adjoint_component,
     dft_basis,
-    operator_norm,
 )
 
 __all__ = [
@@ -107,7 +106,9 @@ class InitResult:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration history.  Row 0 is the starting point."""
+    """Per-iteration history.  Row 0 is the starting point.  eta is the
+    accepted step (0 on row 0 and on a "no_decrease" row), evals the row's
+    objective evaluations (row 0: the start value, and gradient if it runs)."""
 
     t: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     f_tilde: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -115,6 +116,8 @@ class SolveTrace:
     g: np.ndarray = field(default_factory=lambda: np.empty(0))
     rel_err: np.ndarray = field(default_factory=lambda: np.empty(0))
     grad_norm: np.ndarray = field(default_factory=lambda: np.empty(0))
+    eta: np.ndarray = field(default_factory=lambda: np.empty(0))
+    evals: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     stop_reason: str = ""
     iterations: int = 0
 
@@ -211,21 +214,24 @@ def initialize(ens: MeasurementEnsemble, y_hat: ObservationVector,
 
 
 def _apply_step(z: BlockFactorPair, g: BlockFactorPair, eta: float) -> BlockFactorPair:
-    return BlockFactorPair(z.channels - eta * g.channels,
-                           z.coefficients - eta * g.coefficients)
+    return BlockFactorPair.unchecked(z.channels - eta * g.channels,
+                                     z.coefficients - eta * g.coefficients)
 
 
 def _backtrack(ens, z, y_hat, p, g, gn_sq, cur, eta):
     """Halve eta until sufficient decrease; returns (z_new, evaluation at
-    z_new with its gradient, eta) or (z, cur, 0.0) when no decrease is
-    achievable (plateau)."""
+    z_new with its gradient, eta, evaluations made), with z, cur and eta 0.0
+    when no decrease is achievable (plateau).  A non-finite trial fails the
+    test and is halved like any other."""
+    evals = 0
     while eta > _MIN_ETA:
         trial = _apply_step(z, g, eta)
         ev = evaluate(ens, trial, y_hat, p, grad=True)
+        evals += 1
         if ev.f_tilde <= cur.f_tilde - 0.05 * eta * gn_sq:
-            return trial, ev, eta
+            return trial, ev, eta, evals
         eta *= 0.5
-    return z, cur, 0.0
+    return z, cur, 0.0, evals
 
 
 def _normalize_output(z: BlockFactorPair) -> BlockFactorPair:
@@ -268,6 +274,14 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     `grad_total` runs only for the start point.  The relative error against
     the truth is prepared once (`relative_error_to`).
 
+    Step rule (backtracking): a search starts at 2 eta, eta the last
+    accepted step (eta0 = 1/(2 N M d) at first), or at eta after a search
+    that had to halve, and halves until the Armijo test holds.  eta0 needs
+    no operator norm: ||A||^2 <= N M.  With z_nm the m-th row of Z_n and f_m
+    the m-th column of F_M, A(Z) = sum_nm f_m * conj(B_n) z_nm is a sum of
+    N M isometries (|f_m| = 1/sqrt(L), ||B_n v|| = sqrt(L) ||v||), so
+    ||A(Z)|| <= sqrt(N M) ||Z||_F by Cauchy-Schwarz.
+
     The model is homogeneous: y -> s y takes the factors to sqrt(s) times
     theirs.  The descent therefore runs on y / 4^j, 4^j the power of four
     nearest ||y||, with truth, start, rho and a fixed eta scaled to match;
@@ -308,16 +322,16 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     p = PenaltyParams(rho=rho, d=d, d_n=d_n, mu=mu, nu=nu)
 
     backtracking = isinstance(cfg.eta, str)
-    eta0 = (1.0 / (2.0 * operator_norm(ens) ** 2 * d)) if backtracking \
+    eta = (1.0 / (2.0 * ens.dims.N * ens.dims.M * d)) if backtracking \
         else float(np.ldexp(cfg.eta, 2 * j))
-    eta = eta0
+    grow = True  # the first search starts at 2 eta0
 
-    rows = []  # (t, f_tilde, f, g, rel_err, grad_norm)
+    rows = []  # (t, f_tilde, f, g, rel_err, grad_norm, eta, evals)
     error = relative_error_to(truth) if truth is not None else None
 
-    def record(t, ev, gn):
+    def record(t, ev, gn, step, evals):
         err = error(z) if error is not None else np.nan
-        rows.append((t, ev.f_tilde, ev.f, ev.g, err, gn))
+        rows.append((t, ev.f_tilde, ev.f, ev.g, err, gn, step, evals))
         return err
 
     cur = evaluate(ens, z, y_hat, p)
@@ -326,11 +340,12 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
             f"non-finite objective ({cur.f_tilde}) at the start point")
     f_init = max(cur.f_tilde, np.finfo(float).tiny)
     stop = "max_iters"
-    err = record(0, cur, np.nan)
+    err = record(0, cur, np.nan, 0.0, 1)
     if truth is not None and err < cfg.tol:
         stop = "rel_err"
     else:
         g = grad_total(ens, z, y_hat, p)
+        rows[0] = (*rows[0][:-1], 2)  # the start gradient is row 0's second evaluation
         for t in range(1, cfg.max_iters + 1):
             gn_sq = float(np.linalg.norm(g.channels) ** 2
                           + np.linalg.norm(g.coefficients) ** 2)
@@ -339,21 +354,23 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
                 stop = "grad_tol"
                 break
             if backtracking:
-                z, cur, eta = _backtrack(ens, z, y_hat, p, g, gn_sq, cur,
-                                         min(2.0 * eta, eta0))
-                if eta == 0.0:
-                    record(t, cur, gn)
+                z, cur, step, evals = _backtrack(ens, z, y_hat, p, g, gn_sq, cur,
+                                                 2.0 * eta if grow else eta)
+                if step == 0.0:
+                    record(t, cur, gn, 0.0, evals)
                     stop = "no_decrease"
                     break
+                eta, grow = step, evals == 1
             else:
                 z = _apply_step(z, g, eta)
                 cur = evaluate(ens, z, y_hat, p, grad=True)
+                evals = 1
                 if not np.isfinite(cur.f_tilde) or cur.f_tilde > 10.0 * f_init:
                     raise DivergenceError(
                         f"objective grew to {cur.f_tilde:.3e} (initial {f_init:.3e}); "
                         "reduce the fixed step size")
             g = cur.grad
-            err = record(t, cur, gn)
+            err = record(t, cur, gn, eta, evals)
             if truth is not None and err < cfg.tol:
                 stop = "rel_err"
                 break
@@ -367,6 +384,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
         t=arr[:, 0].astype(int), f_tilde=np.ldexp(arr[:, 1], 4 * j),
         f=np.ldexp(arr[:, 2], 4 * j), g=np.ldexp(arr[:, 3], 4 * j),
         rel_err=arr[:, 4], grad_norm=np.ldexp(arr[:, 5], 3 * j),
+        eta=np.ldexp(arr[:, 6], -2 * j), evals=arr[:, 7].astype(int),
         stop_reason=stop, iterations=int(arr[-1, 0]),
     )
     return _scaled(_normalize_output(z), 1.0 / c), trace

@@ -133,7 +133,7 @@ class TestSweeps:
         assert res["rel_err"] < 1e-2
         with open(out, newline="") as fh:
             data = list(csv.reader(fh))
-        assert data[0] == ["t", "f_tilde", "f", "g", "rel_err", "grad_norm"]
+        assert data[0] == ["t", "f_tilde", "f", "g", "rel_err", "grad_norm", "eta", "evals"]
         assert len(data) == res["trace"].iterations + 2  # header + rows 0..T
 
     def test_phase_keeps_rows_finished_before_a_failure(self, tmp_path, monkeypatch):
