@@ -157,6 +157,25 @@ class TestForwardAdjoint:
             adjoint_component(ens, 1, np.ones(16))
 
 
+class TestOperatorNorm:
+    # SMALL_DIMS has two entries with L >= NMK and two with L < NMK; the desk
+    # case with seed 2 is where a 100-step power iteration once stopped 2.2e-3 low
+    @pytest.mark.parametrize(
+        "dims,seed",
+        [pytest.param(dims, 0, id=str(dims)) for dims in SMALL_DIMS]
+        + [pytest.param(Dimensions(L=320, Q=320, M=8, K=8, N=2), 2, id="desk-seed2")])
+    def test_matches_dense_svd(self, dims, seed):
+        """The matrix-free adjoint attains the dense SVD's top singular value:
+        A^* u_1 = sigma_1 v_1 for the top singular pair of the stacked oracle."""
+        ens, _, _ = make_instance(dims, seed=seed)
+        A = np.hstack([dense_oracle(ens, n) for n in range(dims.N)])
+        U, s, Vh = np.linalg.svd(A, full_matrices=False)
+        back = np.concatenate([adjoint_component(ens, n, U[:, 0]).ravel()
+                               for n in range(dims.N)])
+        assert np.linalg.norm(back) == pytest.approx(s[0], rel=1e-12)
+        np.testing.assert_allclose(back, s[0] * Vh[0].conj(), atol=1e-10 * s[0])
+
+
 class TestOperatorNormBound:
     @pytest.mark.parametrize(
         "dims,seed",
