@@ -51,11 +51,6 @@ def _add_solver(p, max_iters):
     p.add_argument("--max-iters", type=int, default=max_iters)
     p.add_argument("--eta", type=float, default=None,
                    help="fixed step size (default: backtracking)")
-    p.add_argument("--rho", type=float, default=None, help="penalty weight override")
-    p.add_argument("--mu", type=float, default=None,
-                   help="channel coherence bound (with --nu; default: the truth's)")
-    p.add_argument("--nu", type=float, default=None,
-                   help="message coherence bound (with --mu; default: the truth's)")
 
 
 def _add_seed_out(p):
@@ -72,9 +67,6 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         eta="backtracking" if args.eta is None else args.eta,
         max_iters=args.max_iters,
-        rho=args.rho,
-        mu=args.mu,
-        nu=args.nu,
     )
 
 
@@ -193,6 +185,7 @@ def _cmd_scaling(args) -> int:
         _solver_config(args), out=args.out,
         N_values=tuple(range(1, args.N_max + 1)), K=args.K, M=args.M,
         L_step=args.L_step, L_max=args.L_max, trials=args.trials,
+        target_successes=(9 * args.trials + 9) // 10,  # ceil(0.9 trials): 9 of 10
         threshold=args.threshold, base_seed=args.seed, workers=args.workers)
     for r in rows:
         print(f"N={r['N']}: L_min={r['L_min']}")

@@ -50,6 +50,13 @@ def _derive_seed(base: int, *idx: int) -> int:
     return int(np.random.SeedSequence([int(base), *map(int, idx)]).generate_state(1)[0])
 
 
+def _check_counts(**counts: int) -> None:
+    """Raise ValueError for a sweep count below 1, before any work."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """Outcome of one synthesize -> initialize -> solve -> score run."""
@@ -155,10 +162,15 @@ class SweepGrid:
         return tuple(self.L * i // 4 for i in range(1, 5))
 
     def cells(self) -> list[Dimensions]:
+        """Every cell, in (Q, K, M) grid order; raises ValueError naming the
+        first cell whose coding does not fit (K * N > Q)."""
         dims = []
         for Q in self.q_values():
             for K in self.K_values:
                 for M in self.M_values:
+                    if K * self.N > Q:
+                        raise ValueError(f"cell Q={Q}, K={K}, M={M}: N={self.N} codings "
+                                         f"of K columns need K * N <= Q")
                     dims.append(Dimensions(L=self.L, Q=Q, M=M, K=K, N=self.N))
         return dims
 
@@ -168,6 +180,7 @@ def run_phase_transition(grid: SweepGrid, cfg: SolverConfig | None = None,
                          workers: int = 1) -> list[dict]:
     """Success fraction per (K, M, Q) cell, in (Q, K, M) order.  Returns the
     rows and, when `out` is given, writes each as CSV when its cell ends."""
+    _check_counts(trials=grid.trials)
     cells = grid.cells()  # validates every cell up front
     # a cell's seeds derive from its index in grid.cells(), not its run order
     order = sorted(range(len(cells)), key=lambda ci: (cells[ci].Q, cells[ci].K, cells[ci].M))
@@ -193,6 +206,7 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
     """Geometric-mean relative error per SNR point, in ascending SNR order
     with the noiseless point (None or inf) last.  The same seeds are reused
     across SNR values so the comparison is paired."""
+    _check_counts(trials=trials)
     points = [None if s is None or math.isinf(s) else float(s) for s in snr_values]
     points.sort(key=lambda s: math.inf if s is None else s)
     header = ["snr_db", "L", "Q", "M", "K", "N", "trials", "mean_rel_err", "std_log10"]
@@ -219,13 +233,17 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
     """Smallest L (with Q = L) reaching the success target, per transmitter
     count N, located by bisection over the L grid (nan when even L_max
     falls short).  Raises ValueError before any trial when some N admits
-    no L up to L_max."""
+    no L up to L_max, or when target_successes is outside [1, trials]."""
+    _check_counts(trials=trials, L_step=L_step)
     grids = []  # (N, admissible L values); the coding needs Q = L >= K * N
     for N in N_values:
         L_lo = max(L_step, L_step * math.ceil(max(K * N, M, K) / L_step))
         if L_lo > L_max:
             raise ValueError(f"N={N} needs L >= {L_lo}, above L_max={L_max}")
         grids.append((N, list(range(L_lo, L_max + 1, L_step))))
+    if not 1 <= target_successes <= trials:
+        raise ValueError(f"target_successes must be in [1, trials={trials}], "
+                         f"got {target_successes}")
     header = ["N", "L_min", "K", "M", "trials", "target"]
     rows = []
     with _csv_rows(out, header, {}) as emit, \

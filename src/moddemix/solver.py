@@ -1,8 +1,9 @@
 """Spectral initialization and regularized Wirtinger gradient descent.
 
-`initialize` builds the starting point from the exact leading singular
-triple (SVD) of each back-projected M x K observation block, pushed into the
-incoherent set by a convex projection.  `solve` then runs simultaneous
+The spectral start is the exact leading singular triple (SVD) of each
+back-projected M x K observation block; `initialize` pushes it into the
+incoherent set by a convex projection.  `solve` needs no ground truth: it
+takes its penalty parameters from the start point and runs simultaneous
 Wirtinger updates of all channel and coefficient blocks, by default with a
 backtracking step size that guarantees a non-increasing objective.
 """
@@ -49,6 +50,17 @@ __all__ = [
 _MIN_ETA = 1e-20
 _STALL_WINDOW = 50
 _STALL_RTOL = 1e-13
+# With truth the descent stops once the relative error is below _TOL; it
+# also stops once the gradient norm is below _GRAD_TOL * d^2.
+_TOL = 1e-3
+_GRAD_TOL = 1e-7
+# `solve` takes mu, nu as this margin times the coherences of its start
+# point.  A spectral start h_n = sqrt(d_n) u_n has unit u_n, so
+# sqrt(L) ||F h_n||_inf <= sqrt(d_n) mu(start): the incoherent set
+# sqrt(L) ||F h_n||_inf <= 2 sqrt(d_n) mu (and likewise for x_n, nu) already
+# contains it, the initial projection would return it unchanged, and `solve`
+# skips that projection.
+_COHERENCE_MARGIN = 1.5
 
 
 class DivergenceError(RuntimeError):
@@ -61,24 +73,14 @@ class NumericalFailureError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Penalty, step and stopping parameters.
+    """Step and iteration parameters, and an optional start point.
 
     eta is either the string "backtracking" (default) or a fixed positive
-    step size.  tol is the relative-error stopping threshold used when the
-    ground truth is supplied; grad_tol stops on gradient norm below
-    grad_tol * d^2.  mu/nu are the coherence bounds of the penalty and the
-    initial projection: set both or neither.  When set they are used as
-    given; otherwise `solve` takes the ground truth's coherences, and
-    without truth it raises ValueError.
+    step size.  start, with no zero factor, replaces the spectral start.
     """
 
     eta: float | str = "backtracking"
     max_iters: int = 5000
-    tol: float = 1e-3
-    grad_tol: float = 1e-7
-    rho: float | None = None
-    mu: float | None = None
-    nu: float | None = None
     start: BlockFactorPair | None = None
 
     def __post_init__(self):
@@ -89,10 +91,6 @@ class SolverConfig:
             raise ValueError("fixed step size must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0 or self.grad_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if (self.mu is None) != (self.nu is None):
-            raise ValueError("set both mu and nu, or neither")
 
 
 @dataclass
@@ -190,27 +188,32 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float,
     return z
 
 
+def _spectral_start(ens: MeasurementEnsemble, y_hat: ObservationVector) -> InitResult:
+    """d_n and the start (sqrt(d_n) u_n, sqrt(d_n) v_n), from the exact leading
+    singular triple of each back-projected M x K observation block."""
+    y_hat.check_dims(ens.dims)
+    if not np.any(y_hat.samples):
+        raise DegenerateInputError("cannot initialize from a zero observation")
+    d_n, u, v = map(np.array, zip(*(
+        leading_singular_triple(adjoint_component(ens, n, y_hat.samples))
+        for n in range(ens.dims.N))))
+    root = np.sqrt(d_n)[:, None]
+    return InitResult(d_n=d_n, start=BlockFactorPair(root * u, root * v))
+
+
 def initialize(ens: MeasurementEnsemble, y_hat: ObservationVector,
                mu: float, nu: float) -> InitResult:
     """Spectral initialization: per component, the exact leading singular
     triple of the back-projected M x K observation block, scaled by
     sqrt(d_n) and projected into the incoherent set."""
-    y_hat.check_dims(ens.dims)
-    if not np.any(y_hat.samples):
-        raise DegenerateInputError("cannot initialize from a zero observation")
-    d = ens.dims
-    fm = dft_basis(d.L, d.M)
-    d_n = np.empty(d.N)
-    u0 = np.empty((d.N, d.M), dtype=complex)
-    v0 = np.empty((d.N, d.K), dtype=complex)
-    for n in range(d.N):
-        block = adjoint_component(ens, n, y_hat.samples)
-        dn, hv, xv = leading_singular_triple(block)
-        d_n[n] = dn
-        root = np.sqrt(dn)
-        u0[n] = project_incoherent(root * hv, fm, 2 * root * mu)
-        v0[n] = project_incoherent(root * xv, ens.coding[n], 2 * root * nu)
-    return InitResult(d_n=d_n, start=BlockFactorPair(u0, v0))
+    init = _spectral_start(ens, y_hat)
+    fm = dft_basis(ens.dims.L, ens.dims.M)
+    z = init.start
+    for n, root in enumerate(np.sqrt(init.d_n)):
+        z.channels[n] = project_incoherent(z.channels[n], fm, 2 * root * mu)
+        z.coefficients[n] = project_incoherent(z.coefficients[n], ens.coding[n],
+                                               2 * root * nu)
+    return init
 
 
 def _apply_step(z: BlockFactorPair, g: BlockFactorPair, eta: float) -> BlockFactorPair:
@@ -266,13 +269,19 @@ def _scale_exponent(y: np.ndarray) -> int:
 def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
           cfg: SolverConfig | None = None,
           truth: BlockFactorPair | None = None) -> tuple[BlockFactorPair, SolveTrace]:
-    """Initialize (unless cfg.start is given) and descend until max_iters,
-    a small gradient, or (with truth) a small relative error.
+    """Descend from the spectral start (or cfg.start) until max_iters, a
+    small gradient, or (with truth) a small relative error.
+
+    `solve` is blind: its penalty takes mu, nu = `_COHERENCE_MARGIN` times
+    the start point's coherences, d_n from the start (||h_n|| ||x_n|| for
+    cfg.start) and rho = d^2.  The truth only scores, through
+    `relative_error_to`: the trace's rel_err column and the rel_err stop.
+    A cfg.start with a zero factor, a stationary point, raises
+    DegenerateInputError.
 
     Each iteration evaluates the objective once per step-size trial, with
     the gradient: the accepted trial's gradient drives the next step, so
-    `grad_total` runs only for the start point.  The relative error against
-    the truth is prepared once (`relative_error_to`).
+    `grad_total` runs only for the start point.
 
     Step rule (backtracking): a search starts at 2 eta, eta the last
     accepted step (eta0 = 1/(2 N M d) at first), or at eta after a search
@@ -284,42 +293,21 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
 
     The model is homogeneous: y -> s y takes the factors to sqrt(s) times
     theirs.  The descent therefore runs on y / 4^j, 4^j the power of four
-    nearest ||y||, with truth, start, rho and a fixed eta scaled to match;
-    the estimate and the trace are scaled back by exact powers of two.
+    nearest ||y||, with truth, start and a fixed eta scaled to match; the
+    estimate and the trace are scaled back by exact powers of two.
     """
     cfg = cfg or SolverConfig()
     y_hat.check_dims(ens.dims)
     j = _scale_exponent(y_hat.samples)
     c = float(np.ldexp(1.0, -j))  # factors scale by c, y by c^2
-    y_hat = ObservationVector(
-        c * c * y_hat.samples, None if y_hat.noise is None else c * c * y_hat.noise)
-    if truth is not None:
-        truth = _scaled(truth, c)
-
-    if cfg.mu is not None:
-        mu, nu = cfg.mu, cfg.nu
-    elif truth is not None:
-        rep = coherences(ens, truth)
-        mu, nu = rep.mu, rep.nu
-    else:
-        raise ValueError("need cfg.mu/cfg.nu bounds when no truth is available")
-
-    if cfg.start is not None:
-        z = _scaled(cfg.start, c)
-        d_n = np.linalg.norm(z.channels, axis=1) * np.linalg.norm(z.coefficients, axis=1)
-        d_n = np.where(d_n > 0, d_n, 1.0)
-    else:
-        init = initialize(ens, y_hat, mu, nu)
-        z = init.start
-        d_n = init.d_n
+    y_hat = ObservationVector(c * c * y_hat.samples)
+    init = _spectral_start(ens, y_hat) if cfg.start is None else None
+    z = _scaled(cfg.start, c) if init is None else init.start
+    rep = coherences(ens, z)  # raises DegenerateInputError on a zero factor
+    d_n = rep.d_n if init is None else init.d_n
     d = float(np.sqrt(np.sum(d_n**2)))
-    if cfg.rho is not None:
-        rho = float(np.ldexp(cfg.rho, -4 * j))
-    elif y_hat.noise is not None:
-        rho = d**2 + 2.0 * float(np.vdot(y_hat.noise, y_hat.noise).real)
-    else:
-        rho = d**2
-    p = PenaltyParams(rho=rho, d=d, d_n=d_n, mu=mu, nu=nu)
+    p = PenaltyParams(rho=d**2, d=d, d_n=d_n, mu=_COHERENCE_MARGIN * rep.mu,
+                      nu=_COHERENCE_MARGIN * rep.nu)
 
     backtracking = isinstance(cfg.eta, str)
     eta = (1.0 / (2.0 * ens.dims.N * ens.dims.M * d)) if backtracking \
@@ -327,7 +315,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     grow = True  # the first search starts at 2 eta0
 
     rows = []  # (t, f_tilde, f, g, rel_err, grad_norm, eta, evals)
-    error = relative_error_to(truth) if truth is not None else None
+    error = relative_error_to(_scaled(truth, c)) if truth is not None else None
 
     def record(t, ev, gn, step, evals):
         err = error(z) if error is not None else np.nan
@@ -341,7 +329,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     f_init = max(cur.f_tilde, np.finfo(float).tiny)
     stop = "max_iters"
     err = record(0, cur, np.nan, 0.0, 1)
-    if truth is not None and err < cfg.tol:
+    if err < _TOL:
         stop = "rel_err"
     else:
         g = grad_total(ens, z, y_hat, p)
@@ -350,7 +338,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
             gn_sq = float(np.linalg.norm(g.channels) ** 2
                           + np.linalg.norm(g.coefficients) ** 2)
             gn = np.sqrt(gn_sq)
-            if gn < cfg.grad_tol * d**2:
+            if gn < _GRAD_TOL * d**2:
                 stop = "grad_tol"
                 break
             if backtracking:
@@ -371,7 +359,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
                         "reduce the fixed step size")
             g = cur.grad
             err = record(t, cur, gn, eta, evals)
-            if truth is not None and err < cfg.tol:
+            if err < _TOL:
                 stop = "rel_err"
                 break
             if (len(rows) > _STALL_WINDOW and rows[-1 - _STALL_WINDOW][1] - cur.f_tilde

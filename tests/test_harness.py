@@ -12,7 +12,6 @@ import pytest
 
 import moddemix.cli as cli
 import moddemix.harness as harness
-import moddemix.solver as solver_module
 from moddemix.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from moddemix.harness import (
     SweepGrid,
@@ -108,6 +107,32 @@ class TestSweeps:
                                      target_successes=3)
         assert rows[0]["N"] == 1
         assert rows[0]["L_min"] in (16, 32, 48, 64)
+
+    @pytest.mark.parametrize("target", [0, 4])
+    def test_transmitter_sweep_rejects_target_outside_trials(self, target, tmp_path,
+                                                             monkeypatch):
+        """A target outside [1, trials] is a ValueError before any trial runs
+        or the CSV is opened."""
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        out = tmp_path / "scaling.csv"
+        with pytest.raises(ValueError, match="target_successes"):
+            run_transmitter_sweep(SolverConfig(max_iters=5), out=out, N_values=(1,),
+                                  K=2, M=2, L_step=16, L_max=64, trials=3,
+                                  target_successes=target)
+        assert calls == [] and not out.exists()
+
+    def test_phase_rejects_cell_without_coding_before_any_trial(self, tmp_path, monkeypatch):
+        """Q=8 cannot hold N=2 codings of K=6 DCT columns: ValueError naming
+        the cell before any trial runs or the CSV is opened."""
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        out = tmp_path / "ph.csv"
+        grid = SweepGrid(L=64, N=2, Q_values=(8, 32), K_values=(2, 6), M_values=(2,),
+                         trials=1)
+        with pytest.raises(ValueError, match="cell Q=8, K=6, M=2"):
+            run_phase_transition(grid, SolverConfig(max_iters=5), out=out)
+        assert calls == [] and not out.exists()
 
     def test_transmitter_sweep_unreachable_is_nan(self):
         rows = run_transmitter_sweep(SolverConfig(max_iters=5), N_values=(4,),
@@ -238,6 +263,44 @@ class TestCli:
     def test_invalid_dimensions(self, capsys):
         assert main(["trial", "--L", "4", "--Q", "9"]) == EXIT_USAGE
 
+    def test_phase_cell_without_coding_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        out = tmp_path / "ph.csv"
+        assert main(["phase", "--L", "64", "--N", "2", "--trials", "1", "--Q-values", "8", "32",
+                     "--K-values", "2", "6", "--M-values", "2", "--max-iters", "5",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "cell Q=8, K=6, M=2" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["phase", "--L", "32", "--N", "1", "--Q-values", "16", "--K-values", "2",
+         "--M-values", "2", "--trials", "-2"],
+        ["phase", "--L", "32", "--N", "1", "--Q-values", "16", "--K-values", "2",
+         "--M-values", "2", "--trials", "0"],
+        ["snr", *TINY, "--snr-db", "20", "--trials", "0"],
+        ["scaling", "--N-max", "1", "--K", "2", "--M", "2", "--L-max", "16", "--trials", "0"],
+        ["scaling", "--N-max", "1", "--K", "2", "--M", "2", "--L-max", "16", "--L-step", "0"],
+    ])
+    def test_sweep_count_below_one_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        """A count below 1 exits 1 before any trial, leaving `out` as it was."""
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        out = tmp_path / "f.csv"
+        out.write_text("kept\n")
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert "must be >= 1" in capsys.readouterr().err
+        assert calls == [] and out.read_text() == "kept\n"
+
+    def test_scaling_target_is_ninety_percent_of_trials(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "run_transmitter_sweep",
+                            lambda *a, **kw: seen.append((kw["trials"],
+                                                          kw["target_successes"])) or [])
+        for trials in (1, 3, 9, 10, 11, 20):
+            assert main(["scaling", "--trials", str(trials)]) == EXIT_OK
+        assert seen == [(1, 1), (3, 3), (9, 9), (10, 9), (11, 10), (20, 18)]
+
     def test_scaling_without_admissible_L(self, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
@@ -312,22 +375,6 @@ class TestCli:
                      "--N", "1", "--eta", "50.0"])
         assert code == EXIT_NUMERIC
 
-    def test_mu_nu_override_truth(self, monkeypatch, capsys):
-        seen = []
-        initialize = solver_module.initialize
-
-        def spy(ens, y_hat, mu, nu):
-            seen.append((mu, nu))
-            return initialize(ens, y_hat, mu, nu)
-
-        monkeypatch.setattr(solver_module, "initialize", spy)
-        code = main(["trial", *TINY, "--mu", "7", "--nu", "7", "--max-iters", "5"])
-        assert code == EXIT_OK
-        assert seen == [(7.0, 7.0)]
-
-    def test_mu_without_nu_is_usage_error(self, capsys):
-        assert main(["trial", *TINY, "--mu", "7"]) == EXIT_USAGE
-
     @pytest.mark.parametrize("command,runner,default", [
         ("phase", "run_phase_transition", 400),
         ("scaling", "run_transmitter_sweep", 400),
@@ -344,6 +391,10 @@ class TestCli:
         assert main([command]) == EXIT_OK
         assert main([command, "--max-iters", "1000"]) == EXIT_OK
         assert seen == [default, 1000]
+
+    def test_mu_without_nu_is_usage_error(self, capsys):
+        # --mu is no flag any more (solve derives mu), so it is refused as unknown
+        assert main(["trial", *TINY, "--mu", "7"]) == EXIT_USAGE
 
     def test_unread_flag_rejected(self, capsys):
         assert main(["trace", *TINY, "--workers", "2"]) == EXIT_USAGE
