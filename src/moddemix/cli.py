@@ -24,7 +24,7 @@ from .harness import (
 )
 from .instances import TrialSpec, snapshot_to_json, synthesize
 from .operators import Dimensions
-from .solver import DivergenceError, NumericalFailureError, SolverConfig
+from .solver import NumericalFailureError, SolverConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,8 +49,6 @@ def _add_dims(p, L=64, Q=64, M=4, K=4, N=2):
 
 def _add_solver(p, max_iters):
     p.add_argument("--max-iters", type=int, default=max_iters)
-    p.add_argument("--eta", type=float, default=None,
-                   help="fixed step size (default: backtracking)")
 
 
 def _add_seed_out(p):
@@ -64,10 +62,7 @@ def _add_sweep(p):
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        eta="backtracking" if args.eta is None else args.eta,
-        max_iters=args.max_iters,
-    )
+    return SolverConfig(max_iters=args.max_iters)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,7 +180,6 @@ def _cmd_scaling(args) -> int:
         _solver_config(args), out=args.out,
         N_values=tuple(range(1, args.N_max + 1)), K=args.K, M=args.M,
         L_step=args.L_step, L_max=args.L_max, trials=args.trials,
-        target_successes=(9 * args.trials + 9) // 10,  # ceil(0.9 trials): 9 of 10
         threshold=args.threshold, base_seed=args.seed, workers=args.workers)
     for r in rows:
         print(f"N={r['N']}: L_min={r['L_min']}")
@@ -236,7 +230,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"moddemix: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (DivergenceError, NumericalFailureError, FloatingPointError) as exc:
+    except (NumericalFailureError, FloatingPointError) as exc:
         print(f"moddemix: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -27,7 +27,7 @@ import numpy as np
 from .instances import TrialSpec, relative_error, synthesize
 from .objective import PenaltyParams, coherences, grad_total, loss_total
 from .operators import BlockFactorPair, Dimensions, adjoint_component, forward_map
-from .solver import DivergenceError, NumericalFailureError, SolverConfig, solve
+from .solver import NumericalFailureError, SolverConfig, solve
 
 __all__ = [
     "TrialRecord",
@@ -51,7 +51,7 @@ def _derive_seed(base: int, *idx: int) -> int:
 
 
 def _check_counts(**counts: int) -> None:
-    """Raise ValueError for a sweep count below 1, before any work."""
+    """Raise ValueError for a count below 1, before any work."""
     for name, value in counts.items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -81,7 +81,7 @@ class TrialRecord:
 
 def run_trial(spec: TrialSpec, cfg: SolverConfig | None = None,
               threshold: float = DEFAULT_THRESHOLD) -> TrialRecord:
-    """Run one seeded trial; solver blow-ups are recorded, not raised."""
+    """Run one seeded trial; a numerical failure is recorded, not raised."""
     cfg = cfg or SolverConfig()
     d = spec.dims
     t0 = time.perf_counter()
@@ -90,7 +90,7 @@ def run_trial(spec: TrialSpec, cfg: SolverConfig | None = None,
         est, trace = solve(ens, obs, cfg, truth=truth)
         err = relative_error(est, truth)
         iters, reason = trace.iterations, trace.stop_reason
-    except (DivergenceError, NumericalFailureError) as exc:
+    except NumericalFailureError as exc:
         err, iters, reason = math.inf, cfg.max_iters, type(exc).__name__
     return TrialRecord(
         L=d.L, Q=d.Q, M=d.M, K=d.K, N=d.N, seed=spec.seed, snr_db=spec.snr_db,
@@ -126,7 +126,7 @@ def _trial_runner(cfg: SolverConfig, threshold: float, workers: int):
     """Yield run(specs): an iterator of TrialRecords in spec order, each
     yielded once it and all before it are done.  In-process, `run_trial` is
     looked up per call, so a rebinding of `harness.run_trial` takes effect."""
-    if workers <= 1:
+    if workers == 1:
         yield lambda specs: (run_trial(s, cfg, threshold) for s in specs)
         return
     pool = ProcessPoolExecutor(max_workers=workers)
@@ -180,7 +180,7 @@ def run_phase_transition(grid: SweepGrid, cfg: SolverConfig | None = None,
                          workers: int = 1) -> list[dict]:
     """Success fraction per (K, M, Q) cell, in (Q, K, M) order.  Returns the
     rows and, when `out` is given, writes each as CSV when its cell ends."""
-    _check_counts(trials=grid.trials)
+    _check_counts(trials=grid.trials, workers=workers)
     cells = grid.cells()  # validates every cell up front
     # a cell's seeds derive from its index in grid.cells(), not its run order
     order = sorted(range(len(cells)), key=lambda ci: (cells[ci].Q, cells[ci].K, cells[ci].M))
@@ -206,8 +206,10 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
     """Geometric-mean relative error per SNR point, in ascending SNR order
     with the noiseless point (None or inf) last.  The same seeds are reused
     across SNR values so the comparison is paired."""
-    _check_counts(trials=trials)
+    _check_counts(trials=trials, workers=workers)
     points = [None if s is None or math.isinf(s) else float(s) for s in snr_values]
+    if any(s is not None and math.isnan(s) for s in points):
+        raise ValueError("SNR values must not be NaN")
     points.sort(key=lambda s: math.inf if s is None else s)
     header = ["snr_db", "L", "Q", "M", "K", "N", "trials", "mean_rel_err", "std_log10"]
     rows = []
@@ -227,20 +229,25 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
 def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
                           N_values=(1, 2, 3, 4), K: int = 4, M: int = 4,
                           L_step: int = 16, L_max: int = 1024,
-                          trials: int = 10, target_successes: int = 9,
+                          trials: int = 10, target_successes: int | None = None,
                           threshold: float = DEFAULT_THRESHOLD,
                           base_seed: int = 0, workers: int = 1) -> list[dict]:
     """Smallest L (with Q = L) reaching the success target, per transmitter
     count N, located by bisection over the L grid (nan when even L_max
-    falls short).  Raises ValueError before any trial when some N admits
-    no L up to L_max, or when target_successes is outside [1, trials]."""
-    _check_counts(trials=trials, L_step=L_step)
+    falls short).  The target defaults to ceil(0.9 trials), 9 of 10.
+    Raises ValueError before any trial for an N below 1 or no N at all,
+    when some N admits no L up to L_max, or when target_successes is
+    outside [1, trials]."""
+    _check_counts(trials=trials, L_step=L_step, workers=workers,
+                  N=min(N_values, default=0))
     grids = []  # (N, admissible L values); the coding needs Q = L >= K * N
     for N in N_values:
         L_lo = max(L_step, L_step * math.ceil(max(K * N, M, K) / L_step))
         if L_lo > L_max:
             raise ValueError(f"N={N} needs L >= {L_lo}, above L_max={L_max}")
         grids.append((N, list(range(L_lo, L_max + 1, L_step))))
+    if target_successes is None:
+        target_successes = (9 * trials + 9) // 10
     if not 1 <= target_successes <= trials:
         raise ValueError(f"target_successes must be in [1, trials={trials}], "
                          f"got {target_successes}")
@@ -414,10 +421,11 @@ def run_probe(kind: str, params: dict | None = None, out=None) -> dict:
     params = dict(params or {})
     seed = int(params.pop("seed", 0))
     dims = params.pop("dims", dims)
-    counts = () if count is None else (int(params.pop(count, default)),)
+    counts = {} if count is None else {count: int(params.pop(count, default))}
     if params:
         raise ValueError(f"unused probe parameters: {sorted(params)}")
-    report = {"kind": kind, "seed": seed, **probe(dims, seed, *counts)}
+    _check_counts(**counts)
+    report = {"kind": kind, "seed": seed, **probe(dims, seed, *counts.values())}
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)

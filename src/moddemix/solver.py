@@ -4,7 +4,7 @@ The spectral start is the exact leading singular triple (SVD) of each
 back-projected M x K observation block; `initialize` pushes it into the
 incoherent set by a convex projection.  `solve` needs no ground truth: it
 takes its penalty parameters from the start point and runs simultaneous
-Wirtinger updates of all channel and coefficient blocks, by default with a
+Wirtinger updates of all channel and coefficient blocks, with a
 backtracking step size that guarantees a non-increasing objective.
 """
 
@@ -35,7 +35,6 @@ __all__ = [
     "SolverConfig",
     "InitResult",
     "SolveTrace",
-    "DivergenceError",
     "NumericalFailureError",
     "leading_singular_triple",
     "project_incoherent",
@@ -63,32 +62,19 @@ _GRAD_TOL = 1e-7
 _COHERENCE_MARGIN = 1.5
 
 
-class DivergenceError(RuntimeError):
-    """Fixed-step descent blew up; retry with a smaller step size."""
-
-
 class NumericalFailureError(RuntimeError):
     """The objective is non-finite at the start point."""
 
 
 @dataclass
 class SolverConfig:
-    """Step and iteration parameters, and an optional start point.
+    """Iteration budget and an optional start point; start, with no zero
+    factor, replaces the spectral start."""
 
-    eta is either the string "backtracking" (default) or a fixed positive
-    step size.  start, with no zero factor, replaces the spectral start.
-    """
-
-    eta: float | str = "backtracking"
     max_iters: int = 5000
     start: BlockFactorPair | None = None
 
     def __post_init__(self):
-        if isinstance(self.eta, str):
-            if self.eta != "backtracking":
-                raise ValueError(f"unknown step mode {self.eta!r}")
-        elif self.eta <= 0:
-            raise ValueError("fixed step size must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -293,8 +279,8 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
 
     The model is homogeneous: y -> s y takes the factors to sqrt(s) times
     theirs.  The descent therefore runs on y / 4^j, 4^j the power of four
-    nearest ||y||, with truth, start and a fixed eta scaled to match; the
-    estimate and the trace are scaled back by exact powers of two.
+    nearest ||y||, with truth and start scaled to match; the estimate and
+    the trace are scaled back by exact powers of two.
     """
     cfg = cfg or SolverConfig()
     y_hat.check_dims(ens.dims)
@@ -309,9 +295,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     p = PenaltyParams(rho=d**2, d=d, d_n=d_n, mu=_COHERENCE_MARGIN * rep.mu,
                       nu=_COHERENCE_MARGIN * rep.nu)
 
-    backtracking = isinstance(cfg.eta, str)
-    eta = (1.0 / (2.0 * ens.dims.N * ens.dims.M * d)) if backtracking \
-        else float(np.ldexp(cfg.eta, 2 * j))
+    eta = 1.0 / (2.0 * ens.dims.N * ens.dims.M * d)
     grow = True  # the first search starts at 2 eta0
 
     rows = []  # (t, f_tilde, f, g, rel_err, grad_norm, eta, evals)
@@ -341,22 +325,13 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
             if gn < _GRAD_TOL * d**2:
                 stop = "grad_tol"
                 break
-            if backtracking:
-                z, cur, step, evals = _backtrack(ens, z, y_hat, p, g, gn_sq, cur,
-                                                 2.0 * eta if grow else eta)
-                if step == 0.0:
-                    record(t, cur, gn, 0.0, evals)
-                    stop = "no_decrease"
-                    break
-                eta, grow = step, evals == 1
-            else:
-                z = _apply_step(z, g, eta)
-                cur = evaluate(ens, z, y_hat, p, grad=True)
-                evals = 1
-                if not np.isfinite(cur.f_tilde) or cur.f_tilde > 10.0 * f_init:
-                    raise DivergenceError(
-                        f"objective grew to {cur.f_tilde:.3e} (initial {f_init:.3e}); "
-                        "reduce the fixed step size")
+            z, cur, step, evals = _backtrack(ens, z, y_hat, p, g, gn_sq, cur,
+                                             2.0 * eta if grow else eta)
+            if step == 0.0:
+                record(t, cur, gn, 0.0, evals)
+                stop = "no_decrease"
+                break
+            eta, grow = step, evals == 1
             g = cur.grad
             err = record(t, cur, gn, eta, evals)
             if err < _TOL:

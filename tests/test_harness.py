@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,10 +26,14 @@ from moddemix.harness import (
 )
 from moddemix.instances import TrialSpec, snapshot_from_json
 from moddemix.operators import Dimensions
-from moddemix.solver import SolverConfig
+from moddemix.solver import NumericalFailureError, SolverConfig
 
 EASY = Dimensions(L=64, Q=64, M=3, K=3, N=1)
 TINY = ["--L", "32", "--Q", "16", "--M", "3", "--K", "2", "--N", "1"]
+
+
+def _fail_solve(*args, **kwargs):
+    raise NumericalFailureError("non-finite objective (nan) at the start point")
 
 
 def _recording_namespace(reads: set) -> argparse.Namespace:
@@ -57,11 +62,12 @@ class TestRunTrial:
         assert r1.rel_err == r2.rel_err
         assert r1.iterations == r2.iterations
 
-    def test_divergence_recorded_not_raised(self):
-        rec = run_trial(TrialSpec(EASY, seed=1), SolverConfig(eta=50.0))
+    def test_divergence_recorded_not_raised(self, monkeypatch):
+        monkeypatch.setattr(harness, "solve", _fail_solve)
+        rec = run_trial(TrialSpec(EASY, seed=1))
         assert not rec.success
         assert math.isinf(rec.rel_err)
-        assert rec.stop_reason == "DivergenceError"
+        assert rec.stop_reason == "NumericalFailureError"
 
     def test_row_matches_fieldnames(self):
         """fieldnames() names every field of the record, in order."""
@@ -133,6 +139,18 @@ class TestSweeps:
         with pytest.raises(ValueError, match="cell Q=8, K=6, M=2"):
             run_phase_transition(grid, SolverConfig(max_iters=5), out=out)
         assert calls == [] and not out.exists()
+
+    def test_snr_sweep_rejects_nan_before_any_trial(self, tmp_path, monkeypatch):
+        """A NaN SNR is a ValueError before any trial runs, leaving `out` as
+        it was."""
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        out = tmp_path / "snr.csv"
+        out.write_text("kept\n")
+        with pytest.raises(ValueError, match="NaN"):
+            run_snr_sweep(EASY, [20.0, math.nan], SolverConfig(max_iters=5), out=out,
+                          trials=1)
+        assert calls == [] and out.read_text() == "kept\n"
 
     def test_transmitter_sweep_unreachable_is_nan(self):
         rows = run_transmitter_sweep(SolverConfig(max_iters=5), N_values=(4,),
@@ -224,6 +242,18 @@ class TestProbes:
                                 "draws": 50})
         assert rep["fraction_within_quarter"] > 0.9
 
+    @pytest.mark.parametrize("kind,count", [("adjoint", "trials"), ("gradcheck", "trials"),
+                                            ("rip", "draws")])
+    def test_count_below_one_rejected(self, kind, count, tmp_path, monkeypatch):
+        """A probe count below 1 is a ValueError before the probe runs."""
+        calls = []
+        monkeypatch.setattr(harness, "synthesize", lambda spec: calls.append(spec))
+        out = tmp_path / "probe.json"
+        out.write_text("kept\n")
+        with pytest.raises(ValueError, match=f"{count} must be >= 1"):
+            run_probe(kind, {count: 0}, out=out)
+        assert calls == [] and out.read_text() == "kept\n"
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             run_probe("nope")
@@ -281,6 +311,12 @@ class TestCli:
         ["snr", *TINY, "--snr-db", "20", "--trials", "0"],
         ["scaling", "--N-max", "1", "--K", "2", "--M", "2", "--L-max", "16", "--trials", "0"],
         ["scaling", "--N-max", "1", "--K", "2", "--M", "2", "--L-max", "16", "--L-step", "0"],
+        ["scaling", "--N-max", "0", "--K", "2", "--M", "2", "--L-max", "16", "--trials", "1"],
+        ["phase", "--L", "32", "--N", "1", "--Q-values", "16", "--K-values", "2",
+         "--M-values", "2", "--trials", "1", "--workers", "-3"],
+        ["snr", *TINY, "--snr-db", "20", "--trials", "1", "--workers", "0"],
+        ["scaling", "--N-max", "1", "--K", "2", "--M", "2", "--L-max", "16", "--trials", "1",
+         "--workers", "0"],
     ])
     def test_sweep_count_below_one_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         """A count below 1 exits 1 before any trial, leaving `out` as it was."""
@@ -292,14 +328,29 @@ class TestCli:
         assert "must be >= 1" in capsys.readouterr().err
         assert calls == [] and out.read_text() == "kept\n"
 
-    def test_scaling_target_is_ninety_percent_of_trials(self, monkeypatch, capsys):
+    def test_scaling_target_is_ninety_percent_of_trials(self, tmp_path, monkeypatch, capsys):
+        """run_transmitter_sweep defaults its target to ceil(0.9 trials), and
+        `scaling` writes that default into the CSV's target column."""
+        monkeypatch.setattr(harness, "run_trial", lambda *a: SimpleNamespace(success=True))
+        out = tmp_path / "scaling.csv"
         seen = []
-        monkeypatch.setattr(cli, "run_transmitter_sweep",
-                            lambda *a, **kw: seen.append((kw["trials"],
-                                                          kw["target_successes"])) or [])
         for trials in (1, 3, 9, 10, 11, 20):
-            assert main(["scaling", "--trials", str(trials)]) == EXIT_OK
+            rows = run_transmitter_sweep(N_values=(1,), K=2, M=2, L_max=32, trials=trials)
+            assert main(["scaling", "--N-max", "1", "--K", "2", "--M", "2", "--L-max", "32",
+                         "--trials", str(trials), "--out", str(out)]) == EXIT_OK
+            with open(out, newline="") as fh:
+                assert [r["target"] for r in csv.DictReader(fh)] == [str(rows[0]["target"])]
+            seen.append((trials, rows[0]["target"]))
         assert seen == [(1, 1), (3, 3), (9, 9), (10, 9), (11, 10), (20, 18)]
+
+    def test_snr_nan_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        out = tmp_path / "f.csv"
+        assert main(["snr", *TINY, "--trials", "1", "--snr-db", "20", "nan",
+                     "--max-iters", "5", "--out", str(out)]) == EXIT_USAGE
+        assert "NaN" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_scaling_without_admissible_L(self, tmp_path, monkeypatch, capsys):
         calls = []
@@ -317,6 +368,13 @@ class TestCli:
 
     def test_probe_guard_maps_to_usage(self):
         assert main(["probe", "isometry", "--Q", "32", "--L", "32"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [["probe", "adjoint", "--trials", "0"],
+                                      ["probe", "gradcheck", "--trials", "0"],
+                                      ["probe", "rip", "--draws", "0"]])
+    def test_probe_count_below_one_is_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_probe_adjoint(self, capsys):
         assert main(["probe", "adjoint", "--trials", "5"]) == EXIT_OK
@@ -368,12 +426,10 @@ class TestCli:
         assert code == EXIT_OK
         assert out.exists()
 
-    def test_numeric_exit_code(self):
-        # a wildly large fixed step diverges; the trial records it, so force
-        # the failure through the trace command which re-raises
-        code = main(["trace", "--L", "64", "--Q", "64", "--M", "3", "--K", "3",
-                     "--N", "1", "--eta", "50.0"])
-        assert code == EXIT_NUMERIC
+    def test_numeric_exit_code(self, monkeypatch):
+        # a trial records a numerical failure; the trace command re-raises it
+        monkeypatch.setattr(harness, "solve", _fail_solve)
+        assert main(["trace", *TINY]) == EXIT_NUMERIC
 
     @pytest.mark.parametrize("command,runner,default", [
         ("phase", "run_phase_transition", 400),
@@ -398,6 +454,7 @@ class TestCli:
 
     def test_unread_flag_rejected(self, capsys):
         assert main(["trace", *TINY, "--workers", "2"]) == EXIT_USAGE
+        assert main(["trace", *TINY, "--eta", "0.1"]) == EXIT_USAGE
 
     def test_every_flag_is_read(self, tmp_path, capsys):
         """Each subcommand reads every option it accepts (probe: over its
