@@ -35,7 +35,9 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert [f.name for f in dataclasses.fields(cfg)] == ["max_iters", "start"]
 
-    @pytest.mark.parametrize("kwargs", [dict(max_iters=0)])
+    @pytest.mark.parametrize("kwargs", [
+        dict(max_iters=-1), dict(max_iters=0.5), dict(max_iters=0),
+    ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
