@@ -91,7 +91,7 @@ def run_trial(spec: TrialSpec, cfg: SolverConfig | None = None,
         err = relative_error(est, truth)
         iters, reason = trace.iterations, trace.stop_reason
     except NumericalFailureError as exc:
-        err, iters, reason = math.inf, cfg.max_iters, type(exc).__name__
+        err, iters, reason = math.inf, 0, type(exc).__name__
     return TrialRecord(
         L=d.L, Q=d.Q, M=d.M, K=d.K, N=d.N, seed=spec.seed, snr_db=spec.snr_db,
         iterations=iters, rel_err=err, success=err < threshold,

@@ -58,6 +58,9 @@ class Dimensions:
     N: int
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in vars(self).values()):
+            raise ValueError(f"dimensions must be integers, got {self}")
         if not (1 <= self.K <= self.Q <= self.L):
             raise ValueError(f"need K <= Q <= L, got K={self.K}, Q={self.Q}, L={self.L}")
         if not (1 <= self.M <= self.L):

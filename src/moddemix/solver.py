@@ -10,6 +10,7 @@ backtracking step size that guarantees a non-increasing objective.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -75,8 +76,9 @@ class SolverConfig:
     start: BlockFactorPair | None = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        n = self.max_iters
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {n!r}")
 
 
 @dataclass
@@ -91,8 +93,9 @@ class InitResult:
 @dataclass
 class SolveTrace:
     """Per-iteration history.  Row 0 is the starting point.  eta is the
-    accepted step (0 on row 0 and on a "no_decrease" row), evals the row's
-    objective evaluations (row 0: the start value, and gradient if it runs)."""
+    accepted step (0 on row 0 and on a "no_decrease" row; its search started
+    at eta 2^(evals - 1)), evals the row's objective evaluations (row 0: the
+    start value, and gradient if it runs)."""
 
     t: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     f_tilde: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -223,6 +226,17 @@ def _backtrack(ens, z, y_hat, p, g, gn_sq, cur, eta):
     return z, cur, 0.0, evals
 
 
+def _next_start(g, g_new, eta, evals, eta0):
+    """Barzilai-Borwein Re<s, y>/||y||^2 (s = -eta g, y = g_new - g) rounded to
+    eta0 2^k; if Re<s, y> <= 0 or y = 0, 2 eta after a 1-trial search, else eta."""
+    yc, yx = g_new.channels - g.channels, g_new.coefficients - g.coefficients
+    sy = -eta * (np.vdot(g.channels, yc).real + np.vdot(g.coefficients, yx).real)
+    yy = np.vdot(yc, yc).real + np.vdot(yx, yx).real
+    if sy > 0.0 and yy > 0.0:
+        return math.ldexp(eta0, round(math.log2(sy / yy / eta0)))
+    return 2.0 * eta if evals == 1 else eta
+
+
 def _normalize_output(z: BlockFactorPair) -> BlockFactorPair:
     """Balance per-component factor norms and fix the phase so the first
     nonzero channel entry is real positive; leaves h_n x_n^* unchanged."""
@@ -249,7 +263,8 @@ def _scale_exponent(y: np.ndarray) -> int:
     peak = float(np.max(np.abs(y)))
     if peak == 0.0:
         return 0
-    return int(np.round((np.log2(peak) + np.log2(np.linalg.norm(y / peak))) / 2))
+    e = math.frexp(peak)[1]  # |y| 2^-e is exact and finite, also for a subnormal peak
+    return round((e + math.log2(np.linalg.norm(np.ldexp(np.abs(y), -e)))) / 2)
 
 
 def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
@@ -269,12 +284,13 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     the gradient: the accepted trial's gradient drives the next step, so
     `grad_total` runs only for the start point.
 
-    Step rule (backtracking): a search starts at 2 eta, eta the last
-    accepted step (eta0 = 1/(2 N M d) at first), or at eta after a search
-    that had to halve, and halves until the Armijo test holds.  eta0 needs
-    no operator norm: ||A||^2 <= N M.  With z_nm the m-th row of Z_n and f_m
-    the m-th column of F_M, A(Z) = sum_nm f_m * conj(B_n) z_nm is a sum of
-    N M isometries (|f_m| = 1/sqrt(L), ||B_n v|| = sqrt(L) ||v||), so
+    Step rule (backtracking): a search halves until the Armijo test holds.
+    The first starts at 2 eta0, eta0 = 1/(2 N M d), every later one at the
+    Barzilai-Borwein step rounded to eta0 2^k (`_next_start`), so y -> s y
+    scales every step by exactly 1/s.  eta0 needs no operator norm:
+    ||A||^2 <= N M.  With z_nm the m-th row of Z_n and f_m the m-th column of
+    F_M, A(Z) = sum_nm f_m * conj(B_n) z_nm is a sum of N M isometries
+    (|f_m| = 1/sqrt(L), ||B_n v|| = sqrt(L) ||v||), so
     ||A(Z)|| <= sqrt(N M) ||Z||_F by Cauchy-Schwarz.
 
     The model is homogeneous: y -> s y takes the factors to sqrt(s) times
@@ -286,7 +302,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     y_hat.check_dims(ens.dims)
     j = _scale_exponent(y_hat.samples)
     c = float(np.ldexp(1.0, -j))  # factors scale by c, y by c^2
-    y_hat = ObservationVector(c * c * y_hat.samples)
+    y_hat = ObservationVector(c * (c * y_hat.samples))  # c * c overflows for a subnormal y
     init = _spectral_start(ens, y_hat) if cfg.start is None else None
     z = _scaled(cfg.start, c) if init is None else init.start
     rep = coherences(ens, z)  # raises DegenerateInputError on a zero factor
@@ -295,8 +311,8 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     p = PenaltyParams(rho=d**2, d=d, d_n=d_n, mu=_COHERENCE_MARGIN * rep.mu,
                       nu=_COHERENCE_MARGIN * rep.nu)
 
-    eta = 1.0 / (2.0 * ens.dims.N * ens.dims.M * d)
-    grow = True  # the first search starts at 2 eta0
+    eta0 = 1.0 / (2.0 * ens.dims.N * ens.dims.M * d)
+    start = 2.0 * eta0  # the first search's first step
 
     rows = []  # (t, f_tilde, f, g, rel_err, grad_norm, eta, evals)
     error = relative_error_to(_scaled(truth, c)) if truth is not None else None
@@ -325,13 +341,12 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
             if gn < _GRAD_TOL * d**2:
                 stop = "grad_tol"
                 break
-            z, cur, step, evals = _backtrack(ens, z, y_hat, p, g, gn_sq, cur,
-                                             2.0 * eta if grow else eta)
-            if step == 0.0:
+            z, cur, eta, evals = _backtrack(ens, z, y_hat, p, g, gn_sq, cur, start)
+            if eta == 0.0:
                 record(t, cur, gn, 0.0, evals)
                 stop = "no_decrease"
                 break
-            eta, grow = step, evals == 1
+            start = _next_start(g, cur.grad, eta, evals, eta0)
             g = cur.grad
             err = record(t, cur, gn, eta, evals)
             if err < _TOL:

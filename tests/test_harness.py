@@ -69,6 +69,13 @@ class TestRunTrial:
         assert math.isinf(rec.rel_err)
         assert rec.stop_reason == "NumericalFailureError"
 
+    def test_start_point_failure_records_no_iterations(self, monkeypatch):
+        """NumericalFailureError is raised at the start point, before any
+        iteration, whatever the budget."""
+        monkeypatch.setattr(harness, "solve", _fail_solve)
+        rec = run_trial(TrialSpec(EASY, seed=1), SolverConfig(max_iters=7))
+        assert (rec.iterations, rec.stop_reason) == (0, "NumericalFailureError")
+
     def test_row_matches_fieldnames(self):
         """fieldnames() names every field of the record, in order."""
         assert TrialRecord.fieldnames() == [f.name for f in dataclasses.fields(TrialRecord)]

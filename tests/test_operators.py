@@ -58,6 +58,7 @@ class TestDimensions:
     def test_valid(self):
         d = Dimensions(L=32, Q=16, M=4, K=4, N=2)
         assert (d.L, d.Q, d.M, d.K, d.N) == (32, 16, 4, 4, 2)
+        assert Dimensions(*np.array([32, 16, 4, 4, 2])).L == 32
 
     @pytest.mark.parametrize("kwargs", [
         dict(L=8, Q=16, M=4, K=4, N=1),   # Q > L
@@ -65,6 +66,9 @@ class TestDimensions:
         dict(L=16, Q=8, M=17, K=4, N=1),  # M > L
         dict(L=16, Q=8, M=4, K=4, N=0),   # N < 1
         dict(L=16, Q=8, M=4, K=0, N=1),   # K < 1
+        dict(L=64.5, Q=8, M=4, K=4, N=1),  # not an integer
+        dict(L=16, Q=8.0, M=4, K=4, N=1),
+        dict(L=16, Q=8, M=4, K=4, N=True),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
