@@ -26,7 +26,7 @@ import numpy as np
 
 from .instances import TrialSpec, relative_error, synthesize
 from .objective import PenaltyParams, coherences, grad_total, loss_total
-from .operators import BlockFactorPair, Dimensions, adjoint_component, forward_map
+from .operators import BlockFactorPair, Dimensions, adjoint_component, dft_basis, forward_map
 from .solver import NumericalFailureError, SolverConfig, solve
 
 __all__ = [
@@ -337,8 +337,8 @@ def _probe_isometry(dims: Dimensions, seed: int) -> dict:
     # per-component time/spectral profiles; the map is linear in each r_n
     p = np.einsum("nqk,nk->nq", ens.coding, z.coefficients)            # C_n x_n
     p0 = np.einsum("nqk,nk->nq", ens.coding, truth.coefficients)
-    a = np.fft.fft(z.channels, n=dims.L, axis=1) / np.sqrt(dims.L)
-    a0 = np.fft.fft(truth.channels, n=dims.L, axis=1) / np.sqrt(dims.L)
+    a = z.channels @ dft_basis(dims.L, dims.M).T                        # (N, L) spectra
+    a0 = truth.channels @ dft_basis(dims.L, dims.M).T
 
     total = 0.0
     count = 1 << bits

@@ -135,7 +135,7 @@ def relative_error_to(truth: BlockFactorPair) -> Callable[[BlockFactorPair], flo
     """`relative_error(est, truth)` as a function of est, with the truth's
     side (its conjugates and sum_n ||h0_n||^2 ||x0_n||^2) computed once."""
     h0, x0 = truth.channels, truth.coefficients
-    conj_truth = np.conj(h0)[:, None], np.conj(x0)[:, None]
+    conj_truth = np.conj(h0), np.conj(x0)
     with np.errstate(all="ignore"):
         energy = _energy(h0, x0)
 
@@ -148,7 +148,7 @@ def relative_error_to(truth: BlockFactorPair) -> Callable[[BlockFactorPair], flo
         if not (math.isfinite(num) and den > 2.0 ** -600):  # overflow, or near underflow
             (h, h0s), (x, x0s) = _pow2_scaled(h, h0), _pow2_scaled(x, x0)
             den = _energy(h0s, x0s)
-            num = _distance_sq(h, x, np.conj(h0s)[:, None], np.conj(x0s)[:, None], den)
+            num = _distance_sq(h, x, np.conj(h0s), np.conj(x0s), den)
         if not den > 0:
             raise ValueError("degenerate zero truth")
         return float(np.sqrt(max(num, 0.0) / den))
@@ -158,14 +158,15 @@ def relative_error_to(truth: BlockFactorPair) -> Callable[[BlockFactorPair], flo
 
 def _energy(h: np.ndarray, x: np.ndarray) -> float:
     """Sum_n ||h_n x_n^*||_F^2 = sum_n ||h_n||^2 ||x_n||^2."""
-    return float(np.sum((np.linalg.norm(h, axis=1) * np.linalg.norm(x, axis=1)) ** 2))
+    return float(np.dot(np.einsum("nm,nm->n", h.conj(), h).real,
+                        np.einsum("nk,nk->n", x.conj(), x).real))
 
 
 def _distance_sq(h, x, conj_h0, conj_x0, energy0: float) -> float:
-    """Sum_n ||h_n x_n^* - h0_n x0_n^*||_F^2, given conj(h0), conj(x0) as
-    (N, 1, M), (N, 1, K) row stacks and energy0 = _energy(h0, x0)."""
-    cross = (conj_h0 @ h[:, :, None]) * np.conj(conj_x0 @ x[:, :, None])
-    return _energy(h, x) + energy0 - 2.0 * float(np.sum(cross.real))
+    """Sum_n ||h_n x_n^* - h0_n x0_n^*||_F^2, given conj(h0), conj(x0) and
+    energy0 = _energy(h0, x0)."""
+    cross = np.vdot(np.einsum("nm,nm->n", conj_h0, h), np.einsum("nk,nk->n", conj_x0, x))
+    return _energy(h, x) + energy0 - 2.0 * cross.real
 
 
 def _pow2_scaled(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

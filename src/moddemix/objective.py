@@ -22,8 +22,7 @@ from .operators import (
     MeasurementEnsemble,
     ObservationVector,
     component_spectra,
-    partial_dft_adjoint,
-    partial_dft_apply,
+    dft_basis,
 )
 
 __all__ = [
@@ -74,7 +73,7 @@ def coherences(ens: MeasurementEnsemble, z: BlockFactorPair) -> CoherenceReport:
     x_norms = np.linalg.norm(z.coefficients, axis=1)
     if np.any(h_norms == 0.0) or np.any(x_norms == 0.0):
         raise DegenerateInputError("coherences undefined for zero factors")
-    spectra = partial_dft_apply(d.L, z.channels.T)                  # (L, N)
+    spectra = dft_basis(d.L, d.M) @ z.channels.T                    # (L, N)
     mu_sq = d.L * np.max(np.max(np.abs(spectra), axis=0) ** 2 / h_norms**2)
     coded = np.einsum("nqk,nk->qn", ens.coding, z.coefficients)     # (Q, N)
     nu_sq = d.Q * np.max(np.max(np.abs(coded), axis=0) ** 2 / x_norms**2)
@@ -138,16 +137,17 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     """F = ||A(Z(h, x)) - y_hat||^2, the hinge penalty G and optionally the
     Wirtinger gradient of F + G, batched over components.
 
-    One FFT gives the channel spectra, shared by the residual and the
-    spectral hinge.  The gradient adds one inverse FFT of the summed
-    measurement and spectral-hinge terms; the coded messages, the
-    coefficient gradient and the coded hinge are batched matrix products.
-    Per component,
+    One product with the cached partial DFT gives the channel spectra,
+    shared by the residual and the spectral hinge.  The gradient adds one
+    adjoint product of the summed measurement and spectral-hinge terms; the
+    coded messages, the coefficient gradient and the coded hinge are batched
+    matrix products.  Per component,
     grad_h = A_n^*(residual) x_n + grad_h G and
     grad_x = [A_n^*(residual)]^H h_n + grad_x G.
-    The hinge terms of the gradient are skipped when G = 0, where they
-    vanish, and no gradient is formed (grad is None) where F + G is not
-    finite.
+    G is summed only when some hinge argument is not <= 1, since G0 and G0'
+    vanish at or below 1; a NaN argument takes that path too.  The hinge
+    terms of the gradient are skipped when G = 0, where they vanish, and no
+    gradient is formed (grad is None) where F + G is not finite.
     """
     y_hat.check_dims(ens.dims)
     z.check_dims(ens.dims)
@@ -155,16 +155,19 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     h, x = z.channels, z.coefficients
     spectra, coded_spectra = component_spectra(ens, z)                # (L, N) each
     residual = np.sum(spectra * coded_spectra, axis=1) - y_hat.samples
-    # the coding is real: one real product on (re, im) pairs, viewed as complex
-    coded = (ens.coding @ np.stack([x.real, x.imag], axis=-1)).view(complex)
-    coded = coded[..., 0].T                                            # (Q, N)
+    # the coding is real: one real product on x's (re, im) pairs, viewed as complex
+    pairs = np.ascontiguousarray(x).view(float).reshape(d.N, d.K, 2)
+    coded = (ens.coding @ pairs).view(complex)[..., 0].T              # (Q, N)
     # hinge arguments; the trailing axis is the component, matching d_n
-    h_arg = np.sum(np.abs(h) ** 2, axis=1) / (2 * p.d_n)
-    x_arg = np.sum(np.abs(x) ** 2, axis=1) / (2 * p.d_n)
-    spec_arg = d.L * np.abs(spectra) ** 2 / (8 * p.d_n * p.mu**2)
-    coded_arg = d.Q * np.abs(coded) ** 2 / (8 * p.d_n * p.nu**2)
+    h_arg = np.einsum("nm,nm->n", h.conj(), h).real / (2 * p.d_n)
+    x_arg = np.einsum("nk,nk->n", x.conj(), x).real / (2 * p.d_n)
+    spec_arg = np.abs(spectra) ** 2 * (d.L / (8 * p.mu**2) / p.d_n)
+    coded_arg = np.abs(coded) ** 2 * (d.Q / (8 * p.nu**2) / p.d_n)
+    args = (h_arg, x_arg, spec_arg, coded_arg)
     f = float(np.vdot(residual, residual).real)
-    g = p.rho * float(sum(np.sum(_hinge(a)) for a in (h_arg, x_arg, spec_arg, coded_arg)))
+    g = 0.0
+    if not all(a.max() <= 1.0 for a in args):
+        g = p.rho * float(sum(np.sum(_hinge(a)) for a in args))
     if not grad or not math.isfinite(f + g):
         return Evaluation(f, g)
 
@@ -178,7 +181,7 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
         coded_w = (scale * d.Q / (4 * p.nu**2)) * _hinge_prime(coded_arg) * coded
         gx = (gx + (scale * _hinge_prime(x_arg))[:, None] * x
               + (coded_w.T[:, None, :] @ ens.coding)[:, 0])
-    gh = partial_dft_adjoint(d.L, w, d.M).T + gh_hinge
+    gh = np.conj(np.conj(w).T @ dft_basis(d.L, d.M)) + gh_hinge
     return Evaluation(f, g, BlockFactorPair.unchecked(gh, gx))
 
 

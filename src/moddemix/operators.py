@@ -2,9 +2,10 @@
 
 The observation model sums, over ``N`` transmitters, the elementwise product
 of two length-``L`` spectra: the channel spectrum ``F_M h_n`` and the coded
-spectrum of the modulated message.  The maps are FFT-backed; a dense
-matrix oracle (`dense_oracle`) exists purely so tests can cross-check the
-fast path.  The solver's first step size needs no norm of A: ||A||^2 <= N M
+spectrum of the modulated message.  The channel transform is a product
+with the cached partial DFT `dft_basis(L, M)`, forward and adjoint alike; a
+dense matrix oracle (`dense_oracle`) exists purely so tests can cross-check
+the fast path.  The solver's first step size needs no norm of A: ||A||^2 <= N M
 holds for every ensemble (see `moddemix.solver.solve`).
 
 Conventions
@@ -24,6 +25,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +36,6 @@ __all__ = [
     "BlockFactorPair",
     "ObservationVector",
     "partial_dft_apply",
-    "partial_dft_adjoint",
     "component_spectra",
     "forward_map",
     "adjoint_component",
@@ -81,19 +82,14 @@ def partial_dft_apply(L: int, v: np.ndarray) -> np.ndarray:
     return np.fft.fft(v, n=L, axis=0) / np.sqrt(L)
 
 
-def partial_dft_adjoint(L: int, w: np.ndarray, W: int) -> np.ndarray:
-    """Adjoint of `partial_dft_apply`: F_W^H w, truncated to the first W rows."""
-    w = np.asarray(w)
-    if w.shape[0] != L:
-        raise ValueError(f"input length {w.shape[0]} != L={L}")
-    if W > L:
-        raise ValueError(f"W={W} exceeds L={L}")
-    return (np.sqrt(L) * np.fft.ifft(w, axis=0))[:W]
-
-
+@functools.lru_cache(maxsize=32)
 def dft_basis(L: int, W: int) -> np.ndarray:
-    """Dense L x W matrix of the partial unitary DFT (for projections/tests)."""
-    return partial_dft_apply(L, np.eye(W))
+    """Dense L x W matrix F_W of the partial unitary DFT, cached and read-only
+    (32 shapes hold the paper grid's 23 values of M at one L).  F_W v is
+    ``F @ v`` and F_W^H w is ``conj(conj(w).T @ F)``."""
+    basis = partial_dft_apply(L, np.eye(W))
+    basis.setflags(write=False)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -208,9 +204,10 @@ class ObservationVector:
 def component_spectra(ens: MeasurementEnsemble,
                       z: BlockFactorPair) -> tuple[np.ndarray, np.ndarray]:
     """Channel spectra F_M h_n and coded spectra conj(B_n) conj(x_n), both as
-    (L, N) columns, from one FFT along the component axis.  Their product
-    summed over n is A(Z(h, x)).  Dimensions are the caller's to check."""
-    spectra = partial_dft_apply(ens.dims.L, z.channels.T)
+    (L, N) columns, each from one matrix product.  Their product summed over
+    n is A(Z(h, x)).  Dimensions are the caller's to check."""
+    # column-major (L, N): summing over n, as the residual does, is then fast
+    spectra = (z.channels @ dft_basis(ens.dims.L, ens.dims.M).T).T
     coded = ens.coded_spectra @ np.conj(z.coefficients)[:, :, None]   # (N, L, 1)
     return spectra, coded[:, :, 0].T
 
@@ -224,13 +221,13 @@ def forward_map(ens: MeasurementEnsemble, z: BlockFactorPair) -> np.ndarray:
 
 def adjoint_component(ens: MeasurementEnsemble, n: int, w: np.ndarray) -> np.ndarray:
     """A_n^*(w): the M x K adjoint block, satisfying
-    <A_n(Z), w> = <Z, A_n^*(w)>_F exactly.  Computed via one inverse FFT."""
+    <A_n(Z), w> = <Z, A_n^*(w)>_F exactly."""
     ens._check_component(n)
     d = ens.dims
     w = np.asarray(w, dtype=complex)
     if w.shape != (d.L,):
         raise ValueError(f"input length {w.shape} != ({d.L},)")
-    return partial_dft_adjoint(d.L, w[:, None] * np.conj(ens.coded_spectra[n]), d.M)
+    return np.conj((np.conj(w)[:, None] * ens.coded_spectra[n]).T @ dft_basis(d.L, d.M)).T
 
 
 def dense_oracle(ens: MeasurementEnsemble, n: int) -> np.ndarray:
@@ -242,6 +239,6 @@ def dense_oracle(ens: MeasurementEnsemble, n: int) -> np.ndarray:
     d = ens.dims
     if d.M * d.K > _DENSE_GUARD:
         raise ValueError(f"M*K = {d.M * d.K} exceeds dense-oracle guard {_DENSE_GUARD}")
-    fcols = partial_dft_apply(d.L, np.eye(d.M))                       # (L, M)
+    fcols = dft_basis(d.L, d.M)                                       # (L, M)
     return (fcols[:, :, None] * ens.coded_spectra[n][:, None, :]).reshape(d.L, d.M * d.K)
 

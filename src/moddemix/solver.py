@@ -335,8 +335,8 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
         g = grad_total(ens, z, y_hat, p)
         rows[0] = (*rows[0][:-1], 2)  # the start gradient is row 0's second evaluation
         for t in range(1, cfg.max_iters + 1):
-            gn_sq = float(np.linalg.norm(g.channels) ** 2
-                          + np.linalg.norm(g.coefficients) ** 2)
+            gn_sq = float(np.vdot(g.channels, g.channels).real
+                          + np.vdot(g.coefficients, g.coefficients).real)
             gn = np.sqrt(gn_sq)
             if gn < _GRAD_TOL * d**2:
                 stop = "grad_tol"

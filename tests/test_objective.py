@@ -2,6 +2,8 @@
 gradient: the `evaluate` kernel against dense and direct transcriptions,
 and its gradient against central finite differences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from moddemix.operators import (
     BlockFactorPair,
     Dimensions,
     ObservationVector,
+    component_spectra,
     dense_oracle,
     dft_basis,
     partial_dft_apply,
@@ -134,17 +137,8 @@ class TestGradients:
         z = random_pair(dims, rng, scale=scale)
         dz = random_pair(dims, rng)
         g = grad_total(ens, z, obs, p)
-        eps = 1e-5
-
-        def val(s):
-            zz = BlockFactorPair(z.channels + s * dz.channels,
-                                 z.coefficients + s * dz.coefficients)
-            return loss_total(ens, zz, obs, p)
-
-        fd = (val(eps) - val(-eps)) / (2 * eps)
-        an = 2.0 * (np.vdot(g.channels, dz.channels)
-                    + np.vdot(g.coefficients, dz.coefficients)).real
-        assert fd == pytest.approx(an, rel=1e-6, abs=1e-10)
+        fd = _directional_fd(lambda zz: loss_total(ens, zz, obs, p), z, dz, eps=1e-5)
+        assert fd == pytest.approx(_directional(g, dz), rel=1e-6, abs=1e-10)
 
     def test_measurement_gradient_zero_at_truth(self):
         dims = Dimensions(L=32, Q=16, M=4, K=3, N=2)
@@ -171,6 +165,63 @@ def _hinge(z):
     return max(z - 1.0, 0.0) ** 2
 
 
+FAMILIES = ("channel_norm", "coefficient_norm", "spectral", "coded")
+
+
+def _direct_loss(ens, z, obs) -> float:
+    """F from the dense oracle."""
+    lifted = sum(dense_oracle(ens, n) @ z.lifted_block(n).reshape(-1)
+                 for n in range(ens.dims.N))
+    residual = lifted - obs.samples
+    return np.vdot(residual, residual).real
+
+
+def _direct_penalty(ens, z, p) -> np.ndarray:
+    """G / rho term by term, one entry per hinge family (see FAMILIES)."""
+    dims = ens.dims
+    fm = dft_basis(dims.L, dims.M)
+    fam = np.zeros(len(FAMILIES))
+    for n in range(dims.N):
+        dn = p.d_n[n]
+        h, x = z.channels[n], z.coefficients[n]
+        fam[0] += _hinge(np.linalg.norm(h) ** 2 / (2 * dn))
+        fam[1] += _hinge(np.linalg.norm(x) ** 2 / (2 * dn))
+        fam[2] += sum(_hinge(dims.L * abs(fm[l] @ h) ** 2 / (8 * dn * p.mu**2))
+                      for l in range(dims.L))
+        fam[3] += sum(_hinge(dims.Q * abs(ens.coding[n][q] @ x) ** 2 / (8 * dn * p.nu**2))
+                      for q in range(dims.Q))
+    return fam
+
+
+def _placed(ens, z, peaks, rho):
+    """z with its channel and coefficient blocks rescaled, and penalty
+    parameters with unit d_n, that put the largest hinge argument of each
+    family (see FAMILIES) at the matching entry of peaks."""
+    dims = ens.dims
+    h = z.channels * np.sqrt(2 * peaks[0] / np.max(np.sum(np.abs(z.channels) ** 2, axis=1)))
+    x = z.coefficients * np.sqrt(
+        2 * peaks[1] / np.max(np.sum(np.abs(z.coefficients) ** 2, axis=1)))
+    spec = dims.L * np.max(np.abs(dft_basis(dims.L, dims.M) @ h.T)) ** 2
+    coded = dims.Q * np.max(np.abs(np.einsum("nqk,nk->qn", ens.coding, x))) ** 2
+    p = PenaltyParams(rho=rho, d=1.0, d_n=np.ones(dims.N),
+                      mu=np.sqrt(spec / (8 * peaks[2])), nu=np.sqrt(coded / (8 * peaks[3])))
+    return BlockFactorPair(h, x), p
+
+
+def _directional_fd(value, z, dz, eps=1e-6) -> float:
+    """Central difference of value along dz at z."""
+    def at(s):
+        return value(BlockFactorPair(z.channels + s * dz.channels,
+                                     z.coefficients + s * dz.coefficients))
+    return (at(eps) - at(-eps)) / (2 * eps)
+
+
+def _directional(grad, dz) -> float:
+    """The derivative along dz of a real function with Wirtinger gradient grad."""
+    return 2.0 * (np.vdot(grad.channels, dz.channels)
+                  + np.vdot(grad.coefficients, dz.coefficients)).real
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
     def test_matches_dense_and_direct_transcription(self, dims, rng):
@@ -178,26 +229,54 @@ class TestEvaluate:
         p = oracle_params(ens, truth)
         z = random_pair(dims, rng, scale=1.6)
         ev = evaluate(ens, z, obs, p)
-
-        lifted = sum(dense_oracle(ens, n) @ z.lifted_block(n).reshape(-1)
-                     for n in range(dims.N))
-        residual = lifted - obs.samples
-        assert ev.f == pytest.approx(np.vdot(residual, residual).real, rel=1e-10)
-
-        fm = dft_basis(dims.L, dims.M)
-        g = 0.0
-        for n in range(dims.N):
-            dn = p.d_n[n]
-            h, x = z.channels[n], z.coefficients[n]
-            g += _hinge(np.linalg.norm(h) ** 2 / (2 * dn))
-            g += _hinge(np.linalg.norm(x) ** 2 / (2 * dn))
-            g += sum(_hinge(dims.L * abs(fm[l] @ h) ** 2 / (8 * dn * p.mu**2))
-                     for l in range(dims.L))
-            g += sum(_hinge(dims.Q * abs(ens.coding[n][q] @ x) ** 2 / (8 * dn * p.nu**2))
-                     for q in range(dims.Q))
+        assert ev.f == pytest.approx(_direct_loss(ens, z, obs), rel=1e-10)
+        g = np.sum(_direct_penalty(ens, z, p))
         assert g > 0.0
         assert ev.g == pytest.approx(p.rho * g, rel=1e-10)
         assert ev.grad is None
+
+    @pytest.mark.parametrize("family", range(len(FAMILIES)), ids=FAMILIES)
+    def test_one_hinge_family_at_a_time(self, family, rng):
+        dims = Dimensions(L=32, Q=16, M=6, K=4, N=2)
+        ens, _, obs = make_instance(dims, snr_db=30.0)
+        peaks = np.full(len(FAMILIES), 0.5)
+        peaks[family] = 1.5
+        z, p = _placed(ens, random_pair(dims, rng), peaks, rho=100.0)
+        fam = _direct_penalty(ens, z, p)
+        assert fam[family] > 0.0 and np.count_nonzero(fam) == 1
+        ev = evaluate(ens, z, obs, p, grad=True)
+        assert ev.f == pytest.approx(_direct_loss(ens, z, obs), rel=1e-10)
+        assert ev.g == pytest.approx(p.rho * fam[family], rel=1e-10)
+        dz = random_pair(dims, rng)
+        fd = _directional_fd(lambda zz: loss_total(ens, zz, obs, p), z, dz)
+        assert fd == pytest.approx(_directional(ev.grad, dz), rel=1e-6)
+        # the penalty's own gradient: the same point with the hinge switched off
+        # keeps the measurement gradient bit for bit, so the difference is grad G
+        off = evaluate(ens, z, obs, dataclasses.replace(p, d_n=np.full(dims.N, 1e12)),
+                       grad=True)
+        assert off.g == 0.0 and off.f == ev.f
+        grad_g = BlockFactorPair(ev.grad.channels - off.grad.channels,
+                                 ev.grad.coefficients - off.grad.coefficients)
+        fd = _directional_fd(lambda zz: evaluate(ens, zz, obs, p).g, z, dz)
+        assert fd == pytest.approx(_directional(grad_g, dz), rel=1e-6)
+
+    def test_hinge_idle_at_or_below_one(self, rng):
+        dims = Dimensions(L=32, Q=16, M=6, K=4, N=2)
+        ens, _, obs = make_instance(dims, snr_db=30.0)
+        z, p = _placed(ens, random_pair(dims, rng), np.full(len(FAMILIES), 1.0 - 1e-9),
+                       rho=100.0)
+        assert not np.any(_direct_penalty(ens, z, p))
+        ev = evaluate(ens, z, obs, p, grad=True)
+        assert ev.g == 0.0
+        # the measurement-only gradient: no argument anywhere near the hinge
+        far = evaluate(ens, z, obs, dataclasses.replace(p, d_n=np.full(dims.N, 1e12)),
+                       grad=True)
+        assert ev.f == far.f
+        np.testing.assert_array_equal(ev.grad.channels, far.grad.channels)
+        np.testing.assert_array_equal(ev.grad.coefficients, far.grad.coefficients)
+        dz = random_pair(dims, rng)
+        fd = _directional_fd(lambda zz: evaluate(ens, zz, obs, p).f, z, dz)
+        assert fd == pytest.approx(_directional(ev.grad, dz), rel=1e-6)
 
     @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
     def test_gradient_evaluation_agrees(self, dims, rng):
@@ -221,13 +300,33 @@ class TestEvaluate:
         with np.errstate(all="ignore"):
             ev = evaluate(ens, z, obs, p, grad=True)
         assert not np.isfinite(ev.f_tilde)
+        assert not np.isfinite(ev.g)
+        assert ev.grad is None
+
+    def test_nan_point_takes_the_full_hinge_path(self):
+        """A NaN hinge argument is not <= 1, so G is summed and is NaN too,
+        never a silent 0."""
+        ens, truth, obs = make_instance(Dimensions(L=32, Q=16, M=4, K=3, N=2))
+        p = oracle_params(ens, truth)
+        h = truth.channels.copy()
+        h[1, 2] = np.nan
+        ev = evaluate(ens, BlockFactorPair.unchecked(h, truth.coefficients.copy()), obs, p,
+                      grad=True)
+        assert np.isnan(ev.g) and np.isnan(ev.f_tilde)
         assert ev.grad is None
 
     @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
-    def test_fft_calls_independent_of_components(self, dims, rng, monkeypatch):
+    def test_no_fft_calls(self, dims, rng, monkeypatch):
+        """The channel transform is a product with the cached, read-only
+        partial DFT, built once per (L, M): component_spectra and evaluate
+        make no np.fft call."""
         ens, truth, obs = make_instance(dims)
         p = oracle_params(ens, truth)
-        z = random_pair(dims, rng)
+        z = random_pair(dims, rng, scale=1.6)
+        basis = dft_basis(dims.L, dims.M)
+        assert dft_basis(dims.L, dims.M) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0.0
         calls = []
 
         def counted(name):
@@ -238,13 +337,30 @@ class TestEvaluate:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("fft", "ifft"):
-            monkeypatch.setattr(np.fft, name, counted(name))
-        evaluate(ens, z, obs, p)
-        assert calls == ["fft"]
-        calls.clear()
+        for name in np.fft.__all__:
+            if callable(getattr(np.fft, name)):
+                monkeypatch.setattr(np.fft, name, counted(name))
+        component_spectra(ens, z)
+        assert evaluate(ens, z, obs, p).g > 0.0  # the hinge path runs too
         evaluate(ens, z, obs, p, grad=True)
-        assert calls == ["fft", "ifft"]
+        assert calls == []
+
+    def test_transform_matches_fft_at_largest_paper_cell(self, rng):
+        """At L=3200, M=24 (the paper grid's largest M) the basis products
+        agree with the zero-padded FFT and the truncated inverse FFT."""
+        dims = Dimensions(L=3200, Q=800, M=24, K=24, N=2)
+        ens, _, obs = make_instance(dims)
+        z = random_pair(dims, rng)
+        spectra, coded = component_spectra(ens, z)
+        fft_spectra = partial_dft_apply(dims.L, z.channels.T)
+        assert np.linalg.norm(spectra - fft_spectra) <= 1e-12 * np.linalg.norm(fft_spectra)
+        idle = PenaltyParams(rho=1.0, d=1.0, d_n=np.full(dims.N, 1e12), mu=1.0, nu=1.0)
+        ev = evaluate(ens, z, obs, idle, grad=True)
+        assert ev.g == 0.0
+        residual = np.sum(fft_spectra * coded, axis=1) - obs.samples
+        fft_gh = (np.sqrt(dims.L) * np.fft.ifft(residual[:, None] * np.conj(coded), axis=0))
+        fft_gh = fft_gh[:dims.M].T
+        assert np.linalg.norm(ev.grad.channels - fft_gh) <= 1e-12 * np.linalg.norm(fft_gh)
 
     def test_shape_mismatch_raises(self, rng):
         dims = Dimensions(L=32, Q=16, M=4, K=3, N=2)
