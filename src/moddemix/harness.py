@@ -24,7 +24,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .instances import TrialSpec, relative_error, synthesize
+from .instances import TrialSpec, check_coding_fits, relative_error, synthesize
 from .objective import PenaltyParams, coherences, grad_total, loss_total
 from .operators import BlockFactorPair, Dimensions, adjoint_component, dft_basis, forward_map
 from .solver import NumericalFailureError, SolverConfig, solve
@@ -163,15 +163,14 @@ class SweepGrid:
 
     def cells(self) -> list[Dimensions]:
         """Every cell, in (Q, K, M) grid order; raises ValueError naming the
-        first cell whose coding does not fit (K * N > Q)."""
-        dims = []
-        for Q in self.q_values():
-            for K in self.K_values:
-                for M in self.M_values:
-                    if K * self.N > Q:
-                        raise ValueError(f"cell Q={Q}, K={K}, M={M}: N={self.N} codings "
-                                         f"of K columns need K * N <= Q")
-                    dims.append(Dimensions(L=self.L, Q=Q, M=M, K=K, N=self.N))
+        first cell whose coding does not fit (`check_coding_fits`)."""
+        dims = [Dimensions(L=self.L, Q=Q, M=M, K=K, N=self.N)
+                for Q in self.q_values() for K in self.K_values for M in self.M_values]
+        for d in dims:
+            try:
+                check_coding_fits(d)
+            except ValueError as exc:
+                raise ValueError(f"cell {exc}") from None
         return dims
 
 
@@ -207,6 +206,7 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
     with the noiseless point (None or inf) last.  The same seeds are reused
     across SNR values so the comparison is paired."""
     _check_counts(trials=trials, workers=workers)
+    check_coding_fits(dims)
     points = [None if s is None or math.isinf(s) else float(s) for s in snr_values]
     if any(s is not None and math.isnan(s) for s in points):
         raise ValueError("SNR values must not be NaN")
@@ -235,10 +235,10 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
     """Smallest L (with Q = L) reaching the success target, per transmitter
     count N, located by bisection over the L grid (nan when even L_max
     falls short).  The target defaults to ceil(0.9 trials), 9 of 10.
-    Raises ValueError before any trial for an N below 1 or no N at all,
+    Raises ValueError before any trial for a K, M or N below 1, no N at all,
     when some N admits no L up to L_max, or when target_successes is
     outside [1, trials]."""
-    _check_counts(trials=trials, L_step=L_step, workers=workers,
+    _check_counts(trials=trials, L_step=L_step, workers=workers, K=K, M=M,
                   N=min(N_values, default=0))
     grids = []  # (N, admissible L values); the coding needs Q = L >= K * N
     for N in N_values:
@@ -279,8 +279,9 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
 
 def run_convergence_trace(spec: TrialSpec, cfg: SolverConfig | None = None,
                           out=None) -> dict:
-    """Per-iteration objective/error history of one trial."""
-    header = ["t", "f_tilde", "f", "g", "rel_err", "grad_norm", "eta", "evals"]
+    """Per-iteration history of one trial: `SolveTrace`'s columns and scale_exponent."""
+    check_coding_fits(spec.dims)
+    header = ["t", "f_tilde", "f", "g", "rel_err", "grad_norm", "eta", "evals", "scale_exponent"]
     formats = {"f_tilde": ".10e", "f": ".10e", "g": ".10e",
                "rel_err": ".6e", "grad_norm": ".6e", "eta": ".6e"}
     with _csv_rows(out, header, formats) as emit:
@@ -288,7 +289,7 @@ def run_convergence_trace(spec: TrialSpec, cfg: SolverConfig | None = None,
         est, trace = solve(ens, obs, cfg or SolverConfig(), truth=truth)
         for row in zip(trace.t, trace.f_tilde, trace.f, trace.g, trace.rel_err,
                        trace.grad_norm, trace.eta, trace.evals):
-            emit(row)
+            emit((*row, trace.scale_exponent))
     return {"rel_err": relative_error(est, truth), "trace": trace}
 
 

@@ -28,6 +28,7 @@ from .operators import (
 
 __all__ = [
     "TrialSpec",
+    "check_coding_fits",
     "make_coding_matrix",
     "make_modulation",
     "make_ground_truth",
@@ -57,6 +58,12 @@ class TrialSpec:
     dims: Dimensions
     seed: int
     snr_db: float | None = None
+
+
+def check_coding_fits(dims: Dimensions) -> None:
+    """Raise ValueError unless Q holds N disjoint K-column DCT subsets: K * N <= Q."""
+    if dims.K * dims.N > dims.Q:
+        raise ValueError(f"Q={dims.Q}, K={dims.K}, M={dims.M}: N={dims.N} codings need K * N <= Q")
 
 
 def make_coding_matrix(Q: int, K: int, n: int, stride: int = 1) -> np.ndarray:

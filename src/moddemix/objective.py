@@ -45,14 +45,10 @@ class CoherenceReport:
     """Spectral/temporal dispersion measures of a factor pair.
 
     mu_sq in [1, L] measures how peaky the channel spectra are, nu_sq in
-    [1, Q] how peaky the coded messages are.  nu_max_sq is a diagnostic on
-    the coding matrices alone.  kappa >= 1 is the component-energy spread.
-    """
+    [1, Q] how peaky the coded messages are."""
 
     mu_sq: float
     nu_sq: float
-    nu_max_sq: float
-    kappa: float
     d_n: np.ndarray
     d0: float
 
@@ -66,7 +62,7 @@ class CoherenceReport:
 
 
 def coherences(ens: MeasurementEnsemble, z: BlockFactorPair) -> CoherenceReport:
-    """Compute mu^2, nu^2, nu_max^2, per-component energies d_n and kappa."""
+    """Compute mu^2, nu^2 and the per-component energies d_n."""
     z.check_dims(ens.dims)
     d = ens.dims
     h_norms = np.linalg.norm(z.channels, axis=1)
@@ -77,13 +73,10 @@ def coherences(ens: MeasurementEnsemble, z: BlockFactorPair) -> CoherenceReport:
     mu_sq = d.L * np.max(np.max(np.abs(spectra), axis=0) ** 2 / h_norms**2)
     coded = np.einsum("nqk,nk->qn", ens.coding, z.coefficients)     # (Q, N)
     nu_sq = d.Q * np.max(np.max(np.abs(coded), axis=0) ** 2 / x_norms**2)
-    nu_max_sq = d.Q * np.max(np.sum(ens.coding**2, axis=2))
     d_n = h_norms * x_norms
     return CoherenceReport(
         mu_sq=float(mu_sq),
         nu_sq=float(nu_sq),
-        nu_max_sq=float(nu_max_sq),
-        kappa=float(np.max(d_n) / np.min(d_n)),
         d_n=d_n,
         d0=float(np.sqrt(np.sum(d_n**2))),
     )

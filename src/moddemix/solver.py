@@ -92,13 +92,14 @@ class InitResult:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration history.  Row 0 is the starting point.  eta is the
-    accepted step (0 on row 0 and on a "no_decrease" row; its search started
-    at eta 2^(evals - 1)), evals the row's objective evaluations (row 0: the
-    start value, and gradient if it runs)."""
+    """Per-iteration history at the scale `solve` descends in, y / 4^j with
+    j = scale_exponent: in y's units f, g and f_tilde are 16^j times these,
+    grad_norm 8^j times and eta 4^-j times.  Row 0 is the starting point.
+    eta is the accepted step (0 on row 0 and on a "no_decrease" row; its
+    search started at eta 2^(evals - 1)), evals the row's objective
+    evaluations (row 0: the start value, and gradient if it runs)."""
 
     t: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    f_tilde: np.ndarray = field(default_factory=lambda: np.empty(0))
     f: np.ndarray = field(default_factory=lambda: np.empty(0))
     g: np.ndarray = field(default_factory=lambda: np.empty(0))
     rel_err: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -107,6 +108,11 @@ class SolveTrace:
     evals: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     stop_reason: str = ""
     iterations: int = 0
+    scale_exponent: int = 0
+
+    @property
+    def f_tilde(self) -> np.ndarray:
+        return self.f + self.g
 
 
 def leading_singular_triple(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -125,10 +131,9 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float,
                        tol: float = 1e-8, max_iters: int = 500) -> np.ndarray:
     """Euclidean projection of g onto {z : sqrt(rows) * ||basis z||_inf <= bound}.
 
-    basis must be a tall matrix with orthonormal columns (partial DFT or a
-    coding matrix).  Square unitary bases use the closed-form spectral clip;
-    tall bases use Dykstra's alternating projections between the range of the
-    basis and the infinity ball, which converges to the exact projection.
+    basis must have orthonormal columns (partial DFT or a coding matrix).
+    Dykstra's alternating projections between the range of the basis and the
+    infinity ball converge to the exact projection.
     The returned point is always feasible (a final rescale enforces the
     constraint if the iteration hits max_iters first).
     """
@@ -143,21 +148,16 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float,
     if not np.any(g):
         return np.zeros(cols, dtype=complex)
 
-    def clip(u):
-        mag = np.abs(u)
-        return np.where(mag > radius, u * (radius / np.maximum(mag, 1e-300)), u)
-
-    if rows == cols:
-        return basis.conj().T @ clip(basis @ g)
-
     u = basis @ g
     p = np.zeros_like(u)
     q = np.zeros_like(u)
     scale = max(1.0, float(np.linalg.norm(u)))
     converged = False
     for _ in range(max_iters):
-        y = clip(u + p)
-        p = u + p - y
+        v = u + p
+        mag = np.abs(v)
+        y = np.where(mag > radius, v * (radius / np.maximum(mag, 1e-300)), v)
+        p = v - y
         w = y + q
         u_new = basis @ (basis.conj().T @ w)
         q = w - u_new
@@ -295,8 +295,9 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
 
     The model is homogeneous: y -> s y takes the factors to sqrt(s) times
     theirs.  The descent therefore runs on y / 4^j, 4^j the power of four
-    nearest ||y||, with truth and start scaled to match; the estimate and
-    the trace are scaled back by exact powers of two.
+    nearest ||y||, with truth and start scaled to match; the estimate is
+    scaled back by 2^j, and the trace stays at the descent's scale with j
+    as its scale_exponent, so its columns are finite at any scale of y.
     """
     cfg = cfg or SolverConfig()
     y_hat.check_dims(ens.dims)
@@ -314,12 +315,12 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     eta0 = 1.0 / (2.0 * ens.dims.N * ens.dims.M * d)
     start = 2.0 * eta0  # the first search's first step
 
-    rows = []  # (t, f_tilde, f, g, rel_err, grad_norm, eta, evals)
+    rows = []  # (t, f, g, rel_err, grad_norm, eta, evals)
     error = relative_error_to(_scaled(truth, c)) if truth is not None else None
 
     def record(t, ev, gn, step, evals):
         err = error(z) if error is not None else np.nan
-        rows.append((t, ev.f_tilde, ev.f, ev.g, err, gn, step, evals))
+        rows.append((t, ev.f, ev.g, err, gn, step, evals))
         return err
 
     cur = evaluate(ens, z, y_hat, p)
@@ -352,18 +353,14 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
             if err < _TOL:
                 stop = "rel_err"
                 break
-            if (len(rows) > _STALL_WINDOW and rows[-1 - _STALL_WINDOW][1] - cur.f_tilde
-                    <= _STALL_RTOL * f_init):
+            old = rows[-1 - _STALL_WINDOW] if len(rows) > _STALL_WINDOW else None
+            if old is not None and old[1] + old[2] - cur.f_tilde <= _STALL_RTOL * f_init:
                 stop = "stall"
                 break
 
-    arr = np.array(rows, dtype=float)
-    trace = SolveTrace(
-        t=arr[:, 0].astype(int), f_tilde=np.ldexp(arr[:, 1], 4 * j),
-        f=np.ldexp(arr[:, 2], 4 * j), g=np.ldexp(arr[:, 3], 4 * j),
-        rel_err=arr[:, 4], grad_norm=np.ldexp(arr[:, 5], 3 * j),
-        eta=np.ldexp(arr[:, 6], -2 * j), evals=arr[:, 7].astype(int),
-        stop_reason=stop, iterations=int(arr[-1, 0]),
-    )
+    t, f, g, rel_err, grad_norm, eta, evals = np.array(rows, dtype=float).T
+    trace = SolveTrace(t=t.astype(int), f=f, g=g, rel_err=rel_err, grad_norm=grad_norm,
+                       eta=eta, evals=evals.astype(int), stop_reason=stop,
+                       iterations=int(t[-1]), scale_exponent=j)
     return _scaled(_normalize_output(z), 1.0 / c), trace
 

@@ -1,10 +1,22 @@
 """Shared helpers for the moddemix test suite."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import configuration
 
 from moddemix import TrialSpec, synthesize
 from moddemix.operators import BlockFactorPair, Dimensions
+
+
+def pytest_configure(config):
+    """Hypothesis caches the constants of the code under test on disk, from
+    test collection on: keep that cache in a temporary directory removed at
+    the end of the run, not in the working tree's .hypothesis/."""
+    home = tempfile.TemporaryDirectory(prefix="moddemix-hypothesis-")
+    config.add_cleanup(home.cleanup)
+    configuration.set_hypothesis_home_dir(home.name)
 
 
 def random_pair(dims: Dimensions, rng: np.random.Generator,

@@ -183,8 +183,10 @@ class TestSweeps:
         assert res["rel_err"] < 1e-2
         with open(out, newline="") as fh:
             data = list(csv.reader(fh))
-        assert data[0] == ["t", "f_tilde", "f", "g", "rel_err", "grad_norm", "eta", "evals"]
+        assert data[0] == ["t", "f_tilde", "f", "g", "rel_err", "grad_norm", "eta", "evals",
+                           "scale_exponent"]
         assert len(data) == res["trace"].iterations + 2  # header + rows 0..T
+        assert {row[-1] for row in data[1:]} == {str(res["trace"].scale_exponent)}
 
     def test_phase_keeps_rows_finished_before_a_failure(self, tmp_path, monkeypatch):
         """Rows are written as their cells end: when the third cell raises,
@@ -308,6 +310,26 @@ class TestCli:
                      "--K-values", "2", "6", "--M-values", "2", "--max-iters", "5",
                      "--out", str(out)]) == EXIT_USAGE
         assert "cell Q=8, K=6, M=2" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["phase", "--L", "64", "--N", "2", "--Q-values", "8", "--K-values", "6",
+         "--M-values", "2", "--trials", "1"],
+        ["scaling", "--N-max", "1", "--K", "0", "--M", "2", "--L-max", "16", "--trials", "1"],
+        ["scaling", "--N-max", "1", "--K", "2", "--M", "0", "--L-max", "16", "--trials", "1"],
+        ["snr", "--L", "64", "--Q", "8", "--M", "2", "--K", "8", "--N", "2", "--trials", "1",
+         "--snr-db", "20"],
+        ["trace", "--L", "64", "--Q", "8", "--M", "2", "--K", "8", "--N", "2"],
+    ], ids=["phase", "scaling-K", "scaling-M", "snr", "trace"])
+    def test_sweep_dimensions_checked_before_out_opens(self, argv, tmp_path, monkeypatch,
+                                                       capsys):
+        """A count of 0 or codings that do not fit (K * N > Q) exit 1
+        before any trial, and `out` is never created."""
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        out = tmp_path / "f.csv"
+        assert main([*argv, "--max-iters", "5", "--out", str(out)]) == EXIT_USAGE
+        assert "invalid arguments" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -41,7 +41,6 @@ class TestCoherences:
         rep = coherences(ens, truth)
         assert 1.0 - 1e-12 <= rep.mu_sq <= dims.L + 1e-9
         assert 1.0 - 1e-12 <= rep.nu_sq <= dims.Q + 1e-9
-        assert rep.kappa >= 1.0
         assert rep.d0 == pytest.approx(np.sqrt(np.sum(rep.d_n**2)))
 
     def test_direct_formulas(self, rng):
@@ -72,8 +71,7 @@ class TestCoherences:
             coherences(ens, z)
 
     def test_report_properties(self):
-        rep = CoherenceReport(mu_sq=4.0, nu_sq=9.0, nu_max_sq=2.0, kappa=1.0,
-                              d_n=np.ones(1), d0=1.0)
+        rep = CoherenceReport(mu_sq=4.0, nu_sq=9.0, d_n=np.ones(1), d0=1.0)
         assert rep.mu == 2.0 and rep.nu == 3.0
 
 

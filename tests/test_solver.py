@@ -2,6 +2,8 @@
 regularized Wirtinger descent loop."""
 
 import dataclasses
+import functools
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import moddemix
 import moddemix.solver as solver_module
@@ -28,6 +32,17 @@ from moddemix.solver import (
 EASY = Dimensions(L=64, Q=64, M=3, K=3, N=1)
 TWO = Dimensions(L=128, Q=128, M=4, K=4, N=2)
 DESK = Dimensions(L=320, Q=320, M=8, K=8, N=2)
+
+
+def _assert_rescaled(trace, ref, s, rtol):
+    """trace is ref's solve on y * s: with r = s 4^-j, j the difference of
+    their scale exponents, f_tilde is r^2 times ref's, grad_norm r^1.5 times
+    and eta 1/r times, and rel_err is ref's."""
+    r = math.ldexp(s, 2 * (ref.scale_exponent - trace.scale_exponent))
+    np.testing.assert_allclose(trace.f_tilde, r**2 * ref.f_tilde, rtol=rtol)
+    np.testing.assert_allclose(trace.grad_norm, r**1.5 * ref.grad_norm, rtol=rtol)
+    np.testing.assert_allclose(trace.eta, ref.eta / r, rtol=rtol)
+    np.testing.assert_allclose(trace.rel_err, ref.rel_err, rtol=rtol)
 
 
 class TestSolverConfig:
@@ -410,8 +425,9 @@ class TestSolve:
     @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
     def test_scale_equivariant(self, scale):
         """y * s takes the same path as y (TWO seed 5: 11 iterations to the
-        rel_err stop) and returns sqrt(s) times its estimate and 1/s times
-        its steps."""
+        rel_err stop) and returns sqrt(s) times its estimate.  Its trace is
+        at its own scale: with r = s 4^-j, f_tilde is r^2 times y's, grad_norm
+        r^1.5 times and eta 1/r times."""
         ens, truth, obs = make_instance(TWO, seed=5)
         ref, ref_trace = solve(ens, obs, SolverConfig(), truth=truth)
         root = np.sqrt(scale)
@@ -421,16 +437,14 @@ class TestSolve:
         assert (ref_trace.iterations, ref_trace.stop_reason) == (11, "rel_err")
         assert (trace.iterations, trace.stop_reason) == (11, "rel_err")
         np.testing.assert_array_equal(trace.evals, ref_trace.evals)
-        np.testing.assert_allclose(trace.eta, ref_trace.eta / scale, rtol=1e-9)
         for got, want in [(est.channels, ref.channels),
                           (est.coefficients, ref.coefficients)]:
             assert np.linalg.norm(got - root * want) <= 1e-12 * root * np.linalg.norm(want)
-        np.testing.assert_allclose(trace.f_tilde, scale**2 * ref_trace.f_tilde, rtol=1e-9)
-        np.testing.assert_allclose(trace.rel_err, ref_trace.rel_err, rtol=1e-9)
+        _assert_rescaled(trace, ref_trace, scale, rtol=1e-9)
 
     def test_power_of_four_scale_is_exact(self):
         """Scaling y by a power of four is undone exactly: same path, bits
-        and all."""
+        and all, and the same trace with scale_exponent shifted."""
         ens, truth, obs = make_instance(TWO, seed=5)
         ref, ref_trace = solve(ens, obs, SolverConfig(), truth=truth)
         s, root = 4.0**-200, 2.0**-200
@@ -439,26 +453,25 @@ class TestSolve:
                                                  root * truth.coefficients))
         np.testing.assert_array_equal(est.channels, root * ref.channels)
         np.testing.assert_array_equal(est.coefficients, root * ref.coefficients)
-        np.testing.assert_array_equal(trace.rel_err, ref_trace.rel_err)
-        np.testing.assert_array_equal(trace.f_tilde, s * s * ref_trace.f_tilde)
+        assert trace.scale_exponent == ref_trace.scale_exponent - 200
+        for name in ("t", "f", "g", "rel_err", "grad_norm", "eta", "evals"):
+            np.testing.assert_array_equal(getattr(trace, name), getattr(ref_trace, name))
 
     @pytest.mark.filterwarnings("error")
     def test_subnormal_peak_takes_the_same_path(self):
-        """y * 1e-310 has a subnormal peak and takes the same path as y.  Its
-        steps, 1e310 times y's, overflow the trace's eta column: that is the
-        one warning."""
+        """y * 1e-310 has a subnormal peak and takes the same path as y, with
+        no warning: its steps, 1e310 times y's, stay at the solve's scale."""
         ens, truth, obs = make_instance(TWO, seed=5)
         ref, ref_trace = solve(ens, obs, SolverConfig(), truth=truth)
         scale = 1e-310
         root = np.sqrt(scale)
         assert np.max(np.abs(scale * obs.samples)) < np.finfo(float).tiny
-        with pytest.warns(RuntimeWarning, match="overflow encountered in ldexp"):
-            est, trace = solve(ens, ObservationVector(scale * obs.samples), SolverConfig(),
-                               truth=BlockFactorPair(root * truth.channels,
-                                                     root * truth.coefficients))
+        est, trace = solve(ens, ObservationVector(scale * obs.samples), SolverConfig(),
+                           truth=BlockFactorPair(root * truth.channels,
+                                                 root * truth.coefficients))
         assert (trace.iterations, trace.stop_reason) == (ref_trace.iterations, "rel_err")
         np.testing.assert_array_equal(trace.evals, ref_trace.evals)
-        np.testing.assert_allclose(trace.rel_err, ref_trace.rel_err, rtol=1e-9)
+        _assert_rescaled(trace, ref_trace, scale, rtol=1e-9)
         for got, want in [(est.channels, ref.channels),
                           (est.coefficients, ref.coefficients)]:
             assert np.linalg.norm(got - root * want) <= 1e-9 * root * np.linalg.norm(want)
@@ -488,3 +501,39 @@ class TestSolve:
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         assert out.stdout.split() == []
+
+
+@functools.cache
+def _two_seed5():
+    """TWO seed 5 and its solve's trace at s = 1."""
+    ens, truth, obs = make_instance(TWO, seed=5)
+    return ens, truth, obs, solve(ens, obs, SolverConfig(), truth=truth)[1]
+
+
+class TestScaleProperty:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(e=st.floats(min_value=-320.0, max_value=300.0))
+    @example(e=-320.0)
+    @example(e=-310.0)
+    @example(e=250.0)
+    @example(e=300.0)
+    def test_any_scale(self, e):
+        """y * 10^e, e in [-320, 300], raises no warning and gives a finite
+        trace (grad_norm from row 1).  Down to e = -300, where y * s is
+        still normal, it takes y's path and its trace follows the r-powers
+        of `_assert_rescaled`; below, y * s is subnormal and loses bits.
+        About 1 s: 200 solves of 2.5 ms, plus hypothesis' own time."""
+        ens, truth, obs, ref = _two_seed5()
+        s = 10.0**e
+        root = math.sqrt(s)
+        _, trace = solve(ens, ObservationVector(s * obs.samples), SolverConfig(),
+                         truth=BlockFactorPair(root * truth.channels,
+                                               root * truth.coefficients))
+        for col in (trace.f_tilde, trace.f, trace.g, trace.rel_err, trace.eta,
+                    trace.grad_norm[1:]):
+            assert np.all(np.isfinite(col))
+        if e >= -300.0:
+            assert (trace.iterations, trace.stop_reason) == (ref.iterations, ref.stop_reason)
+            np.testing.assert_array_equal(trace.evals, ref.evals)
+            _assert_rescaled(trace, ref, s, rtol=1e-9)
