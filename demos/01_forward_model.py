@@ -17,7 +17,6 @@ from moddemix.operators import (
     component_spectra,
     dense_oracle,
     forward_map,
-    partial_dft_apply,
 )
 
 dims = Dimensions(L=32, Q=16, M=4, K=3, N=2)
@@ -31,7 +30,7 @@ n = 0
 h, x = truth.channels[n], truth.coefficients[n]
 
 # channel spectrum: zero-pad h to L and take the unitary DFT
-channel_spectrum = partial_dft_apply(dims.L, h)
+channel_spectrum = np.fft.fft(h, n=dims.L) / np.sqrt(dims.L)
 
 # coded message spectrum: code, modulate, pad to L; the lifted convention
 # pairs the channel spectrum with the *conjugate* coded spectrum

@@ -13,7 +13,6 @@ from .operators import (
     adjoint_component,
     dense_oracle,
     forward_map,
-    partial_dft_apply,
 )
 from .objective import (
     CoherenceReport,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .harness import (
     DEFAULT_THRESHOLD,
@@ -47,10 +47,6 @@ def _add_dims(p, L=64, Q=64, M=4, K=4, N=2):
     p.add_argument("--N", type=int, default=N, help="number of components")
 
 
-def _add_solver(p, max_iters):
-    p.add_argument("--max-iters", type=int, default=max_iters)
-
-
 def _add_seed_out(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None, help="output CSV/JSON path")
@@ -61,10 +57,6 @@ def _add_sweep(p):
     p.add_argument("--workers", type=int, default=1)
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(max_iters=args.max_iters)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="moddemix",
                      description="Blind deconvolution demixing experiments")
@@ -72,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trial", help="run one seeded trial")
     _add_dims(p, L=320, Q=320, M=8, K=8)
-    _add_solver(p, max_iters=5000)
+    p.add_argument("--max-iters", type=int, default=5000)
     _add_seed_out(p)
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--snr-db", type=float, default=None)
@@ -81,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phase",
                        help="K vs M phase-transition grid over Q")
-    _add_solver(p, max_iters=400)
+    p.add_argument("--max-iters", type=int, default=400)
     _add_seed_out(p)
     _add_sweep(p)
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
@@ -95,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("snr", help="SNR sweep")
     _add_dims(p, L=320, Q=320, M=8, K=8)
-    _add_solver(p, max_iters=2000)
+    p.add_argument("--max-iters", type=int, default=2000)
     _add_seed_out(p)
     _add_sweep(p)
     p.add_argument("--snr-db", type=float, nargs="+",
@@ -103,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling",
                        help="minimum observations vs transmitter count")
-    _add_solver(p, max_iters=400)
+    p.add_argument("--max-iters", type=int, default=400)
     _add_seed_out(p)
     _add_sweep(p)
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
@@ -116,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace",
                        help="per-iteration convergence trace")
     _add_dims(p, L=320, Q=320, M=8, K=8)
-    _add_solver(p, max_iters=5000)
+    p.add_argument("--max-iters", type=int, default=5000)
     _add_seed_out(p)
     p.add_argument("--snr-db", type=float, default=None)
 
@@ -133,14 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_trial(args) -> int:
     dims = Dimensions(L=args.L, Q=args.Q, M=args.M, K=args.K, N=args.N)
     spec = TrialSpec(dims, seed=args.seed, snr_db=args.snr_db)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(args.max_iters)
     if args.dump_instance:
         ens, truth, obs = synthesize(spec)
         with open(args.dump_instance, "w", encoding="utf-8") as fh:
             fh.write(snapshot_to_json(spec, ens, truth, obs))
     rec = run_trial(spec, cfg, args.threshold)
-    doc = {k: getattr(rec, k) for k in rec.fieldnames()}
-    text = json.dumps(doc, default=str, indent=2)
+    text = json.dumps(asdict(rec), default=str, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -158,7 +149,7 @@ def _cmd_phase(args) -> int:
         vals = getattr(args, name)
         if vals is not None:
             grid = replace(grid, **{name: tuple(vals)})
-    rows = run_phase_transition(grid, _solver_config(args),
+    rows = run_phase_transition(grid, SolverConfig(args.max_iters),
                                 out=args.out, base_seed=args.seed, workers=args.workers)
     print(f"phase grid: {len(rows)} cells"
           + (f" -> {args.out}" if args.out else ""))
@@ -167,7 +158,7 @@ def _cmd_phase(args) -> int:
 
 def _cmd_snr(args) -> int:
     dims = Dimensions(L=args.L, Q=args.Q, M=args.M, K=args.K, N=args.N)
-    rows = run_snr_sweep(dims, args.snr_db, _solver_config(args),
+    rows = run_snr_sweep(dims, args.snr_db, SolverConfig(args.max_iters),
                          out=args.out, trials=args.trials, base_seed=args.seed,
                          workers=args.workers)
     for r in rows:
@@ -177,7 +168,7 @@ def _cmd_snr(args) -> int:
 
 def _cmd_scaling(args) -> int:
     rows = run_transmitter_sweep(
-        _solver_config(args), out=args.out,
+        SolverConfig(args.max_iters), out=args.out,
         N_values=tuple(range(1, args.N_max + 1)), K=args.K, M=args.M,
         L_step=args.L_step, L_max=args.L_max, trials=args.trials,
         threshold=args.threshold, base_seed=args.seed, workers=args.workers)
@@ -189,7 +180,7 @@ def _cmd_scaling(args) -> int:
 def _cmd_trace(args) -> int:
     dims = Dimensions(L=args.L, Q=args.Q, M=args.M, K=args.K, N=args.N)
     spec = TrialSpec(dims, seed=args.seed, snr_db=args.snr_db)
-    result = run_convergence_trace(spec, _solver_config(args), out=args.out)
+    result = run_convergence_trace(spec, SolverConfig(args.max_iters), out=args.out)
     print(f"final relative error {result['rel_err']:.3e} "
           f"({result['trace'].iterations} iterations)")
     return EXIT_OK

@@ -19,7 +19,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import islice, repeat
 
 import numpy as np
@@ -73,10 +73,6 @@ class TrialRecord:
     success: bool
     wall_time: float
     stop_reason: str
-
-    @classmethod
-    def fieldnames(cls) -> list[str]:
-        return [f.name for f in fields(cls)]
 
 
 def run_trial(spec: TrialSpec, cfg: SolverConfig | None = None,
@@ -229,15 +225,13 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
 def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
                           N_values=(1, 2, 3, 4), K: int = 4, M: int = 4,
                           L_step: int = 16, L_max: int = 1024,
-                          trials: int = 10, target_successes: int | None = None,
-                          threshold: float = DEFAULT_THRESHOLD,
+                          trials: int = 10, threshold: float = DEFAULT_THRESHOLD,
                           base_seed: int = 0, workers: int = 1) -> list[dict]:
-    """Smallest L (with Q = L) reaching the success target, per transmitter
-    count N, located by bisection over the L grid (nan when even L_max
-    falls short).  The target defaults to ceil(0.9 trials), 9 of 10.
-    Raises ValueError before any trial for a K, M or N below 1, no N at all,
-    when some N admits no L up to L_max, or when target_successes is
-    outside [1, trials]."""
+    """Smallest L (with Q = L) at which at least ceil(0.9 trials) trials
+    succeed, per transmitter count N, located by bisection over the L grid
+    (nan when even L_max falls short).  Raises ValueError before any trial
+    for a K, M or N below 1, no N at all, or when some N admits no L up to
+    L_max."""
     _check_counts(trials=trials, L_step=L_step, workers=workers, K=K, M=M,
                   N=min(N_values, default=0))
     grids = []  # (N, admissible L values); the coding needs Q = L >= K * N
@@ -246,11 +240,7 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
         if L_lo > L_max:
             raise ValueError(f"N={N} needs L >= {L_lo}, above L_max={L_max}")
         grids.append((N, list(range(L_lo, L_max + 1, L_step))))
-    if target_successes is None:
-        target_successes = (9 * trials + 9) // 10
-    if not 1 <= target_successes <= trials:
-        raise ValueError(f"target_successes must be in [1, trials={trials}], "
-                         f"got {target_successes}")
+    target = (9 * trials + 9) // 10
     header = ["N", "L_min", "K", "M", "trials", "target"]
     rows = []
     with _csv_rows(out, header, {}) as emit, \
@@ -260,7 +250,7 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
             d = Dimensions(L=L, Q=L, M=M, K=K, N=N)
             recs = run(TrialSpec(d, seed=_derive_seed(base_seed, N, L, t))
                        for t in range(trials))
-            return sum(r.success for r in recs) >= target_successes
+            return sum(r.success for r in recs) >= target
 
         for N, grid_pts in grids:
             lo, hi = 0, len(grid_pts) - 1
@@ -273,7 +263,7 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
                     else:
                         lo = mid + 1
                 L_min = grid_pts[hi]
-            rows.append(emit((N, L_min, K, M, trials, target_successes)))
+            rows.append(emit((N, L_min, K, M, trials, target)))
     return rows
 
 

@@ -73,8 +73,8 @@ def make_coding_matrix(Q: int, K: int, n: int, stride: int = 1) -> np.ndarray:
     ...}; with stride = N the column sets of distinct components are
     disjoint, keeping components distinguishable.
     """
-    if K > Q:
-        raise ValueError(f"need K <= Q, got K={K}, Q={Q}")
+    if not 1 <= K <= Q:
+        raise ValueError(f"need 1 <= K <= Q, got K={K}, Q={Q}")
     if n < 0 or stride < 1:
         raise ValueError("component index must be >= 0 and stride >= 1")
     idx = n + stride * np.arange(K)
@@ -134,7 +134,7 @@ def relative_error(est: BlockFactorPair, truth: BlockFactorPair) -> float:
     """Normalized Frobenius distance between estimated and true lifted
     blocks, via the factored Gram identity (no M x K matrices formed).
     Invariant under the per-component (alpha, conj(alpha)^-1) ambiguity, and
-    exact at extreme scales (see `_pow2_scaled`)."""
+    exact at extreme scales of either side (see `_rescaled_error`)."""
     return relative_error_to(truth)(est)
 
 
@@ -151,14 +151,10 @@ def relative_error_to(truth: BlockFactorPair) -> Callable[[BlockFactorPair], flo
         if h.shape != h0.shape or x.shape != x0.shape:
             raise ValueError("estimate/truth shapes differ")
         with np.errstate(all="ignore"):  # an overflow or underflow is redone below
-            num, den = _distance_sq(h, x, *conj_truth, energy), energy
-        if not (math.isfinite(num) and den > 2.0 ** -600):  # overflow, or near underflow
-            (h, h0s), (x, x0s) = _pow2_scaled(h, h0), _pow2_scaled(x, x0)
-            den = _energy(h0s, x0s)
-            num = _distance_sq(h, x, np.conj(h0s), np.conj(x0s), den)
-        if not den > 0:
-            raise ValueError("degenerate zero truth")
-        return float(np.sqrt(max(num, 0.0) / den))
+            num = _energy(h, x) + energy - 2.0 * _cross(h, x, *conj_truth)
+        if math.isfinite(num) and energy > 2.0 ** -600:
+            return float(np.sqrt(max(num, 0.0) / energy))
+        return _rescaled_error(h, x, h0, x0)  # overflow, or near underflow
 
     return error
 
@@ -169,18 +165,31 @@ def _energy(h: np.ndarray, x: np.ndarray) -> float:
                         np.einsum("nk,nk->n", x.conj(), x).real))
 
 
-def _distance_sq(h, x, conj_h0, conj_x0, energy0: float) -> float:
-    """Sum_n ||h_n x_n^* - h0_n x0_n^*||_F^2, given conj(h0), conj(x0) and
-    energy0 = _energy(h0, x0)."""
-    cross = np.vdot(np.einsum("nm,nm->n", conj_h0, h), np.einsum("nk,nk->n", conj_x0, x))
-    return _energy(h, x) + energy0 - 2.0 * cross.real
+def _cross(h, x, conj_h0, conj_x0) -> float:
+    """Re sum_n <h0_n x0_n^*, h_n x_n^*>_F, given conj(h0) and conj(x0); the
+    squared distance of the blocks is _energy(h, x) + _energy(h0, x0) - 2 cross."""
+    return np.vdot(np.einsum("nm,nm->n", conj_h0, h), np.einsum("nk,nk->n", conj_x0, x)).real
 
 
-def _pow2_scaled(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # one exact power of two (finite for e >= -1022) that puts the largest entry
-    # in [0.5, 1): the error's ratio is unchanged and norm products stay in range
-    scale = 2.0 ** -max(math.frexp(max(abs(a).max(), abs(b).max()))[1], -1022)
-    return a * scale, b * scale
+def _rescaled_error(h, x, h0, x0) -> float:
+    """relative_error where an energy leaves the double range.  Each factor is
+    scaled by its own power of two, so est's blocks are 2^k times the rescaled
+    ones relative to the truth's.  With E, E0 the rescaled energies and C
+    their cross term, the error is 2^k sqrt((E - 2 2^-k C + 4^-k E0) / E0) for
+    k > 0, else sqrt((4^k E - 2 2^k C + E0) / E0): no term overflows."""
+    # 2^-e, finite for e >= -1022, puts a factor's largest entry in [0.5, 1)
+    e = [max(math.frexp(abs(a).max())[1], -1022) for a in (h, x, h0, x0)]
+    h, x, h0, x0 = (a * 2.0 ** -ea for a, ea in zip((h, x, h0, x0), e))
+    k = e[0] + e[1] - e[2] - e[3]
+    energy0 = _energy(h0, x0)
+    if not energy0 > 0:
+        raise ValueError("degenerate zero truth")
+    hi = max(k, 0)
+    num = (math.ldexp(_energy(h, x), 2 * (k - hi))
+           - 2.0 * math.ldexp(_cross(h, x, np.conj(h0), np.conj(x0)), k - 2 * hi)
+           + math.ldexp(energy0, -2 * hi))
+    with np.errstate(over="ignore"):  # an error above the double range is inf
+        return float(np.ldexp(math.sqrt(max(num, 0.0) / energy0), hi))
 
 
 def _encode(arr: np.ndarray) -> dict:
@@ -222,14 +231,19 @@ def snapshot_to_json(spec: TrialSpec, ens: MeasurementEnsemble,
 
 def snapshot_from_json(text: str) -> tuple[TrialSpec, MeasurementEnsemble,
                                            BlockFactorPair, ObservationVector]:
+    """Rebuild an instance written by `snapshot_to_json`.  Raises ValueError
+    for text that is not a snapshot, naming a missing or malformed field."""
     doc = json.loads(text)
-    if doc.get("format") != "moddemix-instance-v1":
+    if not isinstance(doc, dict) or doc.get("format") != "moddemix-instance-v1":
         raise ValueError("unrecognized instance snapshot format")
-    dims = Dimensions(**doc["dims"])
-    spec = TrialSpec(dims=dims, seed=doc["seed"], snr_db=doc["snr_db"])
-    ens = MeasurementEnsemble(dims=dims, modulation=_decode(doc["modulation"]),
-                              coding=_decode(doc["coding"]))
-    truth = BlockFactorPair(_decode(doc["channels"]), _decode(doc["coefficients"]))
-    noise = _decode(doc["noise"]) if "noise" in doc else None
-    obs = ObservationVector(samples=_decode(doc["samples"]), noise=noise)
+    try:
+        dims = Dimensions(**doc["dims"])
+        spec = TrialSpec(dims=dims, seed=doc["seed"], snr_db=doc["snr_db"])
+        ens = MeasurementEnsemble(dims=dims, modulation=_decode(doc["modulation"]),
+                                  coding=_decode(doc["coding"]))
+        truth = BlockFactorPair(_decode(doc["channels"]), _decode(doc["coefficients"]))
+        noise = _decode(doc["noise"]) if "noise" in doc else None
+        obs = ObservationVector(samples=_decode(doc["samples"]), noise=noise)
+    except (KeyError, TypeError) as exc:  # a field missing, or of the wrong JSON type
+        raise ValueError(f"malformed instance snapshot: {exc!r}") from None
     return spec, ens, truth, obs

@@ -35,7 +35,6 @@ __all__ = [
     "MeasurementEnsemble",
     "BlockFactorPair",
     "ObservationVector",
-    "partial_dft_apply",
     "component_spectra",
     "forward_map",
     "adjoint_component",
@@ -70,24 +69,15 @@ class Dimensions:
             raise ValueError(f"need N >= 1, got N={self.N}")
 
 
-def partial_dft_apply(L: int, v: np.ndarray) -> np.ndarray:
-    """Apply the first-W-column slice of the unitary L-point DFT.
-
-    ``v`` has W <= L rows; columns (if any) are transformed independently.
-    Implemented as a zero-padded L-point FFT scaled by 1/sqrt(L).
-    """
-    v = np.asarray(v)
-    if v.shape[0] > L:
-        raise ValueError(f"input length {v.shape[0]} exceeds L={L}")
-    return np.fft.fft(v, n=L, axis=0) / np.sqrt(L)
-
-
 @functools.lru_cache(maxsize=32)
 def dft_basis(L: int, W: int) -> np.ndarray:
-    """Dense L x W matrix F_W of the partial unitary DFT, cached and read-only
-    (32 shapes hold the paper grid's 23 values of M at one L).  F_W v is
-    ``F @ v`` and F_W^H w is ``conj(conj(w).T @ F)``."""
-    basis = partial_dft_apply(L, np.eye(W))
+    """Dense L x W matrix F_W, the first W columns of the unitary L-point DFT
+    (a zero-padded FFT of the identity), cached and read-only (32 shapes hold
+    the paper grid's 23 values of M at one L).  F_W v is ``F @ v`` and
+    F_W^H w is ``conj(conj(w).T @ F)``.  Raises ValueError for W > L."""
+    if W > L:
+        raise ValueError(f"basis width {W} exceeds L={L}")
+    basis = np.fft.fft(np.eye(W), n=L, axis=0) / np.sqrt(L)
     basis.setflags(write=False)
     return basis
 
@@ -171,9 +161,6 @@ class BlockFactorPair:
     def lifted_block(self, n: int) -> np.ndarray:
         """Dense M x K outer product h_n x_n^* (tests and diagnostics only)."""
         return np.outer(self.channels[n], np.conj(self.coefficients[n]))
-
-    def copy(self) -> "BlockFactorPair":
-        return BlockFactorPair(self.channels.copy(), self.coefficients.copy())
 
 
 @dataclass(frozen=True)

@@ -69,11 +69,10 @@ class NumericalFailureError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Iteration budget and an optional start point; start, with no zero
-    factor, replaces the spectral start."""
+    """Iteration budget of `solve`; the descent always starts from the
+    spectral start."""
 
     max_iters: int = 5000
-    start: BlockFactorPair | None = None
 
     def __post_init__(self):
         n = self.max_iters
@@ -270,15 +269,13 @@ def _scale_exponent(y: np.ndarray) -> int:
 def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
           cfg: SolverConfig | None = None,
           truth: BlockFactorPair | None = None) -> tuple[BlockFactorPair, SolveTrace]:
-    """Descend from the spectral start (or cfg.start) until max_iters, a
-    small gradient, or (with truth) a small relative error.
+    """Descend from the spectral start until max_iters, a small gradient, or
+    (with truth) a small relative error.
 
     `solve` is blind: its penalty takes mu, nu = `_COHERENCE_MARGIN` times
-    the start point's coherences, d_n from the start (||h_n|| ||x_n|| for
-    cfg.start) and rho = d^2.  The truth only scores, through
-    `relative_error_to`: the trace's rel_err column and the rel_err stop.
-    A cfg.start with a zero factor, a stationary point, raises
-    DegenerateInputError.
+    the spectral start's coherences, d_n its leading singular values and
+    rho = d^2.  The truth only scores, through `relative_error_to`: the
+    trace's rel_err column and the rel_err stop.
 
     Each iteration evaluates the objective once per step-size trial, with
     the gradient: the accepted trial's gradient drives the next step, so
@@ -295,7 +292,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
 
     The model is homogeneous: y -> s y takes the factors to sqrt(s) times
     theirs.  The descent therefore runs on y / 4^j, 4^j the power of four
-    nearest ||y||, with truth and start scaled to match; the estimate is
+    nearest ||y||, with the truth scaled to match; the estimate is
     scaled back by 2^j, and the trace stays at the descent's scale with j
     as its scale_exponent, so its columns are finite at any scale of y.
     """
@@ -304,10 +301,9 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     j = _scale_exponent(y_hat.samples)
     c = float(np.ldexp(1.0, -j))  # factors scale by c, y by c^2
     y_hat = ObservationVector(c * (c * y_hat.samples))  # c * c overflows for a subnormal y
-    init = _spectral_start(ens, y_hat) if cfg.start is None else None
-    z = _scaled(cfg.start, c) if init is None else init.start
-    rep = coherences(ens, z)  # raises DegenerateInputError on a zero factor
-    d_n = rep.d_n if init is None else init.d_n
+    init = _spectral_start(ens, y_hat)
+    z, d_n = init.start, init.d_n
+    rep = coherences(ens, z)
     d = float(np.sqrt(np.sum(d_n**2)))
     p = PenaltyParams(rho=d**2, d=d, d_n=d_n, mu=_COHERENCE_MARGIN * rep.mu,
                       nu=_COHERENCE_MARGIN * rep.nu)

@@ -1,6 +1,7 @@
 """Tests of seeded instance generation, the relative-error metric and the
 JSON snapshot format."""
 
+import functools
 import json
 
 import numpy as np
@@ -52,6 +53,10 @@ class TestCodingMatrix:
             make_coding_matrix(8, 4, 2, stride=3)  # column 2+3*3=11 >= Q
         with pytest.raises(ValueError):
             make_coding_matrix(8, 4, -1)
+        with pytest.raises(ValueError, match="1 <= K"):
+            make_coding_matrix(8, 0, 0)
+        with pytest.raises(ValueError, match="1 <= K"):
+            make_coding_matrix(8, -1, 0)
 
 
 class TestModulation:
@@ -152,6 +157,16 @@ class TestRelativeError:
                                     BlockFactorPair(s * truth.channels, s * truth.coefficients))
         assert scaled == pytest.approx(relative_error(est, truth), abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+    def test_sides_at_different_scales(self, s):
+        """An estimate s times the truth, or the truth s times the estimate,
+        is scored exactly whatever the scale gap between the two sides."""
+        _, truth, _ = synthesize(TrialSpec(DIMS, seed=0))
+        scaled = BlockFactorPair(s * truth.channels, truth.coefficients)
+        assert relative_error(scaled, truth) == pytest.approx(abs(s - 1.0), rel=1e-12)
+        assert relative_error(truth, scaled) == pytest.approx(abs(1.0 - s) / s, rel=1e-12)
+
     def test_zero_truth_raises(self):
         _, truth, _ = synthesize(TrialSpec(DIMS, seed=0))
         zero = BlockFactorPair(np.zeros_like(truth.channels),
@@ -194,3 +209,18 @@ class TestSnapshot:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             snapshot_from_json(json.dumps({"format": "other"}))
+
+    @pytest.mark.parametrize("path", [("dims",), ("seed",), ("coding",), ("samples",),
+                                      ("dims", "L"), ("coding", "dtype"), ()])
+    def test_rejects_malformed_snapshot(self, path):
+        """A snapshot missing a field, at the top or inside one, or a JSON
+        list (path ()) is a ValueError naming what is wrong."""
+        spec = TrialSpec(DIMS, seed=11)
+        doc = json.loads(snapshot_to_json(spec, *synthesize(spec)))
+        if not path:
+            text, match = json.dumps([doc]), "format"
+        else:
+            del functools.reduce(dict.get, path[:-1], doc)[path[-1]]
+            text, match = json.dumps(doc), f"'{path[-1]}'"
+        with pytest.raises(ValueError, match=match):
+            snapshot_from_json(text)

@@ -18,7 +18,13 @@ import moddemix
 import moddemix.solver as solver_module
 from conftest import make_instance, random_pair
 from moddemix.instances import relative_error
-from moddemix.objective import DegenerateInputError, PenaltyParams, coherences, evaluate
+from moddemix.objective import (
+    DegenerateInputError,
+    Evaluation,
+    PenaltyParams,
+    coherences,
+    evaluate,
+)
 from moddemix.operators import BlockFactorPair, Dimensions, ObservationVector, dft_basis
 from moddemix.solver import (
     NumericalFailureError,
@@ -48,7 +54,7 @@ def _assert_rescaled(trace, ref, s, rtol):
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert [f.name for f in dataclasses.fields(cfg)] == ["max_iters", "start"]
+        assert [f.name for f in dataclasses.fields(cfg)] == ["max_iters"]
 
     @pytest.mark.parametrize("kwargs", [
         dict(max_iters=-1), dict(max_iters=0.5), dict(max_iters=0),
@@ -268,22 +274,6 @@ class TestSolve:
         np.testing.assert_array_equal(est.coefficients, ref.coefficients)
         np.testing.assert_array_equal(trace.f_tilde, ref_trace.f_tilde)
 
-    def test_zero_factor_start_raises(self):
-        """A zero channel is a stationary point the descent cannot leave."""
-        ens, truth, obs = make_instance(TWO, seed=2)
-        channels = truth.channels.copy()
-        channels[1] = 0.0
-        start = BlockFactorPair(channels, truth.coefficients)
-        with pytest.raises(DegenerateInputError):
-            solve(ens, obs, SolverConfig(start=start), truth=truth)
-
-    def test_warm_start(self):
-        ens, truth, obs = make_instance(EASY, seed=1)
-        cfg = SolverConfig(start=truth.copy())
-        est, trace = solve(ens, obs, cfg, truth=truth)
-        assert trace.iterations == 0
-        assert relative_error(est, truth) < 1e-12
-
     def test_output_normalized(self):
         ens, truth, obs = make_instance(TWO, seed=2)
         est, _ = solve(ens, obs, SolverConfig(), truth=truth)
@@ -415,11 +405,14 @@ class TestSolve:
         _, trace = solve(ens, obs, SolverConfig(max_iters=400), truth=truth)
         assert (trace.stop_reason, trace.iterations) == ("stall", 50)
 
-    def test_non_finite_start_objective_raises(self):
+    def test_non_finite_start_objective_raises(self, monkeypatch):
+        """A non-finite objective at the spectral start raises
+        NumericalFailureError before any step."""
         ens, truth, obs = make_instance(EASY, seed=1)
-        start = BlockFactorPair(1e100 * truth.channels, 1e100 * truth.coefficients)
-        with np.errstate(all="ignore"), pytest.raises(NumericalFailureError):
-            solve(ens, obs, SolverConfig(start=start), truth=truth)
+        monkeypatch.setattr(solver_module, "evaluate",
+                            lambda *args, **kwargs: Evaluation(np.inf, 0.0))
+        with pytest.raises(NumericalFailureError, match="start point"):
+            solve(ens, obs, SolverConfig(), truth=truth)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
