@@ -12,7 +12,6 @@ import sys
 from dataclasses import asdict, replace
 
 from .harness import (
-    DEFAULT_THRESHOLD,
     PROBE_DIMS,
     SweepGrid,
     run_convergence_trace,
@@ -39,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_dims(p, L=64, Q=64, M=4, K=4, N=2):
+def _add_dims(p, L, Q, M, K, N=2):
     p.add_argument("--L", type=int, default=L, help="sample count")
     p.add_argument("--Q", type=int, default=Q, help="modulation length")
     p.add_argument("--M", type=int, default=M, help="channel taps")
@@ -66,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dims(p, L=320, Q=320, M=8, K=8)
     p.add_argument("--max-iters", type=int, default=5000)
     _add_seed_out(p)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--snr-db", type=float, default=None)
     p.add_argument("--dump-instance", type=str, default=None,
                    help="write the instance snapshot JSON here")
@@ -76,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=400)
     _add_seed_out(p)
     _add_sweep(p)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--L", type=int, default=None)
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--Q-values", type=int, nargs="+", default=None)
@@ -98,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=400)
     _add_seed_out(p)
     _add_sweep(p)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--N-max", type=int, default=4)
     p.add_argument("--K", type=int, default=4)
     p.add_argument("--M", type=int, default=4)
@@ -130,7 +126,7 @@ def _cmd_trial(args) -> int:
         ens, truth, obs = synthesize(spec)
         with open(args.dump_instance, "w", encoding="utf-8") as fh:
             fh.write(snapshot_to_json(spec, ens, truth, obs))
-    rec = run_trial(spec, cfg, args.threshold)
+    rec = run_trial(spec, cfg)
     text = json.dumps(asdict(rec), default=str, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -141,10 +137,7 @@ def _cmd_trial(args) -> int:
 
 def _cmd_phase(args) -> int:
     grid = SweepGrid.paper_scale() if args.paper_scale else SweepGrid()
-    grid = replace(grid, L=args.L or grid.L, N=args.N,
-                   trials=args.trials, threshold=args.threshold)
-    if args.L is not None and not args.paper_scale:
-        grid = replace(grid, Q_values=None)  # rescale Q grid to the new L
+    grid = replace(grid, L=args.L or grid.L, N=args.N, trials=args.trials)
     for name in ("Q_values", "K_values", "M_values"):
         vals = getattr(args, name)
         if vals is not None:
@@ -171,7 +164,7 @@ def _cmd_scaling(args) -> int:
         SolverConfig(args.max_iters), out=args.out,
         N_values=tuple(range(1, args.N_max + 1)), K=args.K, M=args.M,
         L_step=args.L_step, L_max=args.L_max, trials=args.trials,
-        threshold=args.threshold, base_seed=args.seed, workers=args.workers)
+        base_seed=args.seed, workers=args.workers)
     for r in rows:
         print(f"N={r['N']}: L_min={r['L_min']}")
     return EXIT_OK

@@ -26,7 +26,8 @@ import numpy as np
 
 from .instances import TrialSpec, check_coding_fits, relative_error, synthesize
 from .objective import PenaltyParams, coherences, grad_total, loss_total
-from .operators import BlockFactorPair, Dimensions, adjoint_component, dft_basis, forward_map
+from .operators import (BlockFactorPair, Dimensions, adjoint_component, check_counts,
+                        dft_basis, forward_map)
 from .solver import NumericalFailureError, SolverConfig, solve
 
 __all__ = [
@@ -38,23 +39,16 @@ __all__ = [
     "run_transmitter_sweep",
     "run_convergence_trace",
     "run_probe",
-    "DEFAULT_THRESHOLD",
+    "SUCCESS_THRESHOLD",
     "PROBE_DIMS",
 ]
 
-DEFAULT_THRESHOLD = 1e-2
+SUCCESS_THRESHOLD = 1e-2  # a trial succeeds when its relative error is below this
 _ISOMETRY_GUARD = 20  # max Q*N for exhaustive sign enumeration
 
 
 def _derive_seed(base: int, *idx: int) -> int:
     return int(np.random.SeedSequence([int(base), *map(int, idx)]).generate_state(1)[0])
-
-
-def _check_counts(**counts: int) -> None:
-    """Raise ValueError for a count below 1, before any work."""
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +69,9 @@ class TrialRecord:
     stop_reason: str
 
 
-def run_trial(spec: TrialSpec, cfg: SolverConfig | None = None,
-              threshold: float = DEFAULT_THRESHOLD) -> TrialRecord:
-    """Run one seeded trial; a numerical failure is recorded, not raised."""
+def run_trial(spec: TrialSpec, cfg: SolverConfig | None = None) -> TrialRecord:
+    """Run one seeded trial; a numerical failure is recorded, not raised.
+    The trial succeeds when its relative error is below SUCCESS_THRESHOLD."""
     cfg = cfg or SolverConfig()
     d = spec.dims
     t0 = time.perf_counter()
@@ -90,7 +84,7 @@ def run_trial(spec: TrialSpec, cfg: SolverConfig | None = None,
         err, iters, reason = math.inf, 0, type(exc).__name__
     return TrialRecord(
         L=d.L, Q=d.Q, M=d.M, K=d.K, N=d.N, seed=spec.seed, snr_db=spec.snr_db,
-        iterations=iters, rel_err=err, success=err < threshold,
+        iterations=iters, rel_err=err, success=err < SUCCESS_THRESHOLD,
         wall_time=time.perf_counter() - t0, stop_reason=reason,
     )
 
@@ -118,17 +112,16 @@ def _csv_rows(out, header: list[str], formats: dict[str, str]):
 
 
 @contextmanager
-def _trial_runner(cfg: SolverConfig, threshold: float, workers: int):
+def _trial_runner(cfg: SolverConfig, workers: int):
     """Yield run(specs): an iterator of TrialRecords in spec order, each
     yielded once it and all before it are done.  In-process, `run_trial` is
     looked up per call, so a rebinding of `harness.run_trial` takes effect."""
     if workers == 1:
-        yield lambda specs: (run_trial(s, cfg, threshold) for s in specs)
+        yield lambda specs: (run_trial(s, cfg) for s in specs)
         return
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        yield lambda specs: pool.map(run_trial, specs, repeat(cfg), repeat(threshold),
-                                     chunksize=4)
+        yield lambda specs: pool.map(run_trial, specs, repeat(cfg), chunksize=4)
     finally:  # a failed sweep drops the trials that have not started
         pool.shutdown(cancel_futures=True)
 
@@ -136,8 +129,10 @@ def _trial_runner(cfg: SolverConfig, threshold: float, workers: int):
 @dataclass(frozen=True)
 class SweepGrid:
     """Phase-transition grid: K x M cells per modulation length Q, at fixed
-    L and N.  Defaults are the desk-scale grid (a 10x shrink of the full
-    protocol); `paper_scale()` gives the full-size version."""
+    L and N, with `trials` seeds per cell, each a success when its relative
+    error is below SUCCESS_THRESHOLD.  Defaults are the desk-scale grid (a
+    10x shrink of the full protocol); `paper_scale()` gives the full-size
+    version."""
 
     L: int = 320
     N: int = 2
@@ -145,7 +140,6 @@ class SweepGrid:
     K_values: tuple = (2, 6, 10, 14, 18, 22)
     M_values: tuple = (2, 6, 10, 14, 18, 22)
     trials: int = 10
-    threshold: float = DEFAULT_THRESHOLD
 
     @staticmethod
     def paper_scale() -> "SweepGrid":
@@ -175,14 +169,14 @@ def run_phase_transition(grid: SweepGrid, cfg: SolverConfig | None = None,
                          workers: int = 1) -> list[dict]:
     """Success fraction per (K, M, Q) cell, in (Q, K, M) order.  Returns the
     rows and, when `out` is given, writes each as CSV when its cell ends."""
-    _check_counts(trials=grid.trials, workers=workers)
+    check_counts(trials=grid.trials, workers=workers)
     cells = grid.cells()  # validates every cell up front
     # a cell's seeds derive from its index in grid.cells(), not its run order
     order = sorted(range(len(cells)), key=lambda ci: (cells[ci].Q, cells[ci].K, cells[ci].M))
     header = ["K", "M", "Q", "L", "N", "trials", "successes", "mean_error"]
     rows = []
     with _csv_rows(out, header, {"mean_error": ".6e"}) as emit, \
-            _trial_runner(cfg or SolverConfig(max_iters=400), grid.threshold, workers) as run:
+            _trial_runner(cfg or SolverConfig(max_iters=400), workers) as run:
         records = run(TrialSpec(cells[ci], seed=_derive_seed(base_seed, ci, t))
                       for ci in order for t in range(grid.trials))
         for ci in order:
@@ -201,7 +195,7 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
     """Geometric-mean relative error per SNR point, in ascending SNR order
     with the noiseless point (None or inf) last.  The same seeds are reused
     across SNR values so the comparison is paired."""
-    _check_counts(trials=trials, workers=workers)
+    check_counts(trials=trials, workers=workers)
     check_coding_fits(dims)
     points = [None if s is None or math.isinf(s) else float(s) for s in snr_values]
     if any(s is not None and math.isnan(s) for s in points):
@@ -210,8 +204,7 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
     header = ["snr_db", "L", "Q", "M", "K", "N", "trials", "mean_rel_err", "std_log10"]
     rows = []
     with _csv_rows(out, header, {"mean_rel_err": ".6e", "std_log10": ".4f"}) as emit, \
-            _trial_runner(cfg or SolverConfig(max_iters=2000), DEFAULT_THRESHOLD,
-                          workers) as run:
+            _trial_runner(cfg or SolverConfig(max_iters=2000), workers) as run:
         records = run(TrialSpec(dims, seed=_derive_seed(base_seed, t), snr_db=snr_db)
                       for snr_db in points for t in range(trials))
         for snr_db in points:
@@ -225,17 +218,19 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
 def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
                           N_values=(1, 2, 3, 4), K: int = 4, M: int = 4,
                           L_step: int = 16, L_max: int = 1024,
-                          trials: int = 10, threshold: float = DEFAULT_THRESHOLD,
-                          base_seed: int = 0, workers: int = 1) -> list[dict]:
+                          trials: int = 10, base_seed: int = 0,
+                          workers: int = 1) -> list[dict]:
     """Smallest L (with Q = L) at which at least ceil(0.9 trials) trials
-    succeed, per transmitter count N, located by bisection over the L grid
-    (nan when even L_max falls short).  Raises ValueError before any trial
-    for a K, M or N below 1, no N at all, or when some N admits no L up to
-    L_max."""
-    _check_counts(trials=trials, L_step=L_step, workers=workers, K=K, M=M,
-                  N=min(N_values, default=0))
+    succeed (relative error below SUCCESS_THRESHOLD), per transmitter count
+    N, located by bisection over the L grid (nan when even L_max falls
+    short).  Raises ValueError before any trial for a count that is not an
+    integer >= 1 (K, M, each N, trials, L_step, workers), no N at all, or
+    when some N admits no L up to L_max."""
+    check_counts(trials=trials, L_step=L_step, workers=workers, K=K, M=M,
+                 N_values=len(N_values))
     grids = []  # (N, admissible L values); the coding needs Q = L >= K * N
     for N in N_values:
+        check_counts(N=N)
         L_lo = max(L_step, L_step * math.ceil(max(K * N, M, K) / L_step))
         if L_lo > L_max:
             raise ValueError(f"N={N} needs L >= {L_lo}, above L_max={L_max}")
@@ -244,7 +239,7 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
     header = ["N", "L_min", "K", "M", "trials", "target"]
     rows = []
     with _csv_rows(out, header, {}) as emit, \
-            _trial_runner(cfg or SolverConfig(max_iters=400), threshold, workers) as run:
+            _trial_runner(cfg or SolverConfig(max_iters=400), workers) as run:
 
         def succeeds(N, L) -> bool:
             d = Dimensions(L=L, Q=L, M=M, K=K, N=N)
@@ -412,10 +407,10 @@ def run_probe(kind: str, params: dict | None = None, out=None) -> dict:
     params = dict(params or {})
     seed = int(params.pop("seed", 0))
     dims = params.pop("dims", dims)
-    counts = {} if count is None else {count: int(params.pop(count, default))}
+    counts = {} if count is None else {count: params.pop(count, default)}
     if params:
         raise ValueError(f"unused probe parameters: {sorted(params)}")
-    _check_counts(**counts)
+    check_counts(**counts)
     report = {"kind": kind, "seed": seed, **probe(dims, seed, *counts.values())}
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:

@@ -40,6 +40,7 @@ __all__ = [
     "adjoint_component",
     "dense_oracle",
     "dft_basis",
+    "check_counts",
 ]
 
 _ORTHO_TOL = 1e-12
@@ -58,15 +59,19 @@ class Dimensions:
     N: int
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in vars(self).values()):
-            raise ValueError(f"dimensions must be integers, got {self}")
-        if not (1 <= self.K <= self.Q <= self.L):
+        check_counts(**vars(self))
+        if not self.K <= self.Q <= self.L:
             raise ValueError(f"need K <= Q <= L, got K={self.K}, Q={self.Q}, L={self.L}")
-        if not (1 <= self.M <= self.L):
-            raise ValueError(f"need 1 <= M <= L, got M={self.M}, L={self.L}")
-        if self.N < 1:
-            raise ValueError(f"need N >= 1, got N={self.N}")
+        if self.M > self.L:
+            raise ValueError(f"need M <= L, got M={self.M}, L={self.L}")
+
+
+def check_counts(**counts) -> None:
+    """Raise ValueError for a count that is not an integer >= 1 (a bool is
+    not a count)."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
 
 
 @functools.lru_cache(maxsize=32)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .operators import (
     MeasurementEnsemble,
     ObservationVector,
     adjoint_component,
+    check_counts,
     dft_basis,
 )
 
@@ -61,6 +62,9 @@ _GRAD_TOL = 1e-7
 # contains it, the initial projection would return it unchanged, and `solve`
 # skips that projection.
 _COHERENCE_MARGIN = 1.5
+# `project_incoherent`'s relative convergence tolerance and round budget.
+_PROJECTION_TOL = 1e-8
+_PROJECTION_MAX_ITERS = 500
 
 
 class NumericalFailureError(RuntimeError):
@@ -75,9 +79,7 @@ class SolverConfig:
     max_iters: int = 5000
 
     def __post_init__(self):
-        n = self.max_iters
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {n!r}")
+        check_counts(max_iters=self.max_iters)
 
 
 @dataclass
@@ -98,16 +100,16 @@ class SolveTrace:
     search started at eta 2^(evals - 1)), evals the row's objective
     evaluations (row 0: the start value, and gradient if it runs)."""
 
-    t: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    f: np.ndarray = field(default_factory=lambda: np.empty(0))
-    g: np.ndarray = field(default_factory=lambda: np.empty(0))
-    rel_err: np.ndarray = field(default_factory=lambda: np.empty(0))
-    grad_norm: np.ndarray = field(default_factory=lambda: np.empty(0))
-    eta: np.ndarray = field(default_factory=lambda: np.empty(0))
-    evals: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    stop_reason: str = ""
-    iterations: int = 0
-    scale_exponent: int = 0
+    t: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    rel_err: np.ndarray
+    grad_norm: np.ndarray
+    eta: np.ndarray
+    evals: np.ndarray
+    stop_reason: str
+    iterations: int
+    scale_exponent: int
 
     @property
     def f_tilde(self) -> np.ndarray:
@@ -126,15 +128,15 @@ def leading_singular_triple(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarra
     return float(s[0]), U[:, 0], Vh[0].conj()
 
 
-def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float,
-                       tol: float = 1e-8, max_iters: int = 500) -> np.ndarray:
+def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float) -> np.ndarray:
     """Euclidean projection of g onto {z : sqrt(rows) * ||basis z||_inf <= bound}.
 
     basis must have orthonormal columns (partial DFT or a coding matrix).
     Dykstra's alternating projections between the range of the basis and the
-    infinity ball converge to the exact projection.
-    The returned point is always feasible (a final rescale enforces the
-    constraint if the iteration hits max_iters first).
+    infinity ball converge to the exact projection, to within
+    `_PROJECTION_TOL`.  The returned point is always feasible (a final
+    rescale enforces the constraint if the iteration hits
+    `_PROJECTION_MAX_ITERS` first, with a RuntimeWarning).
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
@@ -152,7 +154,7 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float,
     q = np.zeros_like(u)
     scale = max(1.0, float(np.linalg.norm(u)))
     converged = False
-    for _ in range(max_iters):
+    for _ in range(_PROJECTION_MAX_ITERS):
         v = u + p
         mag = np.abs(v)
         y = np.where(mag > radius, v * (radius / np.maximum(mag, 1e-300)), v)
@@ -163,7 +165,7 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float,
         step = np.linalg.norm(u_new - u)
         u = u_new
         infeas = max(0.0, float(np.max(np.abs(u))) - radius)
-        if step <= tol * scale and infeas <= tol * radius:
+        if step <= _PROJECTION_TOL * scale and infeas <= _PROJECTION_TOL * radius:
             converged = True
             break
     if not converged:

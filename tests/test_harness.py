@@ -174,11 +174,11 @@ class TestSweeps:
         calls = []
         run_trial = harness.run_trial
 
-        def third_cell_raises(spec, cfg, threshold):
+        def third_cell_raises(spec, cfg):
             calls.append(spec)
             if len(calls) == 3:
                 raise RuntimeError("bad trial")
-            return run_trial(spec, cfg, threshold)
+            return run_trial(spec, cfg)
 
         monkeypatch.setattr(harness, "run_trial", third_cell_raises)
         grid = SweepGrid(L=64, N=1, Q_values=(64,), K_values=(2,), M_values=(2, 3, 4),
@@ -199,6 +199,36 @@ class TestSweeps:
         rows = run_phase_transition(grid, cfg, out=one, workers=1)
         assert run_phase_transition(grid, cfg, out=two, workers=2) == rows
         assert two.read_bytes() == one.read_bytes()
+
+    @pytest.mark.parametrize("run", [
+        lambda out: run_snr_sweep(EASY, [20.0], trials=2.5, out=out),
+        lambda out: run_snr_sweep(EASY, [20.0], trials=True, out=out),
+        lambda out: run_phase_transition(
+            SweepGrid(L=64, N=1, Q_values=(64,), K_values=(2,), M_values=(2,), trials=1.5),
+            out=out),
+        lambda out: run_phase_transition(
+            SweepGrid(L=64, N=1, Q_values=(64,), K_values=(2,), M_values=(2,), trials=1),
+            out=out, workers=1.5),
+        lambda out: run_transmitter_sweep(N_values=(1,), K=2, M=2, L_max=32, trials=1.5,
+                                          out=out),
+        lambda out: run_transmitter_sweep(N_values=(1, 2.5), K=2, M=2, L_max=32, trials=1,
+                                          out=out),
+        lambda out: run_probe("adjoint", {"trials": 1.5}, out=out),
+        lambda out: run_probe("rip", {"draws": True}, out=out),
+    ], ids=["snr-trials-2.5", "snr-trials-True", "phase-trials-1.5", "phase-workers-1.5",
+            "scaling-trials-1.5", "scaling-N-2.5", "probe-trials-1.5", "probe-draws-True"])
+    def test_count_not_an_integer_rejected_before_any_work(self, run, tmp_path,
+                                                          monkeypatch):
+        """Every count is checked as an integer >= 1 (a bool is not one)
+        before any trial runs or `out` is opened."""
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        monkeypatch.setattr(harness, "synthesize", lambda spec: calls.append(spec))
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        with pytest.raises(ValueError, match="must be >= 1"):
+            run(out)
+        assert calls == [] and out.read_text() == "kept\n"
 
     def test_unwritable_output_fails_before_compute(self, tmp_path):
         grid = SweepGrid(L=64, N=1, Q_values=(64,), K_values=(2,),
@@ -266,6 +296,27 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["success"] is True
         assert list(doc) == [f.name for f in dataclasses.fields(TrialRecord)]
+
+    def test_trial_out_is_the_printed_json(self, tmp_path, capsys):
+        out = tmp_path / "trial.json"
+        assert main(["trial", *TINY, "--max-iters", "5", "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == capsys.readouterr().out
+
+    def test_phase_paper_scale_grid(self, monkeypatch, capsys):
+        """--paper-scale runs SweepGrid.paper_scale(): 2,116 cells of 10
+        trials at L=3200 (nothing is solved here)."""
+        grids = []
+
+        def capture(grid, *args, **kwargs):
+            grids.append(grid)
+            return []
+
+        monkeypatch.setattr(cli, "run_phase_transition", capture)
+        assert main(["phase", "--paper-scale"]) == EXIT_OK
+        (grid,) = grids
+        assert grid == SweepGrid.paper_scale()
+        assert grid.L == 3200 and grid.q_values() == (800, 1600, 2400, 3200)
+        assert (len(grid.cells()), len(grid.cells()) * grid.trials) == (2116, 21160)
 
     def test_trial_dump_instance(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
@@ -457,6 +508,13 @@ class TestCli:
         assert main([command]) == EXIT_OK
         assert main([command, "--max-iters", "1000"]) == EXIT_OK
         assert seen == [default, 1000]
+
+    def test_threshold_is_no_option(self, capsys):
+        """Success is fixed at rel_err < SUCCESS_THRESHOLD; no command takes
+        --threshold."""
+        for command in ("trial", "phase", "scaling"):
+            assert main([command, "--threshold", "0.05"]) == EXIT_USAGE
+            assert "unrecognized arguments: --threshold" in capsys.readouterr().err
 
     def test_mu_without_nu_is_usage_error(self, capsys):
         # --mu is no flag any more (solve derives mu), so it is refused as unknown

@@ -129,10 +129,12 @@ class TestProjectIncoherent:
         np.testing.assert_allclose(u[keep], ref[keep], atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:incoherence projection:RuntimeWarning")
-    def test_optimality_against_perturbations(self, rng):
+    def test_optimality_against_perturbations(self, rng, monkeypatch):
+        monkeypatch.setattr(solver_module, "_PROJECTION_TOL", 1e-12)
+        monkeypatch.setattr(solver_module, "_PROJECTION_MAX_ITERS", 5000)
         basis = dft_basis(24, 7)
         g = 2.0 * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
-        z = project_incoherent(g, basis, bound=1.0, tol=1e-12, max_iters=5000)
+        z = project_incoherent(g, basis, bound=1.0)
         best = np.linalg.norm(z - g)
         for _ in range(200):
             trial = z + 0.01 * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
@@ -413,6 +415,28 @@ class TestSolve:
                             lambda *args, **kwargs: Evaluation(np.inf, 0.0))
         with pytest.raises(NumericalFailureError, match="start point"):
             solve(ens, obs, SolverConfig(), truth=truth)
+
+    def test_no_decrease_stop(self, monkeypatch):
+        """When every step trial is non-finite, the search halves from 2 eta0
+        down to _MIN_ETA and gives up: TWO seed 5 stops on "no_decrease" at
+        iteration 1, with eta 0, 63 trials and the start's rel_err."""
+        ens, truth, obs = make_instance(TWO, seed=5)
+        real = solver_module.evaluate
+
+        def steps_fail(*args, grad=False):
+            return Evaluation(np.inf, 0.0) if grad else real(*args)
+
+        monkeypatch.setattr(solver_module, "evaluate", steps_fail)
+        _, trace = solve(ens, obs, SolverConfig(), truth=truth)
+        assert (trace.stop_reason, trace.iterations) == ("no_decrease", 1)
+        assert (trace.eta[-1], trace.evals[-1]) == (0.0, 63)
+        assert trace.rel_err[-1] == trace.rel_err[0]
+
+    def test_zero_observation_raises(self):
+        """y = 0 has scale exponent 0 and no spectral start."""
+        ens, truth, _ = make_instance(TWO, seed=5)
+        with pytest.raises(DegenerateInputError, match="zero observation"):
+            solve(ens, ObservationVector(np.zeros(TWO.L)), SolverConfig(), truth=truth)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
