@@ -27,7 +27,7 @@ import numpy as np
 from .instances import TrialSpec, check_coding_fits, relative_error, synthesize
 from .objective import PenaltyParams, coherences, grad_total, loss_total
 from .operators import (BlockFactorPair, Dimensions, adjoint_component, check_counts,
-                        dft_basis, forward_map)
+                        check_seeds, dft_basis, forward_map)
 from .solver import NumericalFailureError, SolverConfig, solve
 
 __all__ = [
@@ -48,7 +48,8 @@ _ISOMETRY_GUARD = 20  # max Q*N for exhaustive sign enumeration
 
 
 def _derive_seed(base: int, *idx: int) -> int:
-    return int(np.random.SeedSequence([int(base), *map(int, idx)]).generate_state(1)[0])
+    """Trial seed from a checked base seed and loop indices."""
+    return int(np.random.SeedSequence([base, *idx]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,7 @@ def run_phase_transition(grid: SweepGrid, cfg: SolverConfig | None = None,
     """Success fraction per (K, M, Q) cell, in (Q, K, M) order.  Returns the
     rows and, when `out` is given, writes each as CSV when its cell ends."""
     check_counts(trials=grid.trials, workers=workers)
+    check_seeds(base_seed=base_seed)
     cells = grid.cells()  # validates every cell up front
     # a cell's seeds derive from its index in grid.cells(), not its run order
     order = sorted(range(len(cells)), key=lambda ci: (cells[ci].Q, cells[ci].K, cells[ci].M))
@@ -196,6 +198,7 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
     with the noiseless point (None or inf) last.  The same seeds are reused
     across SNR values so the comparison is paired."""
     check_counts(trials=trials, workers=workers)
+    check_seeds(base_seed=base_seed)
     check_coding_fits(dims)
     points = [None if s is None or math.isinf(s) else float(s) for s in snr_values]
     if any(s is not None and math.isnan(s) for s in points):
@@ -224,10 +227,12 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
     succeed (relative error below SUCCESS_THRESHOLD), per transmitter count
     N, located by bisection over the L grid (nan when even L_max falls
     short).  Raises ValueError before any trial for a count that is not an
-    integer >= 1 (K, M, each N, trials, L_step, workers), no N at all, or
-    when some N admits no L up to L_max."""
+    integer >= 1 (K, M, each N, trials, L_step, workers), no N at all, a
+    base_seed that is not an integer >= 0, or when some N admits no L up to
+    L_max."""
     check_counts(trials=trials, L_step=L_step, workers=workers, K=K, M=M,
                  N_values=len(N_values))
+    check_seeds(base_seed=base_seed)
     grids = []  # (N, admissible L values); the coding needs Q = L >= K * N
     for N in N_values:
         check_counts(N=N)
@@ -398,19 +403,22 @@ def run_probe(kind: str, params: dict | None = None, out=None) -> dict:
     """Run a numerical identity probe and return (optionally JSON-dump) the
     report.  kinds: adjoint | isometry | rip | gradcheck.  params: `dims`,
     `seed` and the kind's count (`trials` or `draws`), defaults per kind in
-    `_PROBES`; any other key is rejected before the probe runs."""
+    `_PROBES`; any other key, a count that is not an integer >= 1 or a seed
+    that is not an integer >= 0 is rejected before the probe runs."""
     import json
 
     if kind not in _PROBES:
         raise ValueError(f"unknown probe kind {kind!r}")
     probe, dims, count, default = _PROBES[kind]
     params = dict(params or {})
-    seed = int(params.pop("seed", 0))
+    seed = params.pop("seed", 0)
     dims = params.pop("dims", dims)
     counts = {} if count is None else {count: params.pop(count, default)}
     if params:
         raise ValueError(f"unused probe parameters: {sorted(params)}")
     check_counts(**counts)
+    check_seeds(seed=seed)
+    seed = int(seed)  # exact once checked, and json writes no numpy integer
     report = {"kind": kind, "seed": seed, **probe(dims, seed, *counts.values())}
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:

@@ -4,12 +4,14 @@ Every random draw is keyed off a 64-bit trial seed through numpy's
 SeedSequence, with fixed integer stream tags per purpose (modulation,
 channels, coefficients, noise), so a TrialSpec reproduces its instance
 bit-for-bit.  Coding matrices are deterministic DCT column subsets and do
-not consume randomness.
+not consume randomness; `synthesize` shares one cached read-only stack of
+them per (Q, K, N).
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ from .operators import (
     Dimensions,
     MeasurementEnsemble,
     ObservationVector,
+    check_seeds,
     forward_map,
 )
 
@@ -47,17 +50,21 @@ _STREAM_NOISE = 4
 
 
 def _rng(seed: int, *tags: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *tags]))
+    check_seeds(seed=seed)
+    return np.random.default_rng(np.random.SeedSequence([seed, *tags]))
 
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """One reproducible experiment instance: geometry, seed and optional SNR
-    in dB (None = noiseless)."""
+    """One reproducible experiment instance: geometry, seed (an integer
+    >= 0) and optional SNR in dB (None = noiseless)."""
 
     dims: Dimensions
     seed: int
     snr_db: float | None = None
+
+    def __post_init__(self):
+        check_seeds(seed=self.seed)
 
 
 def check_coding_fits(dims: Dimensions) -> None:
@@ -67,11 +74,13 @@ def check_coding_fits(dims: Dimensions) -> None:
 
 
 def make_coding_matrix(Q: int, K: int, n: int, stride: int = 1) -> np.ndarray:
-    """Q x K orthonormal coding matrix for component n.
+    """Q x K orthonormal coding matrix for component n, as a fresh array.
 
     Columns are the DCT-II (orthonormal) columns {n, n+stride, n+2*stride,
     ...}; with stride = N the column sets of distinct components are
-    disjoint, keeping components distinguishable.
+    disjoint, keeping components distinguishable.  `synthesize` does not
+    call this per trial: it shares one cached, read-only (N, Q, K) stack of
+    these matrices per (Q, K, N).
     """
     if not 1 <= K <= Q:
         raise ValueError(f"need 1 <= K <= Q, got K={K}, Q={Q}")
@@ -87,6 +96,17 @@ def make_coding_matrix(Q: int, K: int, n: int, stride: int = 1) -> np.ndarray:
     select = np.zeros((Q, K))
     select[idx, np.arange(K)] = 1.0
     return dct(select, norm="ortho", axis=0)
+
+
+@functools.lru_cache(maxsize=4)
+def _coding_stack(Q: int, K: int, N: int) -> np.ndarray:
+    """The (N, Q, K) stack of `make_coding_matrix(Q, K, n, stride=N)`,
+    cached and read-only.  A sweep runs its cells in (Q, K, M) order, so one
+    entry serves every M of a (Q, K) row; at the paper grid's largest cell
+    (Q = 3200, K = 24, N = 2) an entry is 1.2 MB."""
+    stack = np.stack([make_coding_matrix(Q, K, n, stride=N) for n in range(N)])
+    stack.setflags(write=False)
+    return stack
 
 
 def make_modulation(Q: int, n: int, seed: int) -> np.ndarray:
@@ -115,8 +135,7 @@ def synthesize(spec: TrialSpec) -> tuple[MeasurementEnsemble, BlockFactorPair, O
     """
     d = spec.dims
     modulation = np.stack([make_modulation(d.Q, n, spec.seed) for n in range(d.N)])
-    coding = np.stack([make_coding_matrix(d.Q, d.K, n, stride=d.N) for n in range(d.N)])
-    ens = MeasurementEnsemble(dims=d, modulation=modulation, coding=coding)
+    ens = MeasurementEnsemble(dims=d, modulation=modulation, coding=_coding_stack(d.Q, d.K, d.N))
     truth = make_ground_truth(spec)
     clean = forward_map(ens, truth)
     if spec.snr_db is None or np.isinf(spec.snr_db):

@@ -19,6 +19,8 @@ Conventions
       A_n(h x^*) = (F_M h) * (conj(B_n) conj(x)),   B_n = sqrt(L) F_Q R_n C_n.
 
   The conjugated coded spectra ``conj(B_n)`` are cached on the ensemble.
+  ``r_n * C_n`` is real, so its spectrum is Hermitian: they are built from
+  one ``rfft`` (rows ``0..L//2``) and its conjugate mirror (the rest).
 * Inner products are conjugate-linear in the first argument,
   ``<a, b> = a^H b``; the Frobenius pairing is ``<X, Y> = trace(X^H Y)``.
 """
@@ -41,6 +43,7 @@ __all__ = [
     "dense_oracle",
     "dft_basis",
     "check_counts",
+    "check_seeds",
 ]
 
 _ORTHO_TOL = 1e-12
@@ -69,9 +72,20 @@ class Dimensions:
 def check_counts(**counts) -> None:
     """Raise ValueError for a count that is not an integer >= 1 (a bool is
     not a count)."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+    _check_integers(counts, 1)
+
+
+def check_seeds(**seeds) -> None:
+    """Raise ValueError for a seed that is not an integer >= 0 (a bool is
+    not a seed).  Seeds are never coerced: 1.5 and True are errors, not
+    seed 1."""
+    _check_integers(seeds, 0)
+
+
+def _check_integers(values: dict, least: int) -> None:
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
 
 
 @functools.lru_cache(maxsize=32)
@@ -93,7 +107,9 @@ class MeasurementEnsemble:
     real orthonormal Q x K coding matrices C_n.
 
     The conjugated coded spectra conj(sqrt(L) F_Q R_n C_n), shape (N, L, K),
-    are precomputed once and shared read-only.
+    are precomputed once, from an rfft of the real r_n * C_n and its
+    conjugate mirror, and shared read-only.  Every coding stack is checked
+    for orthonormality (one batched C_n^T C_n), including a shared cached one.
     """
 
     dims: Dimensions
@@ -111,14 +127,12 @@ class MeasurementEnsemble:
             raise ValueError(f"coding shape {coding.shape} != {(d.N, d.Q, d.K)}")
         if not np.all(np.abs(modulation) == 1.0):
             raise ValueError("modulation entries must be exactly +-1")
-        eye = np.eye(d.K)
-        for n in range(d.N):
-            err = np.linalg.norm(coding[n].T @ coding[n] - eye)
-            if err > _ORTHO_TOL * max(1.0, d.K):
-                raise ValueError(f"coding matrix {n} not orthonormal (defect {err:.2e})")
-        # conj(B_n) with B_n = sqrt(L) F_Q diag(r_n) C_n; sqrt(L) F_Q = plain FFT
-        modulated = modulation[:, :, None] * coding           # (N, Q, K)
-        spectra = np.conj(np.fft.fft(modulated, n=d.L, axis=1))
+        defects = np.linalg.norm(coding.transpose(0, 2, 1) @ coding - np.eye(d.K), axis=(1, 2))
+        bad = np.flatnonzero(~(defects <= _ORTHO_TOL * max(1.0, d.K)))  # NaN is bad too
+        if bad.size:
+            n = bad[0]
+            raise ValueError(f"coding matrix {n} not orthonormal (defect {defects[n]:.2e})")
+        spectra = _conj_coded_spectra(modulation[:, :, None] * coding, d.L)
         for arr in (modulation, coding, spectra):
             arr.setflags(write=False)
         object.__setattr__(self, "modulation", modulation)
@@ -128,6 +142,19 @@ class MeasurementEnsemble:
     def _check_component(self, n: int) -> None:
         if not 0 <= n < self.dims.N:
             raise ValueError(f"component index {n} out of range [0, {self.dims.N})")
+
+
+def _conj_coded_spectra(modulated: np.ndarray, L: int) -> np.ndarray:
+    """conj(B_n) for every n, shape (N, L, K), from the real (N, Q, K) stack
+    r_n * C_n: B_n = sqrt(L) F_Q diag(r_n) C_n is its plain zero-padded FFT
+    along Q.  A real input's FFT is Hermitian, X[L - k] = conj(X[k]), so the
+    rfft gives rows 0..L//2 and the rest are their mirror."""
+    half = L // 2 + 1
+    spectra = np.empty((modulated.shape[0], L, modulated.shape[2]), dtype=complex)
+    np.conjugate(np.fft.rfft(modulated, n=L, axis=1), out=spectra[:, :half])
+    # row k >= half is conj(X[k]) = X[L - k] = conj(row L - k), L - k in [1, L - half]
+    np.conjugate(spectra[:, L - half:0:-1], out=spectra[:, half:])
+    return spectra
 
 
 @dataclass

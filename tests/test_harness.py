@@ -230,6 +230,31 @@ class TestSweeps:
             run(out)
         assert calls == [] and out.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("run", [
+        lambda out: run_probe("adjoint", {"seed": 1.5, "trials": 1}, out=out),
+        lambda out: run_probe("adjoint", {"seed": True, "trials": 1}, out=out),
+        lambda out: run_probe("isometry", {"seed": -1}, out=out),
+        lambda out: run_phase_transition(
+            SweepGrid(L=64, N=1, Q_values=(64,), K_values=(2,), M_values=(2,), trials=1),
+            out=out, base_seed=1.5),
+        lambda out: run_snr_sweep(EASY, [20.0], trials=1, out=out, base_seed=True),
+        lambda out: run_transmitter_sweep(N_values=(1,), K=2, M=2, L_max=32, trials=1,
+                                          out=out, base_seed="1"),
+    ], ids=["probe-seed-1.5", "probe-seed-True", "probe-seed--1", "phase-base_seed-1.5",
+            "snr-base_seed-True", "scaling-base_seed-str"])
+    def test_invalid_seed_rejected_before_any_work(self, run, tmp_path, monkeypatch):
+        """A seed is checked as an integer >= 0 (a bool is not one) before any
+        trial runs or `out` is opened, not coerced: 1.5 and True would run as
+        seed 1."""
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        monkeypatch.setattr(harness, "synthesize", lambda spec: calls.append(spec))
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        with pytest.raises(ValueError, match="seed must be >= 0 and an integer"):
+            run(out)
+        assert calls == [] and out.read_text() == "kept\n"
+
     def test_unwritable_output_fails_before_compute(self, tmp_path):
         grid = SweepGrid(L=64, N=1, Q_values=(64,), K_values=(2,),
                          M_values=(2,), trials=1)
@@ -333,6 +358,13 @@ class TestCli:
 
     def test_invalid_dimensions(self, capsys):
         assert main(["trial", "--L", "4", "--Q", "9"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", [["trace"], ["phase", "--Q-values", "16"]])
+    def test_negative_seed_is_usage_error_before_output(self, command, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*command, *TINY, "--seed", "-1", "--out", str(out)]) == EXIT_USAGE
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_phase_cell_without_coding_is_usage_error(self, tmp_path, monkeypatch, capsys):
         calls = []

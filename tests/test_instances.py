@@ -1,8 +1,10 @@
 """Tests of seeded instance generation, the relative-error metric and the
 JSON snapshot format."""
 
+import dataclasses
 import functools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,6 +76,16 @@ class TestModulation:
         np.testing.assert_array_equal(make_modulation(64, 0, 3),
                                       make_modulation(64, 0, 3))
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "1", None],
+                             ids=["1.5", "True", "-1", "str", "None"])
+    def test_invalid_seed_rejected(self, seed):
+        """A seed is an integer >= 0, never coerced: 1.5 and True would run
+        as seed 1."""
+        with pytest.raises(ValueError, match="seed must be >= 0 and an integer"):
+            make_modulation(8, 0, seed)
+        with pytest.raises(ValueError, match="seed must be >= 0 and an integer"):
+            TrialSpec(DIMS, seed=seed)
+
 
 class TestGroundTruth:
     def test_component_energies(self):
@@ -113,6 +125,25 @@ class TestSynthesize:
     def test_infinite_snr_is_noiseless(self):
         _, _, obs = synthesize(TrialSpec(DIMS, seed=4, snr_db=np.inf))
         assert obs.noise is None
+
+    def test_shares_one_read_only_coding_stack(self):
+        """Trials with the same (Q, K, N), whatever their L, M and seed, share
+        one read-only stack of `make_coding_matrix(Q, K, n, stride=N)`."""
+        e1, _, _ = synthesize(TrialSpec(DIMS, seed=1))
+        e2, _, _ = synthesize(TrialSpec(dataclasses.replace(DIMS, L=DIMS.Q, M=2), seed=2))
+        assert e1.coding is e2.coding
+        for n in range(DIMS.N):
+            assert np.array_equal(e1.coding[n],
+                                  make_coding_matrix(DIMS.Q, DIMS.K, n, stride=DIMS.N))
+        with pytest.raises(ValueError, match="read-only"):
+            e1.coding[0, 0, 0] = 0.0
+
+    def test_make_coding_matrix_is_fresh_and_writable(self):
+        synthesize(TrialSpec(DIMS, seed=1))
+        C = make_coding_matrix(DIMS.Q, DIMS.K, 0, stride=DIMS.N)
+        C[0, 0] = 7.0
+        assert make_coding_matrix(DIMS.Q, DIMS.K, 0, stride=DIMS.N)[0, 0] != 7.0
+        assert synthesize(TrialSpec(DIMS, seed=1))[0].coding[0, 0, 0] != 7.0
 
 
 class TestRelativeError:
@@ -205,6 +236,18 @@ class TestSnapshot:
         doc = json.loads(snapshot_to_json(spec, *synthesize(spec)))
         assert doc["format"] == "moddemix-instance-v1"
         assert doc["dims"] == {"L": 32, "Q": 16, "M": 4, "K": 3, "N": 2}
+
+    def test_rejects_perturbed_coding(self):
+        """A coding matrix read from outside is checked, even though the one
+        `synthesize` shares is orthonormal by construction."""
+        spec = TrialSpec(DIMS, seed=11)
+        ens, truth, obs = synthesize(spec)
+        coding = ens.coding.copy()
+        coding[1, 0, 0] += 1e-6
+        text = snapshot_to_json(spec, SimpleNamespace(modulation=ens.modulation,
+                                                      coding=coding), truth, obs)
+        with pytest.raises(ValueError, match="coding matrix 1 not orthonormal"):
+            snapshot_from_json(text)
 
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError, match="format"):

@@ -3,6 +3,8 @@ matrix oracle they must agree with."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import SMALL_DIMS, make_instance, random_pair
 from moddemix.operators import (
@@ -81,10 +83,13 @@ class TestEnsemble:
             MeasurementEnsemble(d, np.full((1, 4), 0.5), coding)
 
     def test_rejects_nonorthonormal_coding(self):
-        d = Dimensions(L=8, Q=4, M=2, K=2, N=1)
-        bad = np.ones((1, 4, 2))
-        with pytest.raises(ValueError, match="orthonormal"):
-            MeasurementEnsemble(d, np.ones((1, 4)), bad)
+        """The batched check names the first bad component; a non-finite
+        coding matrix is not orthonormal either."""
+        d = Dimensions(L=8, Q=4, M=2, K=2, N=2)
+        for bad in (np.ones((4, 2)), np.full((4, 2), np.nan)):
+            coding = np.stack([np.eye(4)[:, :2], bad])
+            with pytest.raises(ValueError, match="coding matrix 1 not orthonormal"):
+                MeasurementEnsemble(d, np.ones((2, 4)), coding)
 
     def test_shape_validation(self):
         d = Dimensions(L=8, Q=4, M=2, K=2, N=2)
@@ -98,12 +103,39 @@ class TestEnsemble:
                 arr[0] = 0
 
     def test_coded_spectra_definition(self):
-        d = Dimensions(L=16, Q=8, M=3, K=2, N=2)
-        ens, _, _ = make_instance(d)
-        for n in range(d.N):
-            B = np.sqrt(d.L) * dft_basis(d.L, d.Q) @ (
-                ens.modulation[n][:, None] * ens.coding[n])
-            np.testing.assert_allclose(ens.coded_spectra[n], np.conj(B), atol=1e-12)
+        """At an even and an odd L: the rfft mirror is exact for both."""
+        for d in (Dimensions(L=16, Q=8, M=3, K=2, N=2), Dimensions(L=15, Q=9, M=3, K=2, N=2)):
+            ens, _, _ = make_instance(d)
+            for n in range(d.N):
+                B = np.sqrt(d.L) * dft_basis(d.L, d.Q) @ (
+                    ens.modulation[n][:, None] * ens.coding[n])
+                np.testing.assert_allclose(ens.coded_spectra[n], np.conj(B), atol=1e-12)
+
+
+@st.composite
+def _dimensions(draw) -> Dimensions:
+    """Any small geometry: L odd or even, Q <= L, K * N <= Q."""
+    L = draw(st.integers(1, 40))
+    Q = draw(st.integers(1, L))
+    N = draw(st.integers(1, min(Q, 3)))
+    return Dimensions(L=L, Q=Q, M=draw(st.integers(1, L)),
+                      K=draw(st.integers(1, Q // N)), N=N)
+
+
+class TestCodedSpectraProperty:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(d=_dimensions(), seed=st.integers(0, 2**32 - 1))
+    @example(d=Dimensions(L=15, Q=12, M=3, K=4, N=3), seed=0)  # odd L, Q < L, K N = Q
+    @example(d=Dimensions(L=16, Q=16, M=2, K=8, N=2), seed=0)  # even L, Q = L, K N = Q
+    @example(d=Dimensions(L=1, Q=1, M=1, K=1, N=1), seed=0)
+    @example(d=Dimensions(L=2, Q=1, M=1, K=1, N=1), seed=0)
+    def test_mirrored_rfft_is_the_full_fft(self, d, seed):
+        """The rfft-plus-mirror spectra equal conj(fft(r * C)) to 1e-13
+        relative.  About 0.3 s."""
+        ens, _, _ = make_instance(d, seed)
+        ref = np.conj(np.fft.fft(ens.modulation[:, :, None] * ens.coding, n=d.L, axis=1))
+        assert ens.coded_spectra.shape == (d.N, d.L, d.K)
+        assert np.linalg.norm(ens.coded_spectra - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestForwardAdjoint:
