@@ -159,9 +159,8 @@ def relative_error(est: BlockFactorPair, truth: BlockFactorPair) -> float:
 
 def relative_error_to(truth: BlockFactorPair) -> Callable[[BlockFactorPair], float]:
     """`relative_error(est, truth)` as a function of est, with the truth's
-    side (its conjugates and sum_n ||h0_n||^2 ||x0_n||^2) computed once."""
+    side (sum_n ||h0_n||^2 ||x0_n||^2) computed once."""
     h0, x0 = truth.channels, truth.coefficients
-    conj_truth = np.conj(h0), np.conj(x0)
     with np.errstate(all="ignore"):
         energy = _energy(h0, x0)
 
@@ -170,7 +169,7 @@ def relative_error_to(truth: BlockFactorPair) -> Callable[[BlockFactorPair], flo
         if h.shape != h0.shape or x.shape != x0.shape:
             raise ValueError("estimate/truth shapes differ")
         with np.errstate(all="ignore"):  # an overflow or underflow is redone below
-            num = _energy(h, x) + energy - 2.0 * _cross(h, x, *conj_truth)
+            num = _energy(h, x) + energy - 2.0 * _cross(h, x, h0, x0)
         if math.isfinite(num) and energy > 2.0 ** -600:
             return float(np.sqrt(max(num, 0.0) / energy))
         return _rescaled_error(h, x, h0, x0)  # overflow, or near underflow
@@ -180,14 +179,13 @@ def relative_error_to(truth: BlockFactorPair) -> Callable[[BlockFactorPair], flo
 
 def _energy(h: np.ndarray, x: np.ndarray) -> float:
     """Sum_n ||h_n x_n^*||_F^2 = sum_n ||h_n||^2 ||x_n||^2."""
-    return float(np.dot(np.einsum("nm,nm->n", h.conj(), h).real,
-                        np.einsum("nk,nk->n", x.conj(), x).real))
+    return float(np.dot(np.vecdot(h, h).real, np.vecdot(x, x).real))
 
 
-def _cross(h, x, conj_h0, conj_x0) -> float:
-    """Re sum_n <h0_n x0_n^*, h_n x_n^*>_F, given conj(h0) and conj(x0); the
-    squared distance of the blocks is _energy(h, x) + _energy(h0, x0) - 2 cross."""
-    return np.vdot(np.einsum("nm,nm->n", conj_h0, h), np.einsum("nk,nk->n", conj_x0, x)).real
+def _cross(h, x, h0, x0) -> float:
+    """Re sum_n <h0_n x0_n^*, h_n x_n^*>_F = Re sum_n conj(<h0_n, h_n>) <x0_n, x_n>;
+    the squared distance of the blocks is _energy(h, x) + _energy(h0, x0) - 2 cross."""
+    return np.vdot(np.vecdot(h0, h), np.vecdot(x0, x)).real
 
 
 def _rescaled_error(h, x, h0, x0) -> float:
@@ -205,7 +203,7 @@ def _rescaled_error(h, x, h0, x0) -> float:
         raise ValueError("degenerate zero truth")
     hi = max(k, 0)
     num = (math.ldexp(_energy(h, x), 2 * (k - hi))
-           - 2.0 * math.ldexp(_cross(h, x, np.conj(h0), np.conj(x0)), k - 2 * hi)
+           - 2.0 * math.ldexp(_cross(h, x, h0, x0), k - 2 * hi)
            + math.ldexp(energy0, -2 * hi))
     with np.errstate(over="ignore"):  # an error above the double range is inf
         return float(np.ldexp(math.sqrt(max(num, 0.0) / energy0), hi))

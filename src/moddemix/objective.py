@@ -61,25 +61,27 @@ class CoherenceReport:
         return float(np.sqrt(self.nu_sq))
 
 
+def _coded_messages(ens: MeasurementEnsemble, x: np.ndarray) -> np.ndarray:
+    """The coded messages C_n x_n as (Q, N) columns.  The coding is real:
+    one real product on x's (re, im) pairs, viewed as complex."""
+    pairs = np.ascontiguousarray(x).view(float).reshape(*x.shape, 2)
+    return (ens.coding @ pairs).view(complex)[..., 0].T
+
+
 def coherences(ens: MeasurementEnsemble, z: BlockFactorPair) -> CoherenceReport:
     """Compute mu^2, nu^2 and the per-component energies d_n."""
     z.check_dims(ens.dims)
     d = ens.dims
-    h_norms = np.linalg.norm(z.channels, axis=1)
-    x_norms = np.linalg.norm(z.coefficients, axis=1)
-    if np.any(h_norms == 0.0) or np.any(x_norms == 0.0):
+    h, x = z.channels, z.coefficients
+    h_sq, x_sq = np.vecdot(h, h).real, np.vecdot(x, x).real
+    if np.any(h_sq == 0.0) or np.any(x_sq == 0.0):
         raise DegenerateInputError("coherences undefined for zero factors")
-    spectra = dft_basis(d.L, d.M) @ z.channels.T                    # (L, N)
-    mu_sq = d.L * np.max(np.max(np.abs(spectra), axis=0) ** 2 / h_norms**2)
-    coded = np.einsum("nqk,nk->qn", ens.coding, z.coefficients)     # (Q, N)
-    nu_sq = d.Q * np.max(np.max(np.abs(coded), axis=0) ** 2 / x_norms**2)
-    d_n = h_norms * x_norms
-    return CoherenceReport(
-        mu_sq=float(mu_sq),
-        nu_sq=float(nu_sq),
-        d_n=d_n,
-        d0=float(np.sqrt(np.sum(d_n**2))),
-    )
+    spectra = dft_basis(d.L, d.M) @ h.T                               # (L, N)
+    mu_sq = d.L * np.max(np.max(np.abs(spectra), axis=0) ** 2 / h_sq)
+    nu_sq = d.Q * np.max(np.max(np.abs(_coded_messages(ens, x)), axis=0) ** 2 / x_sq)
+    d_n = np.sqrt(h_sq) * np.sqrt(x_sq)
+    return CoherenceReport(mu_sq=float(mu_sq), nu_sq=float(nu_sq), d_n=d_n,
+                           d0=float(np.sqrt(np.sum(d_n**2))))
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,10 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     grad_h = A_n^*(residual) x_n + grad_h G and
     grad_x = [A_n^*(residual)]^H h_n + grad_x G.
     G is summed only when some hinge argument is not <= 1, since G0 and G0'
-    vanish at or below 1; a NaN argument takes that path too.  The hinge
+    vanish at or below 1.  The test reads each family's max|s|^2 * scale per
+    component, which decides exactly as the full arrays would (squaring and
+    positive scaling are monotone in floating point); a NaN takes the full
+    path too.  The hinge
     terms of the gradient are skipped when G = 0, where they vanish, and no
     gradient is formed (grad is None) where F + G is not finite.
     """
@@ -147,20 +152,18 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     d = ens.dims
     h, x = z.channels, z.coefficients
     spectra, coded_spectra = component_spectra(ens, z)                # (L, N) each
-    residual = np.sum(spectra * coded_spectra, axis=1) - y_hat.samples
-    # the coding is real: one real product on x's (re, im) pairs, viewed as complex
-    pairs = np.ascontiguousarray(x).view(float).reshape(d.N, d.K, 2)
-    coded = (ens.coding @ pairs).view(complex)[..., 0].T              # (Q, N)
+    residual = (spectra * coded_spectra).sum(axis=1) - y_hat.samples
+    coded = _coded_messages(ens, x)                                   # (Q, N)
     # hinge arguments; the trailing axis is the component, matching d_n
-    h_arg = np.einsum("nm,nm->n", h.conj(), h).real / (2 * p.d_n)
-    x_arg = np.einsum("nk,nk->n", x.conj(), x).real / (2 * p.d_n)
-    spec_arg = np.abs(spectra) ** 2 * (d.L / (8 * p.mu**2) / p.d_n)
-    coded_arg = np.abs(coded) ** 2 * (d.Q / (8 * p.nu**2) / p.d_n)
-    args = (h_arg, x_arg, spec_arg, coded_arg)
+    h_arg, x_arg = np.array((np.vecdot(h, h).real, np.vecdot(x, x).real)) / (2 * p.d_n)
+    spec_abs, spec_scale = np.abs(spectra), d.L / (8 * p.mu**2) / p.d_n
+    coded_abs, coded_scale = np.abs(coded), d.Q / (8 * p.nu**2) / p.d_n
     f = float(np.vdot(residual, residual).real)
     g = 0.0
-    if not all(a.max() <= 1.0 for a in args):
-        g = p.rho * float(sum(np.sum(_hinge(a)) for a in args))
+    if not np.concatenate((h_arg, x_arg, spec_abs.max(axis=0) ** 2 * spec_scale,
+                           coded_abs.max(axis=0) ** 2 * coded_scale)).max() <= 1.0:
+        spec_arg, coded_arg = spec_abs**2 * spec_scale, coded_abs**2 * coded_scale
+        g = p.rho * float(sum(np.sum(_hinge(a)) for a in (h_arg, x_arg, spec_arg, coded_arg)))
     if not grad or not math.isfinite(f + g):
         return Evaluation(f, g)
 

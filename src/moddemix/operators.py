@@ -119,8 +119,7 @@ class MeasurementEnsemble:
 
     def __post_init__(self):
         d = self.dims
-        modulation = np.asarray(self.modulation, dtype=float)
-        coding = np.asarray(self.coding, dtype=float)
+        modulation, coding = _read_only(self.modulation), _read_only(self.coding)
         if modulation.shape != (d.N, d.Q):
             raise ValueError(f"modulation shape {modulation.shape} != {(d.N, d.Q)}")
         if coding.shape != (d.N, d.Q, d.K):
@@ -133,8 +132,7 @@ class MeasurementEnsemble:
             n = bad[0]
             raise ValueError(f"coding matrix {n} not orthonormal (defect {defects[n]:.2e})")
         spectra = _conj_coded_spectra(modulation[:, :, None] * coding, d.L)
-        for arr in (modulation, coding, spectra):
-            arr.setflags(write=False)
+        spectra.setflags(write=False)
         object.__setattr__(self, "modulation", modulation)
         object.__setattr__(self, "coding", coding)
         object.__setattr__(self, "coded_spectra", spectra)
@@ -142,6 +140,16 @@ class MeasurementEnsemble:
     def _check_component(self, n: int) -> None:
         if not 0 <= n < self.dims.N:
             raise ValueError(f"component index {n} out of range [0, {self.dims.N})")
+
+
+def _read_only(a) -> np.ndarray:
+    """a as a read-only float array: taken as it is if it is one already (as
+    `synthesize`'s cached coding stack is), else a copy, so that the caller's
+    array stays writeable and later writes to it cannot reach the ensemble."""
+    if not (isinstance(a, np.ndarray) and a.dtype == float and not a.flags.writeable):
+        a = np.array(a, dtype=float)
+        a.setflags(write=False)
+    return a
 
 
 def _conj_coded_spectra(modulated: np.ndarray, L: int) -> np.ndarray:
@@ -242,11 +250,16 @@ def adjoint_component(ens: MeasurementEnsemble, n: int, w: np.ndarray) -> np.nda
     """A_n^*(w): the M x K adjoint block, satisfying
     <A_n(Z), w> = <Z, A_n^*(w)>_F exactly."""
     ens._check_component(n)
-    d = ens.dims
     w = np.asarray(w, dtype=complex)
-    if w.shape != (d.L,):
-        raise ValueError(f"input length {w.shape} != ({d.L},)")
-    return np.conj((np.conj(w)[:, None] * ens.coded_spectra[n]).T @ dft_basis(d.L, d.M)).T
+    if w.shape != (ens.dims.L,):
+        raise ValueError(f"input length {w.shape} != ({ens.dims.L},)")
+    return _adjoint_blocks(ens, w)[n]
+
+
+def _adjoint_blocks(ens: MeasurementEnsemble, w: np.ndarray) -> np.ndarray:
+    """A_n^*(w) = conj(F_M^T diag(conj(w)) conj(B_n)) for every n, shape
+    (N, M, K), from one batched product; w is the caller's to check."""
+    return np.conj(dft_basis(ens.dims.L, ens.dims.M).T @ (np.conj(w)[:, None] * ens.coded_spectra))
 
 
 def dense_oracle(ens: MeasurementEnsemble, n: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Spectral initialization and regularized Wirtinger gradient descent.
 
-The spectral start is the exact leading singular triple (SVD) of each
-back-projected M x K observation block; `initialize` pushes it into the
+The spectral start is the exact leading singular triple (one stacked SVD)
+of each back-projected M x K observation block; `initialize` pushes it into the
 incoherent set by a convex projection.  `solve` needs no ground truth: it
 takes its penalty parameters from the start point and runs simultaneous
 Wirtinger updates of all channel and coefficient blocks, with a
@@ -17,21 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import relative_error_to
-from .objective import (
-    DegenerateInputError,
-    PenaltyParams,
-    coherences,
-    evaluate,
-    grad_total,
-)
-from .operators import (
-    BlockFactorPair,
-    MeasurementEnsemble,
-    ObservationVector,
-    adjoint_component,
-    check_counts,
-    dft_basis,
-)
+from .objective import DegenerateInputError, PenaltyParams, coherences, evaluate, grad_total
+from .operators import (BlockFactorPair, MeasurementEnsemble, ObservationVector, _adjoint_blocks,
+                        check_counts, dft_basis)
 
 __all__ = [
     "SolverConfig",
@@ -116,16 +104,14 @@ class SolveTrace:
         return self.f + self.g
 
 
-def leading_singular_triple(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def leading_singular_triple(A: np.ndarray) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Exact leading singular triple (d, u, v) of a complex matrix, from its
-    SVD: A v = d u with unit u, v."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    U, s, Vh = np.linalg.svd(A)
-    if s[0] == 0.0:
+    SVD: A v = d u with unit u, v; of each matrix of a (..., M, K) stack, from
+    one stacked SVD.  Fewer than 2 dimensions raise LinAlgError, a ValueError."""
+    U, s, Vh = np.linalg.svd(np.asarray(A, dtype=complex))
+    if np.any(s[..., 0] == 0.0):
         raise DegenerateInputError("zero matrix has no leading singular triple")
-    return float(s[0]), U[:, 0], Vh[0].conj()
+    return s[..., 0], U[..., 0], Vh[..., 0, :].conj()
 
 
 def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float) -> np.ndarray:
@@ -180,13 +166,11 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float) -> np.nda
 
 def _spectral_start(ens: MeasurementEnsemble, y_hat: ObservationVector) -> InitResult:
     """d_n and the start (sqrt(d_n) u_n, sqrt(d_n) v_n), from the exact leading
-    singular triple of each back-projected M x K observation block."""
+    singular triples of all N blocks A_n^*(y_hat), formed at once."""
     y_hat.check_dims(ens.dims)
     if not np.any(y_hat.samples):
         raise DegenerateInputError("cannot initialize from a zero observation")
-    d_n, u, v = map(np.array, zip(*(
-        leading_singular_triple(adjoint_component(ens, n, y_hat.samples))
-        for n in range(ens.dims.N))))
+    d_n, u, v = leading_singular_triple(_adjoint_blocks(ens, y_hat.samples))
     root = np.sqrt(d_n)[:, None]
     return InitResult(d_n=d_n, start=BlockFactorPair(root * u, root * v))
 
@@ -240,19 +224,15 @@ def _next_start(g, g_new, eta, evals, eta0):
 
 def _normalize_output(z: BlockFactorPair) -> BlockFactorPair:
     """Balance per-component factor norms and fix the phase so the first
-    nonzero channel entry is real positive; leaves h_n x_n^* unchanged."""
-    h = z.channels.copy()
-    x = z.coefficients.copy()
-    for n in range(h.shape[0]):
-        hn, xn = np.linalg.norm(h[n]), np.linalg.norm(x[n])
-        if hn == 0.0 or xn == 0.0:
-            continue
-        nz = np.nonzero(h[n])[0][0]
-        theta = np.angle(h[n][nz])
-        beta = np.sqrt(xn / hn) * np.exp(-1j * theta)
-        h[n] *= beta
-        x[n] *= np.exp(-1j * theta) / np.sqrt(xn / hn)
-    return BlockFactorPair(h, x)
+    nonzero channel entry is real positive; leaves h_n x_n^* unchanged.  A
+    component with a zero factor is left as it is."""
+    h, x = z.channels, z.coefficients
+    hn, xn = np.sqrt(np.vecdot(h, h).real), np.sqrt(np.vecdot(x, x).real)
+    live = (hn > 0.0) & (xn > 0.0)
+    ratio = np.sqrt(np.divide(xn, hn, out=np.ones_like(hn), where=live))
+    lead = h[np.arange(h.shape[0]), np.argmax(h != 0, axis=1)]
+    phase = np.where(live, np.exp(-1j * np.angle(lead)), 1.0)
+    return BlockFactorPair.unchecked(h * (ratio * phase)[:, None], x * (phase / ratio)[:, None])
 
 
 def _scaled(z: BlockFactorPair, c: float) -> BlockFactorPair:
@@ -323,8 +303,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
 
     cur = evaluate(ens, z, y_hat, p)
     if not np.isfinite(cur.f_tilde):
-        raise NumericalFailureError(
-            f"non-finite objective ({cur.f_tilde}) at the start point")
+        raise NumericalFailureError(f"non-finite objective ({cur.f_tilde}) at the start point")
     f_init = max(cur.f_tilde, np.finfo(float).tiny)
     stop = "max_iters"
     err = record(0, cur, np.nan, 0.0, 1)

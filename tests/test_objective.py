@@ -302,15 +302,18 @@ class TestEvaluate:
 
     def test_nan_point_takes_the_full_hinge_path(self):
         """A NaN hinge argument is not <= 1, so G is summed and is NaN too,
-        never a silent 0."""
+        never a silent 0: for a NaN channel entry, and for a NaN coefficient
+        entry, which leaves the channel families finite, so that a test that
+        let a finite maximum outrank a NaN one (a Python max over the family
+        maxima) would report G = 0."""
         ens, truth, obs = make_instance(Dimensions(L=32, Q=16, M=4, K=3, N=2))
         p = oracle_params(ens, truth)
-        h = truth.channels.copy()
-        h[1, 2] = np.nan
-        ev = evaluate(ens, BlockFactorPair.unchecked(h, truth.coefficients.copy()), obs, p,
-                      grad=True)
-        assert np.isnan(ev.g) and np.isnan(ev.f_tilde)
-        assert ev.grad is None
+        for factor in (0, 1):
+            h, x = truth.channels.copy(), truth.coefficients.copy()
+            (h, x)[factor][1, 2] = np.nan
+            ev = evaluate(ens, BlockFactorPair.unchecked(h, x), obs, p, grad=True)
+            assert np.isnan(ev.g) and np.isnan(ev.f_tilde)
+            assert ev.grad is None
 
     @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
     def test_no_fft_calls(self, dims, rng, monkeypatch):

@@ -102,6 +102,19 @@ class TestEnsemble:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    def test_caller_arrays_stay_writeable(self):
+        """The ensemble keeps read-only copies: the caller's own arrays stay
+        writeable, and later writes to them do not reach the ensemble."""
+        d = Dimensions(L=8, Q=4, M=2, K=2, N=1)
+        modulation, coding = np.ones((1, 4)), np.eye(4)[None, :, :2].copy()
+        ens = MeasurementEnsemble(d, modulation, coding)
+        assert modulation.flags.writeable and coding.flags.writeable
+        kept = [arr.copy() for arr in (ens.modulation, ens.coding, ens.coded_spectra)]
+        modulation[0, 1] = -1.0
+        coding[0] = np.eye(4)[:, 2:]
+        for arr, want in zip((ens.modulation, ens.coding, ens.coded_spectra), kept):
+            np.testing.assert_array_equal(arr, want)
+
     def test_coded_spectra_definition(self):
         """At an even and an odd L: the rfft mirror is exact for both."""
         for d in (Dimensions(L=16, Q=8, M=3, K=2, N=2), Dimensions(L=15, Q=9, M=3, K=2, N=2)):

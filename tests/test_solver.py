@@ -25,7 +25,13 @@ from moddemix.objective import (
     coherences,
     evaluate,
 )
-from moddemix.operators import BlockFactorPair, Dimensions, ObservationVector, dft_basis
+from moddemix.operators import (
+    BlockFactorPair,
+    Dimensions,
+    ObservationVector,
+    adjoint_component,
+    dft_basis,
+)
 from moddemix.solver import (
     NumericalFailureError,
     SolverConfig,
@@ -95,6 +101,18 @@ class TestLeadingSingularTriple:
     def test_zero_matrix_raises(self):
         with pytest.raises(DegenerateInputError):
             leading_singular_triple(np.zeros((3, 3)))
+        with pytest.raises(DegenerateInputError):  # one zero matrix in a stack
+            leading_singular_triple(np.stack([np.eye(3), np.zeros((3, 3))]))
+
+    def test_stack_matches_each_matrix(self, rng):
+        A = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
+        d, u, v = leading_singular_triple(A)
+        assert d.shape == (3,) and u.shape == (3, 5) and v.shape == (3, 4)
+        for n in range(3):
+            dn, un, vn = leading_singular_triple(A[n])
+            assert d[n] == pytest.approx(dn, rel=1e-12)
+            np.testing.assert_allclose(np.outer(u[n], v[n].conj()),
+                                       np.outer(un, vn.conj()), atol=1e-12)
 
 
 class TestProjectIncoherent:
@@ -200,6 +218,24 @@ class TestInitialize:
         obs = ObservationVector(np.zeros(TWO.L))
         with pytest.raises(DegenerateInputError):
             initialize(ens, obs, 1.0, 1.0)
+
+    @pytest.mark.parametrize("dims", [
+        Dimensions(L=32, Q=16, M=4, K=3, N=1),
+        Dimensions(L=24, Q=16, M=5, K=8, N=2),   # K N = Q
+        Dimensions(L=12, Q=12, M=12, K=4, N=3),  # M = L and K N = Q
+    ], ids=str)
+    def test_batched_start_matches_each_component(self, dims):
+        """The start's d_n and rank-one blocks d_n u_n v_n^H, from one batched
+        adjoint and one stacked SVD, are each component's own leading
+        singular triple of A_n^*(y) to 1e-12 relative."""
+        ens, _, obs = make_instance(dims, seed=4, snr_db=20.0)
+        init = solver_module._spectral_start(ens, obs)
+        for n in range(dims.N):
+            d, u, v = leading_singular_triple(adjoint_component(ens, n, obs.samples))
+            assert init.d_n[n] == pytest.approx(d, rel=1e-12)
+            block = d * np.outer(u, v.conj())
+            assert np.linalg.norm(init.start.lifted_block(n) - block) \
+                <= 1e-12 * np.linalg.norm(block)
 
 
 class TestSolve:
@@ -322,6 +358,39 @@ class TestSolve:
         stacked = [np.concatenate([z.channels.ravel(), z.coefficients.ravel()])
                    for z, _ in points]
         assert len({a.tobytes() for a in stacked}) == len(points)
+
+    @pytest.mark.parametrize("dims", [EASY, TWO, Dimensions(L=48, Q=24, M=5, K=3, N=3)],
+                             ids=str)
+    def test_one_svd_per_solve(self, dims, monkeypatch):
+        """The spectral start decomposes all N blocks in one stacked call."""
+        calls = []
+        triple = solver_module.leading_singular_triple
+        monkeypatch.setattr(solver_module, "leading_singular_triple",
+                            lambda A: calls.append(np.shape(A)) or triple(A))
+        ens, _, obs = make_instance(dims, seed=1)
+        solve(ens, obs, SolverConfig(max_iters=3))
+        assert calls == [(dims.N, dims.M, dims.K)]
+
+    @pytest.mark.filterwarnings("error")
+    def test_normalize_output_keeps_zero_components(self, rng):
+        """A component with an all-zero channel row, or coefficient row, is left
+        as it is, with no warning; the others are balanced and phase-fixed,
+        and every block h_n x_n^H is kept."""
+        dims = Dimensions(L=16, Q=12, M=3, K=4, N=3)
+        z = random_pair(dims, rng)
+        z.channels[1] = 0.0
+        z.coefficients[2] = 0.0
+        out = solver_module._normalize_output(z)
+        for n in (1, 2):
+            np.testing.assert_array_equal(out.channels[n], z.channels[n])
+            np.testing.assert_array_equal(out.coefficients[n], z.coefficients[n])
+        assert np.linalg.norm(out.channels[0]) == pytest.approx(
+            np.linalg.norm(out.coefficients[0]), rel=1e-12)
+        lead = out.channels[0][0]
+        assert lead.real > 0 and abs(lead.imag) <= 1e-12 * lead.real
+        for n in range(dims.N):
+            block = z.lifted_block(n)
+            assert np.linalg.norm(out.lifted_block(n) - block) <= 1e-12 * np.linalg.norm(block)
 
     def test_evaluations_per_iteration(self):
         """Desk seeds 0-3 take 54 evaluations over 44 iterations (row 0's two
