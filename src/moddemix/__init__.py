@@ -31,7 +31,6 @@ from .solver import (
 )
 from .instances import (
     TrialSpec,
-    make_coding_matrix,
     make_ground_truth,
     make_modulation,
     relative_error,

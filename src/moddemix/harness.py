@@ -196,24 +196,22 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
                   workers: int = 1) -> list[dict]:
     """Geometric-mean relative error per SNR point, in ascending SNR order
     with the noiseless point (None or inf) last.  The same seeds are reused
-    across SNR values so the comparison is paired."""
+    across SNR values so the comparison is paired.  A NaN or -inf point is
+    a ValueError (`TrialSpec`) before any trial."""
     check_counts(trials=trials, workers=workers)
     check_seeds(base_seed=base_seed)
     check_coding_fits(dims)
-    points = [None if s is None or math.isinf(s) else float(s) for s in snr_values]
-    if any(s is not None and math.isnan(s) for s in points):
-        raise ValueError("SNR values must not be NaN")
-    points.sort(key=lambda s: math.inf if s is None else s)
+    points = sorted(math.inf if s is None else float(s) for s in snr_values)
+    specs = [TrialSpec(dims, seed=_derive_seed(base_seed, t), snr_db=snr_db)
+             for snr_db in points for t in range(trials)]
     header = ["snr_db", "L", "Q", "M", "K", "N", "trials", "mean_rel_err", "std_log10"]
     rows = []
     with _csv_rows(out, header, {"mean_rel_err": ".6e", "std_log10": ".4f"}) as emit, \
             _trial_runner(cfg or SolverConfig(max_iters=2000), workers) as run:
-        records = run(TrialSpec(dims, seed=_derive_seed(base_seed, t), snr_db=snr_db)
-                      for snr_db in points for t in range(trials))
+        records = run(specs)
         for snr_db in points:
             logs = np.log10([max(r.rel_err, 1e-300) for r in islice(records, trials)])
-            rows.append(emit((math.inf if snr_db is None else snr_db,
-                              dims.L, dims.Q, dims.M, dims.K, dims.N, trials,
+            rows.append(emit((snr_db, dims.L, dims.Q, dims.M, dims.K, dims.N, trials,
                               float(10.0 ** np.mean(logs)), float(np.std(logs)))))
     return rows
 

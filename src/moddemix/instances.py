@@ -32,7 +32,6 @@ from .operators import (
 __all__ = [
     "TrialSpec",
     "check_coding_fits",
-    "make_coding_matrix",
     "make_modulation",
     "make_ground_truth",
     "synthesize",
@@ -57,7 +56,8 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class TrialSpec:
     """One reproducible experiment instance: geometry, seed (an integer
-    >= 0) and optional SNR in dB (None = noiseless)."""
+    >= 0) and optional SNR in dB (None or +inf = noiseless; NaN and -inf
+    are a ValueError)."""
 
     dims: Dimensions
     seed: int
@@ -65,6 +65,8 @@ class TrialSpec:
 
     def __post_init__(self):
         check_seeds(seed=self.seed)
+        if self.snr_db is not None and not self.snr_db > -math.inf:
+            raise ValueError(f"snr_db must be above -inf and not NaN, got {self.snr_db}")
 
 
 def check_coding_fits(dims: Dimensions) -> None:
@@ -73,38 +75,16 @@ def check_coding_fits(dims: Dimensions) -> None:
         raise ValueError(f"Q={dims.Q}, K={dims.K}, M={dims.M}: N={dims.N} codings need K * N <= Q")
 
 
-def make_coding_matrix(Q: int, K: int, n: int, stride: int = 1) -> np.ndarray:
-    """Q x K orthonormal coding matrix for component n, as a fresh array.
-
-    Columns are the DCT-II (orthonormal) columns {n, n+stride, n+2*stride,
-    ...}; with stride = N the column sets of distinct components are
-    disjoint, keeping components distinguishable.  `synthesize` does not
-    call this per trial: it shares one cached, read-only (N, Q, K) stack of
-    these matrices per (Q, K, N).
-    """
-    if not 1 <= K <= Q:
-        raise ValueError(f"need 1 <= K <= Q, got K={K}, Q={Q}")
-    if n < 0 or stride < 1:
-        raise ValueError("component index must be >= 0 and stride >= 1")
-    idx = n + stride * np.arange(K)
-    if idx[-1] >= Q:
-        raise ValueError(
-            f"column subset {{{n}, {n}+{stride}, ...}} needs {idx[-1] + 1} DCT columns "
-            f"but Q={Q}")
-    # DCT of the K selected unit vectors: the same columns as the full Q x Q
-    # basis, without forming it
-    select = np.zeros((Q, K))
-    select[idx, np.arange(K)] = 1.0
-    return dct(select, norm="ortho", axis=0)
-
-
 @functools.lru_cache(maxsize=4)
 def _coding_stack(Q: int, K: int, N: int) -> np.ndarray:
-    """The (N, Q, K) stack of `make_coding_matrix(Q, K, n, stride=N)`,
-    cached and read-only.  A sweep runs its cells in (Q, K, M) order, so one
-    entry serves every M of a (Q, K) row; at the paper grid's largest cell
-    (Q = 3200, K = 24, N = 2) an entry is 1.2 MB."""
-    stack = np.stack([make_coding_matrix(Q, K, n, stride=N) for n in range(N)])
+    """The (N, Q, K) stack of coding matrices, cached, read-only and
+    C-contiguous (`evaluate`'s products would copy a strided view).  C_n is
+    the orthonormal DCT-II columns {n, n+N, ...}, disjoint across components:
+    one DCT of the first K*N unit vectors gives column k of C_n as column
+    k*N + n.  One entry serves every M of a sweep's (Q, K) row, 1.2 MB at
+    the paper grid's largest cell.  K * N <= Q is the caller's to check."""
+    columns = dct(np.eye(Q, K * N), norm="ortho", axis=0)
+    stack = np.ascontiguousarray(columns.reshape(Q, K, N).transpose(2, 0, 1))
     stack.setflags(write=False)
     return stack
 
@@ -134,11 +114,12 @@ def synthesize(spec: TrialSpec) -> tuple[MeasurementEnsemble, BlockFactorPair, O
     10*log10(||y_clean||^2 / ||e||^2) matches snr_db exactly.
     """
     d = spec.dims
+    check_coding_fits(d)
     modulation = np.stack([make_modulation(d.Q, n, spec.seed) for n in range(d.N)])
     ens = MeasurementEnsemble(dims=d, modulation=modulation, coding=_coding_stack(d.Q, d.K, d.N))
     truth = make_ground_truth(spec)
     clean = forward_map(ens, truth)
-    if spec.snr_db is None or np.isinf(spec.snr_db):
+    if spec.snr_db is None or spec.snr_db == math.inf:
         obs = ObservationVector(samples=clean, noise=None)
     else:
         rng = _rng(spec.seed, _STREAM_NOISE)
@@ -249,7 +230,8 @@ def snapshot_to_json(spec: TrialSpec, ens: MeasurementEnsemble,
 def snapshot_from_json(text: str) -> tuple[TrialSpec, MeasurementEnsemble,
                                            BlockFactorPair, ObservationVector]:
     """Rebuild an instance written by `snapshot_to_json`.  Raises ValueError
-    for text that is not a snapshot, naming a missing or malformed field."""
+    for text that is not a snapshot, naming a missing or malformed field, or
+    one whose arrays do not fit its dims."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != "moddemix-instance-v1":
         raise ValueError("unrecognized instance snapshot format")
@@ -261,6 +243,8 @@ def snapshot_from_json(text: str) -> tuple[TrialSpec, MeasurementEnsemble,
         truth = BlockFactorPair(_decode(doc["channels"]), _decode(doc["coefficients"]))
         noise = _decode(doc["noise"]) if "noise" in doc else None
         obs = ObservationVector(samples=_decode(doc["samples"]), noise=noise)
+        truth.check_dims(dims)
+        obs.check_dims(dims)
     except (KeyError, TypeError) as exc:  # a field missing, or of the wrong JSON type
         raise ValueError(f"malformed instance snapshot: {exc!r}") from None
     return spec, ens, truth, obs

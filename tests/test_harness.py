@@ -140,6 +140,17 @@ class TestSweeps:
                           trials=1)
         assert calls == [] and out.read_text() == "kept\n"
 
+    def test_snr_sweep_rejects_minus_inf_before_any_trial(self, tmp_path, monkeypatch):
+        """-inf dB is a ValueError before any trial, not the noiseless point."""
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        out = tmp_path / "snr.csv"
+        out.write_text("kept\n")
+        with pytest.raises(ValueError, match="snr_db must be above -inf"):
+            run_snr_sweep(EASY, [-math.inf, 20.0], SolverConfig(max_iters=5), out=out,
+                          trials=1)
+        assert calls == [] and out.read_text() == "kept\n"
+
     def test_transmitter_sweep_unreachable_is_nan(self):
         rows = run_transmitter_sweep(SolverConfig(max_iters=5), N_values=(4,),
                                      K=8, M=8, L_step=32, L_max=32, trials=2)
@@ -444,6 +455,28 @@ class TestCli:
                      "--max-iters", "5", "--out", str(out)]) == EXIT_USAGE
         assert "NaN" in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["trial", "trace"])
+    @pytest.mark.parametrize("snr", ["nan", "-inf"])
+    def test_nan_or_minus_inf_snr_is_usage_error_before_output(self, command, snr,
+                                                               tmp_path, capsys):
+        """`--snr-db` NaN or -inf exits 1 before `--out` is opened: a new
+        file is not created and an existing one is left as it was."""
+        new, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+        kept.write_text("kept\n")
+        for out in (new, kept):
+            assert main([command, *TINY, f"--snr-db={snr}", "--max-iters", "5",
+                         "--out", str(out)]) == EXIT_USAGE
+            assert "snr_db must be above -inf and not NaN" in capsys.readouterr().err
+        assert not new.exists() and kept.read_text() == "kept\n"
+
+    def test_trial_coding_that_does_not_fit_is_usage_error(self, tmp_path, capsys):
+        """K * N > Q exits 1 with the message every sweep gives."""
+        out = tmp_path / "t.json"
+        assert main(["trial", "--L", "32", "--Q", "16", "--M", "2", "--K", "9", "--N", "2",
+                     "--max-iters", "5", "--out", str(out)]) == EXIT_USAGE
+        assert "N=2 codings need K * N <= Q" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scaling_without_admissible_L(self, tmp_path, monkeypatch, capsys):
         calls = []

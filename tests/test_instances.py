@@ -4,15 +4,18 @@ JSON snapshot format."""
 import dataclasses
 import functools
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.fft import dct
 
 from moddemix.instances import (
     TrialSpec,
-    make_coding_matrix,
+    _coding_stack,
     make_ground_truth,
     make_modulation,
     relative_error,
@@ -20,45 +23,45 @@ from moddemix.instances import (
     snapshot_to_json,
     synthesize,
 )
-from moddemix.operators import BlockFactorPair, Dimensions, forward_map
+from moddemix.operators import BlockFactorPair, Dimensions, ObservationVector, forward_map
 
 DIMS = Dimensions(L=32, Q=16, M=4, K=3, N=2)
 
 
-class TestCodingMatrix:
-    @pytest.mark.parametrize("Q,K,n,stride", [(16, 4, 0, 1), (16, 3, 1, 2),
-                                              (32, 8, 2, 3), (8, 8, 0, 1)])
-    def test_orthonormal(self, Q, K, n, stride):
-        C = make_coding_matrix(Q, K, n, stride)
-        assert C.shape == (Q, K)
-        np.testing.assert_allclose(C.T @ C, np.eye(K), atol=1e-12)
+def _dense_columns(Q: int, K: int, N: int) -> np.ndarray:
+    """(N, Q, K): columns {n, n+N, ..., n+(K-1)N} of the full Q x Q
+    orthonormal DCT-II, for each n."""
+    dense = dct(np.eye(Q), norm="ortho", axis=0)
+    return np.stack([dense[:, n + N * np.arange(K)] for n in range(N)])
 
-    @pytest.mark.parametrize("Q,K,n,stride", [(8, 2, 1, 2), (24, 3, 2, 3),
-                                              (320, 8, 1, 2), (3200, 12, 1, 2)])
-    def test_equals_dense_dct_columns(self, Q, K, n, stride):
-        """Bit-identical to the columns of the full Q x Q orthonormal DCT-II."""
-        dense = dct(np.eye(Q), norm="ortho", axis=0)[:, n + stride * np.arange(K)]
-        assert np.array_equal(make_coding_matrix(Q, K, n, stride), dense)
 
-    def test_components_use_disjoint_columns(self):
-        N, Q, K = 3, 24, 5
-        cols = [make_coding_matrix(Q, K, n, stride=N) for n in range(N)]
-        # pairwise orthogonal because the DCT column subsets are disjoint
-        for i in range(N):
-            for j in range(i + 1, N):
-                assert np.max(np.abs(cols[i].T @ cols[j])) < 1e-12
+@st.composite
+def _coding_shapes(draw) -> tuple[int, int, int]:
+    """Any small (Q, K, N) with K * N <= Q."""
+    Q = draw(st.integers(1, 64))
+    N = draw(st.integers(1, min(Q, 4)))
+    return Q, draw(st.integers(1, Q // N)), N
 
-    def test_bounds_validation(self):
-        with pytest.raises(ValueError):
-            make_coding_matrix(8, 9, 0)
-        with pytest.raises(ValueError):
-            make_coding_matrix(8, 4, 2, stride=3)  # column 2+3*3=11 >= Q
-        with pytest.raises(ValueError):
-            make_coding_matrix(8, 4, -1)
-        with pytest.raises(ValueError, match="1 <= K"):
-            make_coding_matrix(8, 0, 0)
-        with pytest.raises(ValueError, match="1 <= K"):
-            make_coding_matrix(8, -1, 0)
+
+class TestCodingStack:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(shape=_coding_shapes())
+    @example(shape=(1, 1, 1))
+    @example(shape=(16, 8, 2))  # K N = Q
+    @example(shape=(24, 8, 3))  # K N = Q
+    @example(shape=(320, 8, 2))
+    @example(shape=(3200, 12, 2))
+    def test_is_disjoint_dense_dct_columns(self, shape):
+        """C_n is bit for bit the dense DCT-II columns {n, n+N, ...}; the
+        stack is read-only and C-contiguous, and its N K columns together
+        are orthonormal, so the components' columns are disjoint.  About
+        0.6 s, most of it the dense basis at Q = 3200."""
+        Q, K, N = shape
+        stack = _coding_stack(Q, K, N)
+        assert np.array_equal(stack, _dense_columns(Q, K, N))
+        assert not stack.flags.writeable and stack.flags.c_contiguous
+        columns = stack.transpose(1, 0, 2).reshape(Q, N * K)
+        np.testing.assert_allclose(columns.T @ columns, np.eye(N * K), atol=1e-12)
 
 
 class TestModulation:
@@ -128,22 +131,24 @@ class TestSynthesize:
 
     def test_shares_one_read_only_coding_stack(self):
         """Trials with the same (Q, K, N), whatever their L, M and seed, share
-        one read-only stack of `make_coding_matrix(Q, K, n, stride=N)`."""
+        one read-only stack of the dense DCT-II columns {n, n+N, ...}."""
         e1, _, _ = synthesize(TrialSpec(DIMS, seed=1))
         e2, _, _ = synthesize(TrialSpec(dataclasses.replace(DIMS, L=DIMS.Q, M=2), seed=2))
         assert e1.coding is e2.coding
-        for n in range(DIMS.N):
-            assert np.array_equal(e1.coding[n],
-                                  make_coding_matrix(DIMS.Q, DIMS.K, n, stride=DIMS.N))
+        assert np.array_equal(e1.coding, _dense_columns(DIMS.Q, DIMS.K, DIMS.N))
         with pytest.raises(ValueError, match="read-only"):
             e1.coding[0, 0, 0] = 0.0
 
-    def test_make_coding_matrix_is_fresh_and_writable(self):
-        synthesize(TrialSpec(DIMS, seed=1))
-        C = make_coding_matrix(DIMS.Q, DIMS.K, 0, stride=DIMS.N)
-        C[0, 0] = 7.0
-        assert make_coding_matrix(DIMS.Q, DIMS.K, 0, stride=DIMS.N)[0, 0] != 7.0
-        assert synthesize(TrialSpec(DIMS, seed=1))[0].coding[0, 0, 0] != 7.0
+    def test_coding_that_does_not_fit_is_rejected(self):
+        """K * N > Q is the error every sweep gives (`check_coding_fits`)."""
+        with pytest.raises(ValueError, match=r"N=2 codings need K \* N <= Q"):
+            synthesize(TrialSpec(dataclasses.replace(DIMS, K=9), seed=0))
+
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_nan_or_minus_inf_snr_rejected(self, snr):
+        """An SNR of NaN or -inf dB is no instance (+inf is noiseless)."""
+        with pytest.raises(ValueError, match="snr_db must be above -inf and not NaN"):
+            TrialSpec(DIMS, seed=4, snr_db=snr)
 
 
 class TestRelativeError:
@@ -252,6 +257,21 @@ class TestSnapshot:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             snapshot_from_json(json.dumps({"format": "other"}))
+
+    @pytest.mark.parametrize("field", ["samples", "channels", "coefficients"])
+    def test_rejects_arrays_that_contradict_dims(self, field):
+        """An array of the wrong length for the snapshot's own dims is a
+        ValueError naming it."""
+        spec = TrialSpec(DIMS, seed=11)
+        ens, truth, obs = synthesize(spec)
+        arrays = {"samples": obs.samples, "channels": truth.channels,
+                  "coefficients": truth.coefficients}
+        arrays[field] = np.concatenate([arrays[field], arrays[field]], axis=-1)
+        text = snapshot_to_json(spec, ens,
+                                BlockFactorPair(arrays["channels"], arrays["coefficients"]),
+                                ObservationVector(arrays["samples"]))
+        with pytest.raises(ValueError, match=f"{field} shape"):
+            snapshot_from_json(text)
 
     @pytest.mark.parametrize("path", [("dims",), ("seed",), ("coding",), ("samples",),
                                       ("dims", "L"), ("coding", "dtype"), ()])
