@@ -43,7 +43,31 @@ def _coding_shapes(draw) -> tuple[int, int, int]:
     return Q, draw(st.integers(1, Q // N)), N
 
 
-class TestCodingStack:
+class TestCodingMatrix:
+    """C_n = `_coding_stack(Q, K, N)[n]`: the DCT-II columns {n, n+N, ...}."""
+
+    @pytest.mark.parametrize("Q,K,n,stride", [(16, 4, 0, 1), (16, 3, 1, 2),
+                                              (32, 8, 2, 3), (8, 8, 0, 1)])
+    def test_orthonormal(self, Q, K, n, stride):
+        C = _coding_stack(Q, K, stride)[n]
+        assert C.shape == (Q, K)
+        np.testing.assert_allclose(C.T @ C, np.eye(K), atol=1e-12)
+
+    @pytest.mark.parametrize("Q,K,n,stride", [(8, 2, 1, 2), (24, 3, 2, 3),
+                                              (320, 8, 1, 2), (3200, 12, 1, 2)])
+    def test_equals_dense_dct_columns(self, Q, K, n, stride):
+        """Bit-identical to the columns of the full Q x Q orthonormal DCT-II."""
+        dense = dct(np.eye(Q), norm="ortho", axis=0)[:, n + stride * np.arange(K)]
+        assert np.array_equal(_coding_stack(Q, K, stride)[n], dense)
+
+    def test_components_use_disjoint_columns(self):
+        N, Q, K = 3, 24, 5
+        cols = _coding_stack(Q, K, N)
+        # pairwise orthogonal because the DCT column subsets are disjoint
+        for i in range(N):
+            for j in range(i + 1, N):
+                assert np.max(np.abs(cols[i].T @ cols[j])) < 1e-12
+
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(shape=_coding_shapes())
     @example(shape=(1, 1, 1))
