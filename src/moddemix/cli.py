@@ -137,7 +137,7 @@ def _cmd_trial(args) -> int:
 
 def _cmd_phase(args) -> int:
     grid = SweepGrid.paper_scale() if args.paper_scale else SweepGrid()
-    grid = replace(grid, L=args.L or grid.L, N=args.N, trials=args.trials)
+    grid = replace(grid, L=grid.L if args.L is None else args.L, N=args.N, trials=args.trials)
     for name in ("Q_values", "K_values", "M_values"):
         vals = getattr(args, name)
         if vals is not None:

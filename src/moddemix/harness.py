@@ -196,12 +196,13 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
                   workers: int = 1) -> list[dict]:
     """Geometric-mean relative error per SNR point, in ascending SNR order
     with the noiseless point (None or inf) last.  The same seeds are reused
-    across SNR values so the comparison is paired.  A NaN or -inf point is
-    a ValueError (`TrialSpec`) before any trial."""
+    across SNR values so the comparison is paired.  A point `TrialSpec`
+    rejects (NaN, -inf, a bool, a non-real) is a ValueError before any trial."""
     check_counts(trials=trials, workers=workers)
     check_seeds(base_seed=base_seed)
     check_coding_fits(dims)
-    points = sorted(math.inf if s is None else float(s) for s in snr_values)
+    checked = [TrialSpec(dims, base_seed, s).snr_db for s in snr_values]
+    points = sorted(math.inf if s is None else s for s in checked)
     specs = [TrialSpec(dims, seed=_derive_seed(base_seed, t), snr_db=snr_db)
              for snr_db in points for t in range(trials)]
     header = ["snr_db", "L", "Q", "M", "K", "N", "trials", "mean_rel_err", "std_log10"]

@@ -14,6 +14,7 @@ import base64
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,8 +57,8 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class TrialSpec:
     """One reproducible experiment instance: geometry, seed (an integer
-    >= 0) and optional SNR in dB (None or +inf = noiseless; NaN and -inf
-    are a ValueError)."""
+    >= 0) and optional SNR in dB (None or +inf = noiseless; NaN, -inf and
+    anything but a real, non-bool number are a ValueError)."""
 
     dims: Dimensions
     seed: int
@@ -65,8 +66,11 @@ class TrialSpec:
 
     def __post_init__(self):
         check_seeds(seed=self.seed)
-        if self.snr_db is not None and not self.snr_db > -math.inf:
-            raise ValueError(f"snr_db must be above -inf and not NaN, got {self.snr_db}")
+        s = self.snr_db
+        if s is not None and (isinstance(s, bool) or not isinstance(s, numbers.Real)
+                              or not s > -math.inf):
+            raise ValueError(f"snr_db must be above -inf and not NaN (a real number, "
+                             f"not a bool), got {s!r}")
 
 
 def check_coding_fits(dims: Dimensions) -> None:
@@ -124,7 +128,7 @@ def synthesize(spec: TrialSpec) -> tuple[MeasurementEnsemble, BlockFactorPair, O
     else:
         rng = _rng(spec.seed, _STREAM_NOISE)
         e = rng.standard_normal(d.L) + 1j * rng.standard_normal(d.L)
-        target = np.linalg.norm(clean) * 10.0 ** (-spec.snr_db / 20.0)
+        target = np.linalg.norm(clean) * 10.0 ** (-float(spec.snr_db) / 20.0)
         e *= target / np.linalg.norm(e)
         obs = ObservationVector(samples=clean + e, noise=e)
     return ens, truth, obs

@@ -33,12 +33,9 @@ __all__ = [
 ]
 
 
-# Backtracking gives up below this step size; the descent stops with
-# "stall" once f_tilde fell by at most _STALL_RTOL * f_init over the last
-# _STALL_WINDOW iterations.
+# Backtracking gives up below this step size; the descent then stops with
+# "no_decrease".
 _MIN_ETA = 1e-20
-_STALL_WINDOW = 50
-_STALL_RTOL = 1e-13
 # With truth the descent stops once the relative error is below _TOL; it
 # also stops once the gradient norm is below _GRAD_TOL * d^2.
 _TOL = 1e-3
@@ -86,9 +83,8 @@ class SolveTrace:
     grad_norm 8^j times and eta 4^-j times.  Row 0 is the starting point.
     eta is the accepted step (0 on row 0 and on a "no_decrease" row; its
     search started at eta 2^(evals - 1)), evals the row's objective
-    evaluations (row 0: the start value, and gradient if it runs)."""
+    evaluations (row 0: the start value and its gradient, so 2)."""
 
-    t: np.ndarray
     f: np.ndarray
     g: np.ndarray
     rel_err: np.ndarray
@@ -98,6 +94,10 @@ class SolveTrace:
     stop_reason: str
     iterations: int
     scale_exponent: int
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(self.iterations + 1)
 
     @property
     def f_tilde(self) -> np.ndarray:
@@ -293,26 +293,23 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     eta0 = 1.0 / (2.0 * ens.dims.N * ens.dims.M * d)
     start = 2.0 * eta0  # the first search's first step
 
-    rows = []  # (t, f, g, rel_err, grad_norm, eta, evals)
+    rows = []  # (f, g, rel_err, grad_norm, eta, evals)
     error = relative_error_to(_scaled(truth, c)) if truth is not None else None
 
-    def record(t, ev, gn, step, evals):
+    def record(ev, gn, step, evals):
         err = error(z) if error is not None else np.nan
-        rows.append((t, ev.f, ev.g, err, gn, step, evals))
+        rows.append((ev.f, ev.g, err, gn, step, evals))
         return err
 
     cur = evaluate(ens, z, y_hat, p)
     if not np.isfinite(cur.f_tilde):
         raise NumericalFailureError(f"non-finite objective ({cur.f_tilde}) at the start point")
-    f_init = max(cur.f_tilde, np.finfo(float).tiny)
+    g = grad_total(ens, z, y_hat, p)
     stop = "max_iters"
-    err = record(0, cur, np.nan, 0.0, 1)
-    if err < _TOL:
+    if record(cur, np.nan, 0.0, 2) < _TOL:
         stop = "rel_err"
     else:
-        g = grad_total(ens, z, y_hat, p)
-        rows[0] = (*rows[0][:-1], 2)  # the start gradient is row 0's second evaluation
-        for t in range(1, cfg.max_iters + 1):
+        for _ in range(cfg.max_iters):
             gn_sq = float(np.vdot(g.channels, g.channels).real
                           + np.vdot(g.coefficients, g.coefficients).real)
             gn = np.sqrt(gn_sq)
@@ -321,23 +318,17 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
                 break
             z, cur, eta, evals = _backtrack(ens, z, y_hat, p, g, gn_sq, cur, start)
             if eta == 0.0:
-                record(t, cur, gn, 0.0, evals)
+                record(cur, gn, 0.0, evals)
                 stop = "no_decrease"
                 break
             start = _next_start(g, cur.grad, eta, evals, eta0)
             g = cur.grad
-            err = record(t, cur, gn, eta, evals)
-            if err < _TOL:
+            if record(cur, gn, eta, evals) < _TOL:
                 stop = "rel_err"
                 break
-            old = rows[-1 - _STALL_WINDOW] if len(rows) > _STALL_WINDOW else None
-            if old is not None and old[1] + old[2] - cur.f_tilde <= _STALL_RTOL * f_init:
-                stop = "stall"
-                break
 
-    t, f, g, rel_err, grad_norm, eta, evals = np.array(rows, dtype=float).T
-    trace = SolveTrace(t=t.astype(int), f=f, g=g, rel_err=rel_err, grad_norm=grad_norm,
-                       eta=eta, evals=evals.astype(int), stop_reason=stop,
-                       iterations=int(t[-1]), scale_exponent=j)
+    f, g, rel_err, grad_norm, eta, evals = np.array(rows, dtype=float).T
+    trace = SolveTrace(f=f, g=g, rel_err=rel_err, grad_norm=grad_norm, eta=eta,
+                       evals=evals.astype(int), stop_reason=stop,
+                       iterations=len(rows) - 1, scale_exponent=j)
     return _scaled(_normalize_output(z), 1.0 / c), trace
-

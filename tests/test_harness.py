@@ -116,6 +116,20 @@ class TestSweeps:
         assert rows[0]["N"] == 1
         assert rows[0]["L_min"] in (16, 32, 48, 64)
 
+    def test_transmitter_sweep_bisects_to_first_passing_L(self, monkeypatch):
+        """Bisection over L = 16, 32, ..., 160 finds the smallest passing L,
+        also when a midpoint fails."""
+        tried = []
+
+        def fake_trial(spec, cfg):
+            tried.append(spec.dims.L)
+            return SimpleNamespace(success=spec.dims.L >= 96)
+
+        monkeypatch.setattr(harness, "run_trial", fake_trial)
+        rows = run_transmitter_sweep(N_values=(1,), K=2, M=2, L_step=16, L_max=160, trials=1)
+        assert rows[0]["L_min"] == 96
+        assert tried == [160, 80, 128, 112, 96]
+
     def test_phase_rejects_cell_without_coding_before_any_trial(self, tmp_path, monkeypatch):
         """Q=8 cannot hold N=2 codings of K=6 DCT columns: ValueError naming
         the cell before any trial runs or the CSV is opened."""
@@ -128,27 +142,19 @@ class TestSweeps:
             run_phase_transition(grid, SolverConfig(max_iters=5), out=out)
         assert calls == [] and not out.exists()
 
-    def test_snr_sweep_rejects_nan_before_any_trial(self, tmp_path, monkeypatch):
-        """A NaN SNR is a ValueError before any trial runs, leaving `out` as
-        it was."""
+    @pytest.mark.parametrize("points", [[20.0, math.nan], [-math.inf, 20.0], [True, 30.0],
+                                        [30.0, "30"], [1j]],
+                             ids=["nan", "minus_inf", "bool", "str", "complex"])
+    def test_snr_sweep_rejects_bad_point_before_any_trial(self, points, tmp_path, monkeypatch):
+        """A NaN, -inf (not the noiseless point), bool (not 1 dB) or non-real
+        SNR point is a ValueError before any trial runs, leaving `out` as it
+        was."""
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
         out = tmp_path / "snr.csv"
         out.write_text("kept\n")
-        with pytest.raises(ValueError, match="NaN"):
-            run_snr_sweep(EASY, [20.0, math.nan], SolverConfig(max_iters=5), out=out,
-                          trials=1)
-        assert calls == [] and out.read_text() == "kept\n"
-
-    def test_snr_sweep_rejects_minus_inf_before_any_trial(self, tmp_path, monkeypatch):
-        """-inf dB is a ValueError before any trial, not the noiseless point."""
-        calls = []
-        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
-        out = tmp_path / "snr.csv"
-        out.write_text("kept\n")
-        with pytest.raises(ValueError, match="snr_db must be above -inf"):
-            run_snr_sweep(EASY, [-math.inf, 20.0], SolverConfig(max_iters=5), out=out,
-                          trials=1)
+        with pytest.raises(ValueError, match="snr_db must be above -inf and not NaN"):
+            run_snr_sweep(EASY, points, SolverConfig(max_iters=5), out=out, trials=1)
         assert calls == [] and out.read_text() == "kept\n"
 
     def test_transmitter_sweep_unreachable_is_nan(self):
@@ -395,11 +401,14 @@ class TestCli:
         ["snr", "--L", "64", "--Q", "8", "--M", "2", "--K", "8", "--N", "2", "--trials", "1",
          "--snr-db", "20"],
         ["trace", "--L", "64", "--Q", "8", "--M", "2", "--K", "8", "--N", "2"],
-    ], ids=["phase", "scaling-K", "scaling-M", "snr", "trace"])
+        ["phase", "--L", "0", "--N", "2", "--Q-values", "8", "--K-values", "2",
+         "--M-values", "2", "--trials", "1"],
+    ], ids=["phase", "scaling-K", "scaling-M", "snr", "trace", "phase-L-0"])
     def test_sweep_dimensions_checked_before_out_opens(self, argv, tmp_path, monkeypatch,
                                                        capsys):
-        """A count of 0 or codings that do not fit (K * N > Q) exit 1
-        before any trial, and `out` is never created."""
+        """A count of 0 (also `phase --L 0`, not the default L) or codings
+        that do not fit (K * N > Q) exit 1 before any trial, and `out` is
+        never created."""
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
         out = tmp_path / "f.csv"

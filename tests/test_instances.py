@@ -141,7 +141,7 @@ class TestSynthesize:
         assert obs.noise is None
         np.testing.assert_allclose(obs.samples, forward_map(ens, truth), atol=1e-14)
 
-    @pytest.mark.parametrize("snr", [0.0, 10.0, 37.5])
+    @pytest.mark.parametrize("snr", [0.0, 10.0, 37.5, np.float32(12.5), np.int64(20), 7])
     def test_exact_snr(self, snr):
         ens, truth, obs = synthesize(TrialSpec(DIMS, seed=4, snr_db=snr))
         clean = forward_map(ens, truth)
@@ -168,9 +168,11 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=r"N=2 codings need K \* N <= Q"):
             synthesize(TrialSpec(dataclasses.replace(DIMS, K=9), seed=0))
 
-    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf, True, np.True_, "20", 1j],
+                             ids=["nan", "-inf", "True", "np.True_", "str", "complex"])
     def test_nan_or_minus_inf_snr_rejected(self, snr):
-        """An SNR of NaN or -inf dB is no instance (+inf is noiseless)."""
+        """An SNR of NaN or -inf dB is no instance (+inf is noiseless), nor
+        is a bool (not 1 dB) or anything but a real number."""
         with pytest.raises(ValueError, match="snr_db must be above -inf and not NaN"):
             TrialSpec(DIMS, seed=4, snr_db=snr)
 

@@ -93,8 +93,10 @@ class TestEnsemble:
 
     def test_shape_validation(self):
         d = Dimensions(L=8, Q=4, M=2, K=2, N=2)
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="modulation shape"):
             MeasurementEnsemble(d, np.ones((1, 4)), np.zeros((2, 4, 2)))
+        with pytest.raises(ValueError, match="coding shape"):
+            MeasurementEnsemble(d, np.ones((2, 4)), np.zeros((2, 4, 3)))
 
     def test_arrays_read_only(self):
         ens, _, _ = make_instance(Dimensions(L=16, Q=8, M=3, K=2, N=2))
