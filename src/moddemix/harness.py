@@ -9,13 +9,15 @@ header row; every row echoes the parameter tuple that produced it.
 Each sweep writes its CSV through `_csv_rows`, which opens `out` before any
 work and flushes every row as it completes, so a failing sweep keeps its
 finished rows; `_trial_runner` runs its trials in-process, or with
-`workers > 1` on one process pool for the whole sweep.
+`workers > 1` on one process pool for the whole sweep, of at most one
+process per CPU.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -71,14 +73,14 @@ class TrialRecord:
 
 
 def run_trial(spec: TrialSpec, cfg: SolverConfig | None = None) -> TrialRecord:
-    """Run one seeded trial; a numerical failure is recorded, not raised.
-    The trial succeeds when its relative error is below SUCCESS_THRESHOLD."""
+    """Run one seeded trial; a numerical failure is recorded, not raised.  The
+    truth scores the blind solve's estimate once: success is an error below SUCCESS_THRESHOLD."""
     cfg = cfg or SolverConfig()
     d = spec.dims
     t0 = time.perf_counter()
     ens, truth, obs = synthesize(spec)
     try:
-        est, trace = solve(ens, obs, cfg, truth=truth)
+        est, trace = solve(ens, obs, cfg)
         err = relative_error(est, truth)
         iters, reason = trace.iterations, trace.stop_reason
     except NumericalFailureError as exc:
@@ -116,11 +118,12 @@ def _csv_rows(out, header: list[str], formats: dict[str, str]):
 def _trial_runner(cfg: SolverConfig, workers: int):
     """Yield run(specs): an iterator of TrialRecords in spec order, each
     yielded once it and all before it are done.  In-process, `run_trial` is
-    looked up per call, so a rebinding of `harness.run_trial` takes effect."""
+    looked up per call, so a rebinding of `harness.run_trial` takes effect.
+    The pool has at most one process per CPU: it starts them all at once."""
     if workers == 1:
         yield lambda specs: (run_trial(s, cfg) for s in specs)
         return
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
     try:
         yield lambda specs: pool.map(run_trial, specs, repeat(cfg), chunksize=4)
     finally:  # a failed sweep drops the trials that have not started

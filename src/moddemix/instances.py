@@ -136,7 +136,8 @@ def synthesize(spec: TrialSpec) -> tuple[MeasurementEnsemble, BlockFactorPair, O
 
 def relative_error(est: BlockFactorPair, truth: BlockFactorPair) -> float:
     """Normalized Frobenius distance between estimated and true lifted
-    blocks, via the factored Gram identity (no M x K matrices formed).
+    blocks, from the factors alone (no M x K matrices formed), as a sum of
+    squares that cancels nothing at small errors (see `_distance_sq`).
     Invariant under the per-component (alpha, conj(alpha)^-1) ambiguity, and
     exact at extreme scales of either side (see `_rescaled_error`)."""
     return relative_error_to(truth)(est)
@@ -144,19 +145,20 @@ def relative_error(est: BlockFactorPair, truth: BlockFactorPair) -> float:
 
 def relative_error_to(truth: BlockFactorPair) -> Callable[[BlockFactorPair], float]:
     """`relative_error(est, truth)` as a function of est, with the truth's
-    side (sum_n ||h0_n||^2 ||x0_n||^2) computed once."""
+    side (||h0_n||^2 and sum_n ||h0_n||^2 ||x0_n||^2) computed once."""
     h0, x0 = truth.channels, truth.coefficients
     with np.errstate(all="ignore"):
-        energy = _energy(h0, x0)
+        h0_sq = np.vecdot(h0, h0).real
+        energy = float(np.dot(h0_sq, np.vecdot(x0, x0).real))
 
     def error(est: BlockFactorPair) -> float:
         h, x = est.channels, est.coefficients
         if h.shape != h0.shape or x.shape != x0.shape:
             raise ValueError("estimate/truth shapes differ")
         with np.errstate(all="ignore"):  # an overflow or underflow is redone below
-            num = _energy(h, x) + energy - 2.0 * _cross(h, x, h0, x0)
+            num = _distance_sq(h, x, h0, x0, h0_sq)
         if math.isfinite(num) and energy > 2.0 ** -600:
-            return float(np.sqrt(max(num, 0.0) / energy))
+            return float(np.sqrt(num / energy))
         return _rescaled_error(h, x, h0, x0)  # overflow, or near underflow
 
     return error
@@ -167,31 +169,38 @@ def _energy(h: np.ndarray, x: np.ndarray) -> float:
     return float(np.dot(np.vecdot(h, h).real, np.vecdot(x, x).real))
 
 
-def _cross(h, x, h0, x0) -> float:
-    """Re sum_n <h0_n x0_n^*, h_n x_n^*>_F = Re sum_n conj(<h0_n, h_n>) <x0_n, x_n>;
-    the squared distance of the blocks is _energy(h, x) + _energy(h0, x0) - 2 cross."""
-    return np.vdot(np.vecdot(h0, h), np.vecdot(x0, x)).real
+def _distance_sq(h, x, h0, x0, h0_sq) -> float:
+    """Sum_n ||h_n x_n^* - h0_n x0_n^*||_F^2, h0_sq being ||h0_n||^2.  With
+    a_n = <h0_n, h_n> / ||h0_n||^2 (0 where h0_n = 0), h_n - a_n h0_n is
+    orthogonal to h0_n, which splits each block difference into two orthogonal
+    terms: ||h0_n||^2 ||conj(a_n) x_n - x0_n||^2 + ||h_n - a_n h0_n||^2 ||x_n||^2.
+    Nothing cancels near the truth, and est = truth gives exactly 0."""
+    a = np.vecdot(h0, h) / np.where(h0_sq > 0.0, h0_sq, 1.0)
+    dx = a.conj()[:, None] * x - x0
+    return float(np.dot(h0_sq, np.vecdot(dx, dx).real)) + _energy(h - a[:, None] * h0, x)
 
 
 def _rescaled_error(h, x, h0, x0) -> float:
     """relative_error where an energy leaves the double range.  Each factor is
     scaled by its own power of two, so est's blocks are 2^k times the rescaled
-    ones relative to the truth's.  With E, E0 the rescaled energies and C
-    their cross term, the error is 2^k sqrt((E - 2 2^-k C + 4^-k E0) / E0) for
-    k > 0, else sqrt((4^k E - 2 2^k C + E0) / E0): no term overflows."""
+    ones relative to the truth's.  The error is 2^hi times the distance
+    between 2^(k - hi) times est's rescaled blocks and 2^-hi times the
+    truth's, hi = max(k, 0), over sqrt(E0), E0 the truth's rescaled energy:
+    no term overflows, and one that underflows is negligible."""
     # 2^-e, finite for e >= -1022, puts a factor's largest entry in [0.5, 1)
     e = [max(math.frexp(abs(a).max())[1], -1022) for a in (h, x, h0, x0)]
     h, x, h0, x0 = (a * 2.0 ** -ea for a, ea in zip((h, x, h0, x0), e))
     k = e[0] + e[1] - e[2] - e[3]
-    energy0 = _energy(h0, x0)
+    h0_sq = np.vecdot(h0, h0).real
+    energy0 = float(np.dot(h0_sq, np.vecdot(x0, x0).real))
     if not energy0 > 0:
         raise ValueError("degenerate zero truth")
     hi = max(k, 0)
-    num = (math.ldexp(_energy(h, x), 2 * (k - hi))
-           - 2.0 * math.ldexp(_cross(h, x, h0, x0), k - 2 * hi)
-           + math.ldexp(energy0, -2 * hi))
+    with np.errstate(under="ignore"):
+        num = _distance_sq(h, math.ldexp(1.0, k - hi) * x, h0, math.ldexp(1.0, -hi) * x0,
+                           h0_sq)
     with np.errstate(over="ignore"):  # an error above the double range is inf
-        return float(np.ldexp(math.sqrt(max(num, 0.0) / energy0), hi))
+        return float(np.ldexp(math.sqrt(num / energy0), hi))
 
 
 def _encode(arr: np.ndarray) -> dict:

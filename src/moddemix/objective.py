@@ -97,9 +97,9 @@ class PenaltyParams:
 
     def __post_init__(self):
         object.__setattr__(self, "d_n", np.asarray(self.d_n, dtype=float))
-        if self.rho <= 0 or self.d <= 0 or np.any(self.d_n <= 0):
+        if not (self.rho > 0 and self.d > 0 and np.all(self.d_n > 0)):
             raise ValueError("rho, d and all d_n must be positive")
-        if self.mu <= 0 or self.nu <= 0:
+        if not (self.mu > 0 and self.nu > 0):
             raise ValueError("mu and nu must be positive")
 
 

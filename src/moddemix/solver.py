@@ -36,9 +36,9 @@ __all__ = [
 # Backtracking gives up below this step size; the descent then stops with
 # "no_decrease".
 _MIN_ETA = 1e-20
-# With truth the descent stops once the relative error is below _TOL; it
-# also stops once the gradient norm is below _GRAD_TOL * d^2.
-_TOL = 1e-3
+# The descent stops once the residual is below _RESIDUAL_TOL * ||y||, or
+# the gradient norm below _GRAD_TOL * d^2 (noisy y has a residual floor).
+_RESIDUAL_TOL = 5e-4
 _GRAD_TOL = 1e-7
 # `solve` takes mu, nu as this margin times the coherences of its start
 # point.  A spectral start h_n = sqrt(d_n) u_n has unit u_n, so
@@ -83,7 +83,8 @@ class SolveTrace:
     grad_norm 8^j times and eta 4^-j times.  Row 0 is the starting point.
     eta is the accepted step (0 on row 0 and on a "no_decrease" row; its
     search started at eta 2^(evals - 1)), evals the row's objective
-    evaluations (row 0: the start value and its gradient, so 2)."""
+    evaluations (row 0: the start value and its gradient, so 2), rel_err the
+    truth's score (NaN without a truth; no stop reads it)."""
 
     f: np.ndarray
     g: np.ndarray
@@ -124,7 +125,7 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float) -> np.nda
     rescale enforces the constraint if the iteration hits
     `_PROJECTION_MAX_ITERS` first, with a RuntimeWarning).
     """
-    if bound <= 0:
+    if not bound > 0:
         raise ValueError("bound must be positive")
     basis = np.asarray(basis)
     g = np.asarray(g, dtype=complex)
@@ -251,13 +252,14 @@ def _scale_exponent(y: np.ndarray) -> int:
 def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
           cfg: SolverConfig | None = None,
           truth: BlockFactorPair | None = None) -> tuple[BlockFactorPair, SolveTrace]:
-    """Descend from the spectral start until max_iters, a small gradient, or
-    (with truth) a small relative error.
+    """Descend from the spectral start until sqrt(f) < `_RESIDUAL_TOL` ||y||
+    ("residual"), the gradient norm is below `_GRAD_TOL` d^2 ("grad_tol"),
+    no step decreases the objective ("no_decrease") or max_iters ends it.
 
     `solve` is blind: its penalty takes mu, nu = `_COHERENCE_MARGIN` times
     the spectral start's coherences, d_n its leading singular values and
     rho = d^2.  The truth only scores, through `relative_error_to`: the
-    trace's rel_err column and the rel_err stop.
+    trace's rel_err column, which no stop reads.
 
     Each iteration evaluates the objective once per step-size trial, with
     the gradient: the accepted trial's gradient drives the next step, so
@@ -293,39 +295,37 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     eta0 = 1.0 / (2.0 * ens.dims.N * ens.dims.M * d)
     start = 2.0 * eta0  # the first search's first step
 
+    f_stop = _RESIDUAL_TOL**2 * float(np.vdot(y_hat.samples, y_hat.samples).real)
     rows = []  # (f, g, rel_err, grad_norm, eta, evals)
-    error = relative_error_to(_scaled(truth, c)) if truth is not None else None
+    error = relative_error_to(_scaled(truth, c)) if truth is not None else lambda z: np.nan
 
     def record(ev, gn, step, evals):
-        err = error(z) if error is not None else np.nan
-        rows.append((ev.f, ev.g, err, gn, step, evals))
-        return err
+        rows.append((ev.f, ev.g, error(z), gn, step, evals))
 
     cur = evaluate(ens, z, y_hat, p)
     if not np.isfinite(cur.f_tilde):
         raise NumericalFailureError(f"non-finite objective ({cur.f_tilde}) at the start point")
     g = grad_total(ens, z, y_hat, p)
+    record(cur, np.nan, 0.0, 2)
     stop = "max_iters"
-    if record(cur, np.nan, 0.0, 2) < _TOL:
-        stop = "rel_err"
-    else:
-        for _ in range(cfg.max_iters):
-            gn_sq = float(np.vdot(g.channels, g.channels).real
-                          + np.vdot(g.coefficients, g.coefficients).real)
-            gn = np.sqrt(gn_sq)
-            if gn < _GRAD_TOL * d**2:
-                stop = "grad_tol"
-                break
-            z, cur, eta, evals = _backtrack(ens, z, y_hat, p, g, gn_sq, cur, start)
-            if eta == 0.0:
-                record(cur, gn, 0.0, evals)
-                stop = "no_decrease"
-                break
-            start = _next_start(g, cur.grad, eta, evals, eta0)
-            g = cur.grad
-            if record(cur, gn, eta, evals) < _TOL:
-                stop = "rel_err"
-                break
+    for _ in range(cfg.max_iters):
+        if cur.f < f_stop:
+            stop = "residual"
+            break
+        gn_sq = float(np.vdot(g.channels, g.channels).real
+                      + np.vdot(g.coefficients, g.coefficients).real)
+        gn = np.sqrt(gn_sq)
+        if gn < _GRAD_TOL * d**2:
+            stop = "grad_tol"
+            break
+        z, cur, eta, evals = _backtrack(ens, z, y_hat, p, g, gn_sq, cur, start)
+        if eta == 0.0:
+            record(cur, gn, 0.0, evals)
+            stop = "no_decrease"
+            break
+        start = _next_start(g, cur.grad, eta, evals, eta0)
+        g = cur.grad
+        record(cur, gn, eta, evals)
 
     f, g, rel_err, grad_norm, eta, evals = np.array(rows, dtype=float).T
     trace = SolveTrace(f=f, g=g, rel_err=rel_err, grad_norm=grad_norm, eta=eta,

@@ -53,8 +53,22 @@ class TestRunTrial:
         rec = run_trial(TrialSpec(EASY, seed=1))
         assert rec.success
         assert rec.rel_err < 1e-2
-        assert rec.stop_reason == "rel_err"
+        assert rec.stop_reason == "residual"
         assert rec.L == 64 and rec.N == 1 and rec.seed == 1
+
+    def test_solve_sees_no_truth(self, monkeypatch):
+        """The trial's solve gets the ensemble, the samples and the config
+        alone; the truth only scores its estimate."""
+        calls = []
+        real = harness.solve
+
+        def spy(*args, **kwargs):
+            calls.append((len(args), sorted(kwargs)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve", spy)
+        assert run_trial(TrialSpec(EASY, seed=1)).success
+        assert calls == [(3, [])]
 
     def test_deterministic(self):
         r1 = run_trial(TrialSpec(EASY, seed=2))
@@ -216,6 +230,31 @@ class TestSweeps:
         rows = run_phase_transition(grid, cfg, out=one, workers=1)
         assert run_phase_transition(grid, cfg, out=two, workers=2) == rows
         assert two.read_bytes() == one.read_bytes()
+
+    @pytest.mark.parametrize("cpus,workers,size", [(2, 100000, 2), (8, 3, 3), (None, 5, 1)])
+    def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch, cpus, workers, size):
+        """A pool starts all its processes at the first submit, so it is
+        sized min(workers, CPUs) (1 when the CPU count is unknown).  A fake
+        executor records the size and runs the trials in-process."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        grid = SweepGrid(L=64, N=1, Q_values=(64,), K_values=(2,), M_values=(3,), trials=2)
+        cfg = SolverConfig(max_iters=100)
+        rows = run_phase_transition(grid, cfg, workers=workers)
+        assert sizes == [size]
+        assert rows == run_phase_transition(grid, cfg, workers=1)
 
     @pytest.mark.parametrize("run", [
         lambda out: run_snr_sweep(EASY, [20.0], trials=2.5, out=out),

@@ -200,6 +200,27 @@ class TestRelativeError:
         assert relative_error(est, truth) == pytest.approx(np.sqrt(num / den),
                                                            rel=1e-12)
 
+    @pytest.mark.parametrize("t", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+    def test_small_errors_match_dense_blocks(self, t):
+        """At desk scale, the truth plus t times a complex Gaussian scores its
+        dense lifted-block distance to 1e-7 relative down to an error of
+        5e-9.  The dense difference h x^* - h0 x0^* is summed from the exact
+        factor differences Dh = h - h0, Dx = x - x0 as Dh x0^* + h0 Dx^* +
+        Dh Dx^*, so the reference itself cancels nothing.  The Gram identity
+        ||h x^*||^2 + ||h0 x0^*||^2 - 2 Re<.,.> read 0.0 at t = 1e-9."""
+        dims = Dimensions(L=320, Q=320, M=8, K=8, N=2)
+        _, truth, _ = synthesize(TrialSpec(dims, seed=0))
+        rng = np.random.default_rng(0)
+        h0, x0 = truth.channels, truth.coefficients
+        est = BlockFactorPair(
+            h0 + t * (rng.standard_normal(h0.shape) + 1j * rng.standard_normal(h0.shape)),
+            x0 + t * (rng.standard_normal(x0.shape) + 1j * rng.standard_normal(x0.shape)))
+        dh, dx = est.channels - h0, est.coefficients - x0
+        num = sum(np.linalg.norm(np.outer(dh[n], x0[n].conj()) + np.outer(h0[n], dx[n].conj())
+                                 + np.outer(dh[n], dx[n].conj())) ** 2 for n in range(dims.N))
+        den = sum(np.linalg.norm(truth.lifted_block(n)) ** 2 for n in range(dims.N))
+        assert relative_error(est, truth) == pytest.approx(np.sqrt(num / den), rel=1e-7)
+
     def test_ambiguity_invariance(self):
         rng = np.random.default_rng(1)
         _, truth, _ = synthesize(TrialSpec(DIMS, seed=0))

@@ -76,12 +76,14 @@ class TestCoherences:
 
 class TestPenaltyParams:
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            PenaltyParams(rho=0.0, d=1.0, d_n=np.ones(1), mu=1.0, nu=1.0)
-        with pytest.raises(ValueError):
-            PenaltyParams(rho=1.0, d=1.0, d_n=np.zeros(1), mu=1.0, nu=1.0)
-        with pytest.raises(ValueError):
-            PenaltyParams(rho=1.0, d=1.0, d_n=np.ones(1), mu=-1.0, nu=1.0)
+        """Zero, a negative value and NaN (for which `x <= 0` is False) are
+        each rejected in every field."""
+        good = dict(rho=1.0, d=1.0, d_n=np.ones(2), mu=1.0, nu=1.0)
+        for name in good:
+            for bad in (0.0, -1.0, np.nan):
+                value = np.array([1.0, bad]) if name == "d_n" else bad
+                with pytest.raises(ValueError, match="must be positive"):
+                    PenaltyParams(**{**good, name: value})
 
 
 class TestLoss:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import moddemix
 import moddemix.solver as solver_module
 from conftest import make_instance, random_pair
+from moddemix.harness import SUCCESS_THRESHOLD
 from moddemix.instances import relative_error
 from moddemix.objective import (
     DegenerateInputError,
@@ -55,6 +56,32 @@ def _assert_rescaled(trace, ref, s, rtol):
     np.testing.assert_allclose(trace.grad_norm, r**1.5 * ref.grad_norm, rtol=rtol)
     np.testing.assert_allclose(trace.eta, ref.eta / r, rtol=rtol)
     np.testing.assert_allclose(trace.rel_err, ref.rel_err, rtol=rtol)
+
+
+def _assert_recovered(est, trace, truth, obs):
+    """What the residual stop guarantees: the last row's sqrt(f) / ||y||,
+    both at the solve's scale, is below `_RESIDUAL_TOL`, and the estimate
+    is a success."""
+    assert trace.stop_reason == "residual"
+    norm = np.ldexp(np.linalg.norm(obs.samples), -2 * trace.scale_exponent)
+    assert math.sqrt(trace.f[-1]) / norm < solver_module._RESIDUAL_TOL
+    assert relative_error(est, truth) < SUCCESS_THRESHOLD
+
+
+def _assert_truth_only_scores(dims, seed, snr_db, max_iters):
+    """A blind solve of the samples alone returns the truth-scored solve's
+    estimate, stop reason and trace bit for bit, but for the rel_err column
+    (NaN without the truth)."""
+    ens, truth, obs = make_instance(dims, seed=seed, snr_db=snr_db)
+    ref, ref_trace = solve(ens, obs, SolverConfig(max_iters=max_iters), truth=truth)
+    est, trace = solve(ens, ObservationVector(obs.samples), SolverConfig(max_iters=max_iters))
+    np.testing.assert_array_equal(est.channels, ref.channels)
+    np.testing.assert_array_equal(est.coefficients, ref.coefficients)
+    for name in ("stop_reason", "iterations", "scale_exponent"):
+        assert getattr(trace, name) == getattr(ref_trace, name)
+    for name in ("f", "g", "grad_norm", "eta", "evals"):
+        np.testing.assert_array_equal(getattr(trace, name), getattr(ref_trace, name))
+    assert np.all(np.isfinite(ref_trace.rel_err)) and np.all(np.isnan(trace.rel_err))
 
 
 class TestSolverConfig:
@@ -166,10 +193,11 @@ class TestProjectIncoherent:
         assert np.all(z == 0)
 
     def test_bad_bound(self):
-        """A nonpositive bound, or a point that does not fit the basis, is a
-        ValueError."""
-        with pytest.raises(ValueError, match="bound must be positive"):
-            project_incoherent(np.ones(4), dft_basis(8, 4), bound=0.0)
+        """A nonpositive or NaN bound, or a point that does not fit the
+        basis, is a ValueError; a NaN bound does not run the rounds out."""
+        for bound in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="bound must be positive"):
+                project_incoherent(np.ones(4), dft_basis(8, 4), bound=bound)
         with pytest.raises(ValueError, match="point length"):
             project_incoherent(np.ones(3), dft_basis(8, 4), bound=1.0)
 
@@ -223,6 +251,13 @@ class TestInitialize:
         with pytest.raises(DegenerateInputError):
             initialize(ens, obs, 1.0, 1.0)
 
+    def test_nan_bounds_raise(self):
+        """NaN coherence bounds are rejected, not run through every
+        projection round."""
+        ens, _, obs = make_instance(TWO, seed=5)
+        with pytest.raises(ValueError, match="bound must be positive"):
+            initialize(ens, obs, np.nan, np.nan)
+
     @pytest.mark.parametrize("dims", [
         Dimensions(L=32, Q=16, M=4, K=3, N=1),
         Dimensions(L=24, Q=16, M=5, K=8, N=2),   # K N = Q
@@ -246,13 +281,12 @@ class TestSolve:
     def test_recovers_noiseless(self):
         ens, truth, obs = make_instance(EASY, seed=1)
         est, trace = solve(ens, obs, SolverConfig(), truth=truth)
-        assert relative_error(est, truth) < 1e-3
-        assert trace.stop_reason == "rel_err"
+        _assert_recovered(est, trace, truth, obs)
 
     def test_recovers_two_components(self):
         ens, truth, obs = make_instance(TWO, seed=2)
         est, trace = solve(ens, obs, SolverConfig(), truth=truth)
-        assert relative_error(est, truth) < 1e-3
+        _assert_recovered(est, trace, truth, obs)
 
     def test_monotone_objective_backtracking(self):
         ens, truth, obs = make_instance(TWO, seed=3, snr_db=20.0)
@@ -293,29 +327,27 @@ class TestSolve:
     @pytest.mark.parametrize("dims,seed", [(EASY, 1), (TWO, 2)])
     def test_blind_recovery(self, dims, seed):
         """Without truth and with the default config the descent recovers
-        the factors and stops on the gradient norm."""
+        the factors and stops on the residual."""
         ens, truth, obs = make_instance(dims, seed=seed)
         est, trace = solve(ens, obs)
-        assert trace.stop_reason == "grad_tol"
         assert np.all(np.isnan(trace.rel_err))
-        assert relative_error(est, truth) < 1e-3
+        _assert_recovered(est, trace, truth, obs)
 
     @pytest.mark.parametrize("dims,seed,snr_db,max_iters", [
         *[(dims, seed, None, 5000) for dims in (EASY, TWO, DESK) for seed in range(3)],
         (TWO, 3, 20.0, 100),
     ])
     def test_truth_only_scores(self, dims, seed, snr_db, max_iters):
-        """The truth and the noise change no iterate: a blind solve of the
-        samples alone, capped at the truth-scored solve's iteration count,
-        returns its estimate bit for bit."""
-        ens, truth, obs = make_instance(dims, seed=seed, snr_db=snr_db)
-        ref, ref_trace = solve(ens, obs, SolverConfig(max_iters=max_iters), truth=truth)
-        est, trace = solve(ens, ObservationVector(obs.samples),
-                           SolverConfig(max_iters=ref_trace.iterations))
-        assert trace.iterations == ref_trace.iterations
-        np.testing.assert_array_equal(est.channels, ref.channels)
-        np.testing.assert_array_equal(est.coefficients, ref.coefficients)
-        np.testing.assert_array_equal(trace.f_tilde, ref_trace.f_tilde)
+        """The truth and the noise change no iterate (see `_assert_truth_only_scores`)."""
+        _assert_truth_only_scores(dims, seed, snr_db, max_iters)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(dims=st.sampled_from([EASY, TWO]), seed=st.integers(0, 2**32),
+           snr_db=st.sampled_from([None, 20.0]), max_iters=st.integers(1, 400))
+    def test_truth_only_scores_any_instance(self, dims, seed, snr_db, max_iters):
+        """As `test_truth_only_scores`, over seeds, budgets and both noise
+        levels.  About 0.5 s: 40 pairs of solves."""
+        _assert_truth_only_scores(dims, seed, snr_db, max_iters)
 
     def test_output_normalized(self):
         ens, truth, obs = make_instance(TWO, seed=2)
@@ -327,13 +359,13 @@ class TestSolve:
             lead = est.channels[n][np.nonzero(est.channels[n])[0][0]]
             assert abs(lead.imag) < 1e-10 * abs(lead)
 
-    @pytest.mark.parametrize("dims,seed,iterations", [(TWO, 2, 10), (EASY, 1, 5)])
+    @pytest.mark.parametrize("dims,seed,iterations", [(TWO, 2, 10), (EASY, 1, 6)])
     def test_pinned_iteration_count(self, dims, seed, iterations):
         """Step acceptance and stopping are part of the contract: the same
         seeded solves take the same number of iterations."""
         ens, truth, obs = make_instance(dims, seed=seed)
         _, trace = solve(ens, obs, SolverConfig(), truth=truth)
-        assert (trace.iterations, trace.stop_reason) == (iterations, "rel_err")
+        assert (trace.iterations, trace.stop_reason) == (iterations, "residual")
 
     def test_one_evaluation_per_step_trial(self, monkeypatch):
         """grad_total runs once, at the start point; every other evaluate is
@@ -355,7 +387,7 @@ class TestSolve:
                             lambda *args: steps.append(1) or apply_step(*args))
         ens, truth, obs = make_instance(TWO, seed=2)
         _, trace = solve(ens, obs, SolverConfig(), truth=truth)
-        assert (trace.iterations, trace.stop_reason) == (10, "rel_err")
+        assert (trace.iterations, trace.stop_reason) == (10, "residual")
         assert len(grad_points) == 1 and grad_points[0][0] is points[0][0]
         assert len(points) + len(grad_points) == trace.evals.sum()
         assert len(points) == 1 + len(steps) and len(steps) >= trace.iterations
@@ -398,7 +430,7 @@ class TestSolve:
             assert np.linalg.norm(out.lifted_block(n) - block) <= 1e-12 * np.linalg.norm(block)
 
     def test_evaluations_per_iteration(self):
-        """Desk seeds 0-3 take 54 evaluations over 44 iterations (row 0's two
+        """Desk seeds 0-3 take 56 evaluations over 46 iterations (row 0's two
         included); starting each search at 2 eta or eta they took 76 over 50."""
         evals = iterations = 0
         for seed in range(4):
@@ -468,9 +500,8 @@ class TestSolve:
         dims = Dimensions(L=320, Q=160, M=18, K=18, N=2)
         for seed in range(4):
             ens, truth, obs = make_instance(dims, seed=seed)
-            est, trace = solve(ens, obs, SolverConfig(max_iters=400), truth=truth)
-            assert trace.stop_reason == "rel_err", (seed, trace.stop_reason)
-            assert relative_error(est, truth) < 1e-3
+            est, trace = solve(ens, obs, SolverConfig(max_iters=400))
+            _assert_recovered(est, trace, truth, obs)
 
     def test_non_finite_start_objective_raises(self, monkeypatch):
         """A non-finite objective at the spectral start raises
@@ -506,8 +537,8 @@ class TestSolve:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
     def test_scale_equivariant(self, scale):
-        """y * s takes the same path as y (TWO seed 5: 11 iterations to the
-        rel_err stop) and returns sqrt(s) times its estimate.  Its trace is
+        """y * s takes the same path as y (TWO seed 5: 12 iterations to the
+        residual stop) and returns sqrt(s) times its estimate.  Its trace is
         at its own scale: with r = s 4^-j, f_tilde is r^2 times y's, grad_norm
         r^1.5 times and eta 1/r times."""
         ens, truth, obs = make_instance(TWO, seed=5)
@@ -516,8 +547,8 @@ class TestSolve:
         est, trace = solve(ens, ObservationVector(scale * obs.samples), SolverConfig(),
                            truth=BlockFactorPair(root * truth.channels,
                                                  root * truth.coefficients))
-        assert (ref_trace.iterations, ref_trace.stop_reason) == (11, "rel_err")
-        assert (trace.iterations, trace.stop_reason) == (11, "rel_err")
+        assert (ref_trace.iterations, ref_trace.stop_reason) == (12, "residual")
+        assert (trace.iterations, trace.stop_reason) == (12, "residual")
         np.testing.assert_array_equal(trace.evals, ref_trace.evals)
         for got, want in [(est.channels, ref.channels),
                           (est.coefficients, ref.coefficients)]:
@@ -551,7 +582,7 @@ class TestSolve:
         est, trace = solve(ens, ObservationVector(scale * obs.samples), SolverConfig(),
                            truth=BlockFactorPair(root * truth.channels,
                                                  root * truth.coefficients))
-        assert (trace.iterations, trace.stop_reason) == (ref_trace.iterations, "rel_err")
+        assert (trace.iterations, trace.stop_reason) == (ref_trace.iterations, "residual")
         np.testing.assert_array_equal(trace.evals, ref_trace.evals)
         _assert_rescaled(trace, ref_trace, scale, rtol=1e-9)
         for got, want in [(est.channels, ref.channels),
