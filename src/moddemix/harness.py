@@ -28,8 +28,8 @@ import numpy as np
 
 from .instances import TrialSpec, check_coding_fits, relative_error, synthesize
 from .objective import PenaltyParams, coherences, grad_total, loss_total
-from .operators import (BlockFactorPair, Dimensions, adjoint_component, check_counts,
-                        check_seeds, dft_basis, forward_map)
+from .operators import (BlockFactorPair, Dimensions, MeasurementEnsemble, adjoint_component,
+                        check_counts, check_seeds, forward_map)
 from .solver import NumericalFailureError, SolverConfig, solve
 
 __all__ = [
@@ -172,8 +172,10 @@ def run_phase_transition(grid: SweepGrid, cfg: SolverConfig | None = None,
                          out=None, base_seed: int = 0,
                          workers: int = 1) -> list[dict]:
     """Success fraction per (K, M, Q) cell, in (Q, K, M) order.  Returns the
-    rows and, when `out` is given, writes each as CSV when its cell ends."""
-    check_counts(trials=grid.trials, workers=workers)
+    rows and, when `out` is given, writes each as CSV when its cell ends;
+    an empty Q, K or M axis is a ValueError before `out` is opened."""
+    check_counts(trials=grid.trials, workers=workers, Q_values=len(grid.q_values()),
+                 K_values=len(grid.K_values), M_values=len(grid.M_values))
     check_seeds(base_seed=base_seed)
     cells = grid.cells()  # validates every cell up front
     # a cell's seeds derive from its index in grid.cells(), not its run order
@@ -200,11 +202,12 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
     """Geometric-mean relative error per SNR point, in ascending SNR order
     with the noiseless point (None or inf) last.  The same seeds are reused
     across SNR values so the comparison is paired.  A point `TrialSpec`
-    rejects (NaN, -inf, a bool, a non-real) is a ValueError before any trial."""
-    check_counts(trials=trials, workers=workers)
+    rejects (NaN, -inf, a bool, a non-real) or no point at all is a
+    ValueError before any trial."""
     check_seeds(base_seed=base_seed)
     check_coding_fits(dims)
     checked = [TrialSpec(dims, base_seed, s).snr_db for s in snr_values]
+    check_counts(trials=trials, workers=workers, snr_values=len(checked))
     points = sorted(math.inf if s is None else s for s in checked)
     specs = [TrialSpec(dims, seed=_derive_seed(base_seed, t), snr_db=snr_db)
              for snr_db in points for t in range(trials)]
@@ -229,10 +232,10 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
     succeed (relative error below SUCCESS_THRESHOLD), per transmitter count
     N, located by bisection over the L grid (nan when even L_max falls
     short).  Raises ValueError before any trial for a count that is not an
-    integer >= 1 (K, M, each N, trials, L_step, workers), no N at all, a
+    integer >= 1 (K, M, each N, trials, L_step, L_max, workers), no N at all, a
     base_seed that is not an integer >= 0, or when some N admits no L up to
     L_max."""
-    check_counts(trials=trials, L_step=L_step, workers=workers, K=K, M=M,
+    check_counts(trials=trials, L_step=L_step, L_max=L_max, workers=workers, K=K, M=M,
                  N_values=len(N_values))
     check_seeds(base_seed=base_seed)
     grids = []  # (N, admissible L values); the coding needs Q = L >= K * N
@@ -319,19 +322,20 @@ def _probe_adjoint(dims: Dimensions, seed: int, trials: int) -> dict:
 
 
 def _probe_isometry(dims: Dimensions, seed: int) -> dict:
-    """Exhaustive Rademacher average of ||A(Z - Z0)||^2 over all sign
-    patterns, compared against ||Z - Z0||_F^2."""
+    """Exhaustive Rademacher average of `forward_map`'s ||A_r(Z - Z0)||^2 over
+    all 2^(Q*N) sign patterns r, against ||Z - Z0||_F^2.  The residual D(r) =
+    A_r(Z) - A_r(Z0) is linear in r: D(r) = r @ V, with the rows V_j =
+    (D(1) - D(1 - 2 e_j)) / 2 taken from 1 + Q*N ensembles."""
     bits = dims.Q * dims.N
     if bits > _ISOMETRY_GUARD:
         raise ValueError(
             f"exhaustive isometry needs Q*N <= {_ISOMETRY_GUARD}, got {bits}; "
             "reduce Q or N (or use the rip probe for Monte-Carlo sampling)")
     ens, truth, z, fro = _perturbed_point(dims, seed, 7)
-    # per-component time/spectral profiles; the map is linear in each r_n
-    p = np.einsum("nqk,nk->nq", ens.coding, z.coefficients)            # C_n x_n
-    p0 = np.einsum("nqk,nk->nq", ens.coding, truth.coefficients)
-    a = z.channels @ dft_basis(dims.L, dims.M).T                        # (N, L) spectra
-    a0 = truth.channels @ dft_basis(dims.L, dims.M).T
+    flips = np.vstack([np.ones(bits), 1.0 - 2.0 * np.eye(bits)])  # r = 1, then 1 - 2 e_j
+    ensembles = [MeasurementEnsemble(dims, r.reshape(dims.N, dims.Q), ens.coding) for r in flips]
+    residuals = np.stack([forward_map(e, z) - forward_map(e, truth) for e in ensembles])
+    rows = (residuals[0] - residuals[1:]) / 2.0
 
     total = 0.0
     count = 1 << bits
@@ -340,12 +344,7 @@ def _probe_isometry(dims: Dimensions, seed: int) -> dict:
     for start in range(0, count, chunk):
         idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
         signs = (((idx[:, None] >> shifts) & 1) * 2.0 - 1.0)  # (bs, Q*N)
-        res = np.zeros((len(idx), dims.L), dtype=complex)
-        for n in range(dims.N):
-            r = signs[:, n * dims.Q:(n + 1) * dims.Q]
-            res += np.conj(np.fft.fft(r * p[n], n=dims.L, axis=1)) * a[n]
-            res -= np.conj(np.fft.fft(r * p0[n], n=dims.L, axis=1)) * a0[n]
-        total += float(np.sum(np.abs(res) ** 2))
+        total += float(np.sum(np.abs(signs @ rows) ** 2))
     mean = total / count
     return {"mean_energy": mean, "frobenius_sq": float(fro),
             "ratio": mean / fro, "patterns": count}

@@ -4,6 +4,7 @@ line surface, including exit codes and output files."""
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ import pytest
 
 import moddemix.cli as cli
 import moddemix.harness as harness
+import moddemix.operators as operators
 from moddemix.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from moddemix.harness import (
     SweepGrid,
@@ -25,7 +27,7 @@ from moddemix.harness import (
     run_trial,
 )
 from moddemix.instances import TrialSpec, snapshot_from_json
-from moddemix.operators import Dimensions
+from moddemix.operators import Dimensions, MeasurementEnsemble, forward_map
 from moddemix.solver import NumericalFailureError, SolverConfig
 
 EASY = Dimensions(L=64, Q=64, M=3, K=3, N=1)
@@ -269,14 +271,25 @@ class TestSweeps:
                                           out=out),
         lambda out: run_transmitter_sweep(N_values=(1, 2.5), K=2, M=2, L_max=32, trials=1,
                                           out=out),
+        lambda out: run_transmitter_sweep(N_values=(1,), K=2, M=2, L_max=64.0, trials=1,
+                                          out=out),
         lambda out: run_probe("adjoint", {"trials": 1.5}, out=out),
         lambda out: run_probe("rip", {"draws": True}, out=out),
+        lambda out: run_phase_transition(
+            SweepGrid(L=64, N=1, Q_values=(), K_values=(2,), M_values=(2,), trials=1), out=out),
+        lambda out: run_phase_transition(
+            SweepGrid(L=64, N=1, Q_values=(64,), K_values=(), M_values=(2,), trials=1), out=out),
+        lambda out: run_phase_transition(
+            SweepGrid(L=64, N=1, Q_values=(64,), K_values=(2,), M_values=(), trials=1), out=out),
+        lambda out: run_snr_sweep(EASY, [], trials=1, out=out),
     ], ids=["snr-trials-2.5", "snr-trials-True", "phase-trials-1.5", "phase-workers-1.5",
-            "scaling-trials-1.5", "scaling-N-2.5", "probe-trials-1.5", "probe-draws-True"])
+            "scaling-trials-1.5", "scaling-N-2.5", "scaling-L_max-64.0", "probe-trials-1.5",
+            "probe-draws-True", "phase-no-Q", "phase-no-K", "phase-no-M", "snr-no-point"])
     def test_count_not_an_integer_rejected_before_any_work(self, run, tmp_path,
                                                           monkeypatch):
         """Every count is checked as an integer >= 1 (a bool is not one)
-        before any trial runs or `out` is opened."""
+        before any trial runs or `out` is opened; an empty sweep axis is a
+        count of 0."""
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
         monkeypatch.setattr(harness, "synthesize", lambda spec: calls.append(spec))
@@ -332,6 +345,29 @@ class TestProbes:
         rep = run_probe("isometry", {"dims": Dimensions(L=16, Q=6, M=3, K=2, N=2)})
         assert rep["patterns"] == 2 ** 12
         assert rep["ratio"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_isometry_is_the_mean_over_every_ensemble(self):
+        """The probe's average equals ||A_r(Z - Z0)||^2 over all 2^8 sign
+        patterns, each on its own ensemble through `forward_map`."""
+        dims = Dimensions(L=12, Q=4, M=3, K=2, N=2)
+        ens, truth, z, fro = harness._perturbed_point(dims, 0, 7)
+        total = 0.0
+        for r in itertools.product((-1.0, 1.0), repeat=dims.Q * dims.N):
+            ens_r = MeasurementEnsemble(dims, np.reshape(r, (dims.N, dims.Q)), ens.coding)
+            res = forward_map(ens_r, z) - forward_map(ens_r, truth)
+            total += np.vdot(res, res).real
+        rep = run_probe("isometry", {"dims": dims})
+        assert rep["patterns"] == 256 and rep["frobenius_sq"] == fro
+        assert rep["mean_energy"] == pytest.approx(total / 256, rel=1e-12)
+
+    def test_isometry_measures_the_package_map(self, monkeypatch):
+        """Coded spectra 1.1x too large scale every measurement by 1.1, and
+        the probe reads the squared factor."""
+        spectra = operators._conj_coded_spectra
+        monkeypatch.setattr(operators, "_conj_coded_spectra",
+                            lambda modulated, L: 1.1 * spectra(modulated, L))
+        rep = run_probe("isometry", {"dims": Dimensions(L=16, Q=6, M=3, K=2, N=2)})
+        assert rep["ratio"] == pytest.approx(1.21, rel=1e-12)
 
     def test_isometry_guard(self):
         with pytest.raises(ValueError, match="exhaustive"):
