@@ -137,6 +137,11 @@ class MeasurementEnsemble:
         object.__setattr__(self, "coding", coding)
         object.__setattr__(self, "coded_spectra", spectra)
 
+    @functools.cached_property
+    def _row_peak(self) -> np.ndarray:
+        """rho_n = max_q ||C_n[q, :]||^2 for `evaluate`, computed on first use."""
+        return np.max(np.vecdot(self.coding, self.coding), axis=1)
+
     def _check_component(self, n: int) -> None:
         if not 0 <= n < self.dims.N:
             raise ValueError(f"component index {n} out of range [0, {self.dims.N})")
@@ -156,10 +161,11 @@ def _conj_coded_spectra(modulated: np.ndarray, L: int) -> np.ndarray:
     """conj(B_n) for every n, shape (N, L, K), from the real (N, Q, K) stack
     r_n * C_n: B_n = sqrt(L) F_Q diag(r_n) C_n is its plain zero-padded FFT
     along Q.  A real input's FFT is Hermitian, X[L - k] = conj(X[k]), so the
-    rfft gives rows 0..L//2 and the rest are their mirror."""
+    rfft gives rows 0..L//2 and the rest are their mirror.  The conjugated
+    rfft is an unscaled ihfft, written in place."""
     half = L // 2 + 1
     spectra = np.empty((modulated.shape[0], L, modulated.shape[2]), dtype=complex)
-    np.conjugate(np.fft.rfft(modulated, n=L, axis=1), out=spectra[:, :half])
+    np.fft.ihfft(modulated, n=L, axis=1, norm="forward", out=spectra[:, :half])
     # row k >= half is conj(X[k]) = X[L - k] = conj(row L - k), L - k in [1, L - half]
     np.conjugate(spectra[:, L - half:0:-1], out=spectra[:, half:])
     return spectra
@@ -235,8 +241,7 @@ def component_spectra(ens: MeasurementEnsemble,
     n is A(Z(h, x)).  Dimensions are the caller's to check."""
     # column-major (L, N): summing over n, as the residual does, is then fast
     spectra = (z.channels @ dft_basis(ens.dims.L, ens.dims.M).T).T
-    coded = ens.coded_spectra @ np.conj(z.coefficients)[:, :, None]   # (N, L, 1)
-    return spectra, coded[:, :, 0].T
+    return spectra, np.matvec(ens.coded_spectra, np.conj(z.coefficients)).T
 
 
 def forward_map(ens: MeasurementEnsemble, z: BlockFactorPair) -> np.ndarray:
@@ -258,8 +263,11 @@ def adjoint_component(ens: MeasurementEnsemble, n: int, w: np.ndarray) -> np.nda
 
 def _adjoint_blocks(ens: MeasurementEnsemble, w: np.ndarray) -> np.ndarray:
     """A_n^*(w) = conj(F_M^T diag(conj(w)) conj(B_n)) for every n, shape
-    (N, M, K), from one batched product; w is the caller's to check."""
-    return np.conj(dft_basis(ens.dims.L, ens.dims.M).T @ (np.conj(w)[:, None] * ens.coded_spectra))
+    (N, M, K), one component at a time: an (N, L, K) temporary was seen to
+    put paper-scale set-up into a page-faulting mode.  w is the caller's to
+    check."""
+    basis_t, conj_w = dft_basis(ens.dims.L, ens.dims.M).T, np.conj(w)[:, None]
+    return np.conj(np.stack([basis_t @ (conj_w * b) for b in ens.coded_spectra]))
 
 
 def dense_oracle(ens: MeasurementEnsemble, n: int) -> np.ndarray:

@@ -6,8 +6,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import SMALL_DIMS, make_instance, random_pair
+from moddemix import objective
 from moddemix.objective import (
     CoherenceReport,
     DegenerateInputError,
@@ -25,6 +28,7 @@ from moddemix.operators import (
     dense_oracle,
     dft_basis,
 )
+from moddemix.solver import solve
 
 
 def oracle_params(ens, truth, rho=None) -> PenaltyParams:
@@ -55,6 +59,18 @@ class TestCoherences:
             / np.linalg.norm(z.coefficients[n]) ** 2 for n in range(dims.N))
         assert rep.mu_sq == pytest.approx(mu_sq, rel=1e-12)
         assert rep.nu_sq == pytest.approx(nu_sq, rel=1e-12)
+
+    @pytest.mark.parametrize("dims", [Dimensions(L=320, Q=320, M=8, K=8, N=2),
+                                      Dimensions(L=3200, Q=3200, M=12, K=12, N=2)], ids=str)
+    def test_equals_one_product_form(self, dims, rng):
+        """mu^2 from the contiguous (N, L) maxima equals the former axis-0
+        maxima of the (L, N) spectra bit for bit."""
+        ens, _, _ = make_instance(dims)
+        z = random_pair(dims, rng)
+        h_sq = np.vecdot(z.channels, z.channels).real
+        spectra = dft_basis(dims.L, dims.M) @ z.channels.T
+        mu_sq = dims.L * np.max(np.max(np.abs(spectra), axis=0) ** 2 / h_sq)
+        assert coherences(ens, z).mu_sq == float(mu_sq)
 
     def test_impulse_channel_has_unit_mu(self):
         dims = Dimensions(L=16, Q=8, M=3, K=2, N=1)
@@ -219,6 +235,82 @@ def _directional(grad, dz) -> float:
     """The derivative along dz of a real function with Wirtinger gradient grad."""
     return 2.0 * (np.vdot(grad.channels, dz.channels)
                   + np.vdot(grad.coefficients, dz.coefficients)).real
+
+
+_FAR_PEAK = 1e-3
+_NEAR_PEAKS = (1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5)
+
+
+@st.composite
+def _certificate_cases(draw):
+    """A small geometry, a seed and one placed peak per hinge family: a set
+    of families (possibly none) peak near 1, the others far below it."""
+    L = draw(st.integers(4, 40))
+    Q = draw(st.integers(2, L))
+    N = draw(st.integers(1, min(Q, 3)))
+    dims = Dimensions(L=L, Q=Q, M=draw(st.integers(1, L)), K=draw(st.integers(1, Q // N)), N=N)
+    peaks = np.full(len(FAMILIES), _FAR_PEAK)
+    for family in draw(st.sets(st.integers(0, len(FAMILIES) - 1))):
+        peaks[family] = draw(st.sampled_from(_NEAR_PEAKS))
+    return dims, draw(st.integers(0, 2**16)), peaks
+
+
+def _count_coded_messages(mp) -> list:
+    """Record each call of objective._coded_messages in the returned list."""
+    calls, coded_messages = [], objective._coded_messages
+    mp.setattr(objective, "_coded_messages", lambda *a: calls.append(1) or coded_messages(*a))
+    return calls
+
+
+class TestIdleCertificate:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(case=_certificate_cases())
+    @example(case=(Dimensions(L=32, Q=16, M=6, K=4, N=2), 0, np.full(4, _FAR_PEAK)))
+    @example(case=(Dimensions(L=32, Q=16, M=6, K=4, N=2), 1, np.full(4, 1.0 - 1e-12)))
+    def test_matches_the_exact_path(self, case):
+        """evaluate(grad=True) gives the same f, g and gradient bit for bit
+        with the certificate as without it, and certifies G = 0 (forms no
+        coded messages) only where every direct hinge term is zero; with
+        every peak far below 1 it certifies.  About 0.3 s."""
+        dims, seed, peaks = case
+        ens, _, obs = make_instance(dims, seed=seed)
+        z, p = _placed(ens, random_pair(dims, np.random.default_rng(seed)), peaks, rho=100.0)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_coded_messages(mp)
+            ev = evaluate(ens, z, obs, p, grad=True)
+            certified = not calls
+            mp.setattr(objective, "_IDLE_BOUND", -np.inf)
+            exact = evaluate(ens, z, obs, p, grad=True)
+        assert calls  # the certificate is off: the exact path ran
+        assert (ev.f, ev.g) == (exact.f, exact.g)
+        np.testing.assert_array_equal(ev.grad.channels, exact.grad.channels)
+        np.testing.assert_array_equal(ev.grad.coefficients, exact.grad.coefficients)
+        if certified:
+            assert ev.g == 0.0 and not np.any(_direct_penalty(ens, z, p))
+        if np.all(peaks == _FAR_PEAK):
+            assert certified
+
+    def test_desk_solve_forms_coded_messages_once(self, monkeypatch):
+        """The certificate holds throughout a desk solve: the coded messages
+        are formed once, by coherences at the start, and in no evaluation."""
+        ens, truth, obs = make_instance(Dimensions(L=320, Q=320, M=8, K=8, N=2))
+        calls = _count_coded_messages(monkeypatch)
+        _, trace = solve(ens, obs, truth=truth)
+        assert trace.stop_reason == "residual" and trace.rel_err[-1] < 1e-2
+        assert len(calls) == 1
+
+    def test_row_peak_computed_on_first_use(self, rng):
+        """rho_n is not computed in set-up; the first evaluation computes it
+        once, as max_q ||C_n[q, :]||^2."""
+        dims = Dimensions(L=32, Q=16, M=6, K=4, N=2)
+        ens, truth, obs = make_instance(dims)
+        assert "_row_peak" not in vars(ens)
+        evaluate(ens, truth, obs, oracle_params(ens, truth))
+        peak = vars(ens)["_row_peak"]
+        np.testing.assert_allclose(peak, [max(np.linalg.norm(ens.coding[n], axis=1) ** 2)
+                                          for n in range(dims.N)], rtol=1e-15)
+        evaluate(ens, truth, obs, oracle_params(ens, truth))
+        assert vars(ens)["_row_peak"] is peak
 
 
 class TestEvaluate:

@@ -1,6 +1,8 @@
 """Operator-level tests: the partial-DFT basis, forward/adjoint maps and the dense
 matrix oracle they must agree with."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from moddemix.operators import (
     Dimensions,
     MeasurementEnsemble,
     ObservationVector,
+    _adjoint_blocks,
     adjoint_component,
     component_spectra,
     dense_oracle,
@@ -146,11 +149,15 @@ class TestCodedSpectraProperty:
     @example(d=Dimensions(L=2, Q=1, M=1, K=1, N=1), seed=0)
     def test_mirrored_rfft_is_the_full_fft(self, d, seed):
         """The rfft-plus-mirror spectra equal conj(fft(r * C)) to 1e-13
-        relative.  About 0.3 s."""
+        relative, and the in-place ihfft rows are the conjugated rfft bit
+        for bit.  About 0.3 s."""
         ens, _, _ = make_instance(d, seed)
-        ref = np.conj(np.fft.fft(ens.modulation[:, :, None] * ens.coding, n=d.L, axis=1))
+        modulated = ens.modulation[:, :, None] * ens.coding
+        ref = np.conj(np.fft.fft(modulated, n=d.L, axis=1))
         assert ens.coded_spectra.shape == (d.N, d.L, d.K)
         assert np.linalg.norm(ens.coded_spectra - ref) <= 1e-13 * np.linalg.norm(ref)
+        np.testing.assert_array_equal(ens.coded_spectra[:, :d.L // 2 + 1],
+                                      np.conj(np.fft.rfft(modulated, n=d.L, axis=1)))
 
 
 class TestForwardAdjoint:
@@ -204,6 +211,44 @@ class TestForwardAdjoint:
             adjoint_component(ens, 0, np.ones(15))
         with pytest.raises(ValueError):
             adjoint_component(ens, 1, np.ones(16))
+
+
+# the desk and paper geometries of the benchmark
+PRODUCT_DIMS = [Dimensions(L=320, Q=320, M=8, K=8, N=2),
+                Dimensions(L=3200, Q=3200, M=12, K=12, N=2)]
+
+
+class TestProductForms:
+    """The per-component and matvec products equal the former single
+    batched products bit for bit."""
+
+    @pytest.mark.parametrize("dims", PRODUCT_DIMS, ids=str)
+    def test_adjoint_blocks_equal_one_product_form(self, dims, rng):
+        ens, _, obs = make_instance(dims)
+        w = obs.samples + rng.standard_normal(dims.L)
+        one = np.conj(dft_basis(dims.L, dims.M).T @ (np.conj(w)[:, None] * ens.coded_spectra))
+        np.testing.assert_array_equal(_adjoint_blocks(ens, w), one)
+
+    @pytest.mark.parametrize("dims", PRODUCT_DIMS, ids=str)
+    def test_component_spectra_equal_one_product_form(self, dims, rng):
+        ens, _, _ = make_instance(dims)
+        z = random_pair(dims, rng)
+        coded = (ens.coded_spectra @ np.conj(z.coefficients)[:, :, None])[:, :, 0].T
+        np.testing.assert_array_equal(component_spectra(ens, z)[1], coded)
+
+    def test_adjoint_blocks_form_no_stacked_temporary(self):
+        """At paper scale _adjoint_blocks peaks below one (N, L, K) complex
+        array, 1.2 MB, which the single batched product allocated."""
+        dims = PRODUCT_DIMS[1]
+        ens, _, obs = make_instance(dims)
+        _adjoint_blocks(ens, obs.samples)  # the cached basis is built outside the count
+        tracemalloc.start()
+        try:
+            _adjoint_blocks(ens, obs.samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dims.N * dims.L * dims.K * 16
 
 
 class TestOperatorNorm:
