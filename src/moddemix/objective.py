@@ -76,9 +76,8 @@ def coherences(ens: MeasurementEnsemble, z: BlockFactorPair) -> CoherenceReport:
     h_sq, x_sq = np.vecdot(h, h).real, np.vecdot(x, x).real
     if np.any(h_sq == 0.0) or np.any(x_sq == 0.0):
         raise DegenerateInputError("coherences undefined for zero factors")
-    spectra = dft_basis(d.L, d.M) @ h.T                               # (L, N)
-    # maxima over a contiguous (N, L) copy: several times faster than axis=0
-    mu_sq = d.L * np.max(np.abs(spectra.T.copy()).max(axis=1) ** 2 / h_sq)
+    spectra = h @ dft_basis(d.L, d.M).T                               # (N, L)
+    mu_sq = d.L * np.max(np.abs(spectra).max(axis=1) ** 2 / h_sq)
     nu_sq = d.Q * np.max(np.max(np.abs(_coded_messages(ens, x)), axis=0) ** 2 / x_sq)
     d_n = np.sqrt(h_sq) * np.sqrt(x_sq)
     return CoherenceReport(mu_sq=float(mu_sq), nu_sq=float(nu_sq), d_n=d_n,
@@ -98,10 +97,12 @@ class PenaltyParams:
 
     def __post_init__(self):
         object.__setattr__(self, "d_n", np.asarray(self.d_n, dtype=float))
-        if not (self.rho > 0 and self.d > 0 and np.all(self.d_n > 0)):
-            raise ValueError("rho, d and all d_n must be positive")
-        if not (self.mu > 0 and self.nu > 0):
-            raise ValueError("mu and nu must be positive")
+        # finite too: an infinite rho would make an idle hinge's G = inf * 0 = NaN
+        if not (0 < self.rho < math.inf and 0 < self.d < math.inf
+                and np.all((0 < self.d_n) & (self.d_n < math.inf))):
+            raise ValueError("rho, d and all d_n must be positive and finite")
+        if not (0 < self.mu < math.inf and 0 < self.nu < math.inf):
+            raise ValueError("mu and nu must be positive and finite")
 
 
 # G = 0 is certain when every hinge argument's bound is at most this: the
@@ -150,11 +151,10 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     spectral arguments are at most h_arg M / (4 mu^2), as |(F_M h_n)_l|^2 <=
     M ||h_n||^2 / L, and the coded ones at most x_arg Q rho_n / (4 nu^2),
     rho_n = max_q ||C_n[q, :]||^2.  With every bound <= `_IDLE_BOUND`, G = 0
-    and no coded message is formed.  Otherwise (a NaN included) the exact test
-    reads each family's max|s|^2 * scale per component, which decides as the
-    full arrays would (squaring and positive scaling are monotone).  The
-    gradient forms conj(w) directly, which is exact, skips its hinge terms at
-    G = 0, where they vanish, and is not formed where F + G is not finite.
+    and no coded message is formed.  Otherwise (a NaN included) G is the
+    exact hinge sum, which is rho * 0.0 = 0.0 where every argument is <= 1.
+    The gradient forms conj(w) directly, which is exact, skips its hinge terms
+    at G = 0, where they vanish, and is not formed where F + G is not finite.
     """
     y_hat.check_dims(ens.dims)
     z.check_dims(ens.dims)
@@ -169,12 +169,9 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     if not (h_arg.max() * max(1.0, d.M / (4 * p.mu**2)) <= _IDLE_BOUND and np.max(
             x_arg * np.maximum(1.0, d.Q / (4 * p.nu**2) * ens._row_peak)) <= _IDLE_BOUND):
         coded = _coded_messages(ens, x)                               # (Q, N)
-        spec_abs, spec_scale = np.abs(spectra), d.L / (8 * p.mu**2) / p.d_n
-        coded_abs, coded_scale = np.abs(coded), d.Q / (8 * p.nu**2) / p.d_n
-        if not np.concatenate((h_arg, x_arg, spec_abs.max(axis=0) ** 2 * spec_scale,
-                               coded_abs.max(axis=0) ** 2 * coded_scale)).max() <= 1.0:
-            spec_arg, coded_arg = spec_abs**2 * spec_scale, coded_abs**2 * coded_scale
-            g = p.rho * float(sum(np.sum(_hinge(a)) for a in (h_arg, x_arg, spec_arg, coded_arg)))
+        spec_arg = np.abs(spectra) ** 2 * (d.L / (8 * p.mu**2) / p.d_n)
+        coded_arg = np.abs(coded) ** 2 * (d.Q / (8 * p.nu**2) / p.d_n)
+        g = p.rho * float(sum(np.sum(_hinge(a)) for a in (h_arg, x_arg, spec_arg, coded_arg)))
     if not grad or not math.isfinite(f + g):
         return Evaluation(f, g)
 

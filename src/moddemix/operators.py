@@ -3,10 +3,12 @@
 The observation model sums, over ``N`` transmitters, the elementwise product
 of two length-``L`` spectra: the channel spectrum ``F_M h_n`` and the coded
 spectrum of the modulated message.  The channel transform is a product
-with the cached partial DFT `dft_basis(L, M)`, forward and adjoint alike; a
-dense matrix oracle (`dense_oracle`) exists purely so tests can cross-check
-the fast path.  The solver's first step size needs no norm of A: ||A||^2 <= N M
-holds for every ensemble (see `moddemix.solver.solve`).
+with the cached partial DFT `dft_basis(L, M)`, forward and adjoint alike:
+`component_spectra` forms all N channel and coded spectra, and
+`adjoint_component` forms one adjoint block A_n^*(w).  A dense matrix oracle
+(`dense_oracle`) exists purely so tests can cross-check these products.  The
+solver's first step size needs no norm of A: ||A||^2 <= N M holds for every
+ensemble (see `moddemix.solver.solve`).
 
 Conventions
 -----------
@@ -143,7 +145,8 @@ class MeasurementEnsemble:
         return np.max(np.vecdot(self.coding, self.coding), axis=1)
 
     def _check_component(self, n: int) -> None:
-        if not 0 <= n < self.dims.N:
+        _check_integers({"component index": n}, 0)  # a bool or 1.5 is no index
+        if not n < self.dims.N:
             raise ValueError(f"component index {n} out of range [0, {self.dims.N})")
 
 
@@ -252,22 +255,15 @@ def forward_map(ens: MeasurementEnsemble, z: BlockFactorPair) -> np.ndarray:
 
 
 def adjoint_component(ens: MeasurementEnsemble, n: int, w: np.ndarray) -> np.ndarray:
-    """A_n^*(w): the M x K adjoint block, satisfying
-    <A_n(Z), w> = <Z, A_n^*(w)>_F exactly."""
+    """A_n^*(w) = conj(F_M^T diag(conj(w)) conj(B_n)): the M x K adjoint
+    block, satisfying <A_n(Z), w> = <Z, A_n^*(w)>_F exactly.  Only block n
+    is formed, so stacking the N blocks holds no (N, L, K) temporary."""
     ens._check_component(n)
     w = np.asarray(w, dtype=complex)
     if w.shape != (ens.dims.L,):
         raise ValueError(f"input length {w.shape} != ({ens.dims.L},)")
-    return _adjoint_blocks(ens, w)[n]
-
-
-def _adjoint_blocks(ens: MeasurementEnsemble, w: np.ndarray) -> np.ndarray:
-    """A_n^*(w) = conj(F_M^T diag(conj(w)) conj(B_n)) for every n, shape
-    (N, M, K), one component at a time: an (N, L, K) temporary was seen to
-    put paper-scale set-up into a page-faulting mode.  w is the caller's to
-    check."""
-    basis_t, conj_w = dft_basis(ens.dims.L, ens.dims.M).T, np.conj(w)[:, None]
-    return np.conj(np.stack([basis_t @ (conj_w * b) for b in ens.coded_spectra]))
+    basis = dft_basis(ens.dims.L, ens.dims.M)
+    return np.conj(basis.T @ (np.conj(w)[:, None] * ens.coded_spectra[n]))
 
 
 def dense_oracle(ens: MeasurementEnsemble, n: int) -> np.ndarray:

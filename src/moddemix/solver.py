@@ -18,7 +18,7 @@ import numpy as np
 
 from .instances import relative_error_to
 from .objective import DegenerateInputError, PenaltyParams, coherences, evaluate, grad_total
-from .operators import (BlockFactorPair, MeasurementEnsemble, ObservationVector, _adjoint_blocks,
+from .operators import (BlockFactorPair, MeasurementEnsemble, ObservationVector, adjoint_component,
                         check_counts, dft_basis)
 
 __all__ = [
@@ -167,11 +167,12 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float) -> np.nda
 
 def _spectral_start(ens: MeasurementEnsemble, y_hat: ObservationVector) -> InitResult:
     """d_n and the start (sqrt(d_n) u_n, sqrt(d_n) v_n), from the exact leading
-    singular triples of all N blocks A_n^*(y_hat), formed at once."""
+    singular triples of the N stacked blocks A_n^*(y_hat), one stacked SVD."""
     y_hat.check_dims(ens.dims)
     if not np.any(y_hat.samples):
         raise DegenerateInputError("cannot initialize from a zero observation")
-    d_n, u, v = leading_singular_triple(_adjoint_blocks(ens, y_hat.samples))
+    blocks = np.stack([adjoint_component(ens, n, y_hat.samples) for n in range(ens.dims.N)])
+    d_n, u, v = leading_singular_triple(blocks)
     root = np.sqrt(d_n)[:, None]
     return InitResult(d_n=d_n, start=BlockFactorPair(root * u, root * v))
 

@@ -63,12 +63,12 @@ class TestCoherences:
     @pytest.mark.parametrize("dims", [Dimensions(L=320, Q=320, M=8, K=8, N=2),
                                       Dimensions(L=3200, Q=3200, M=12, K=12, N=2)], ids=str)
     def test_equals_one_product_form(self, dims, rng):
-        """mu^2 from the contiguous (N, L) maxima equals the former axis-0
-        maxima of the (L, N) spectra bit for bit."""
+        """mu^2 equals the axis-0 maxima of component_spectra's (L, N)
+        channel spectra bit for bit: one product forms the spectra."""
         ens, _, _ = make_instance(dims)
         z = random_pair(dims, rng)
         h_sq = np.vecdot(z.channels, z.channels).real
-        spectra = dft_basis(dims.L, dims.M) @ z.channels.T
+        spectra = component_spectra(ens, z)[0]
         mu_sq = dims.L * np.max(np.max(np.abs(spectra), axis=0) ** 2 / h_sq)
         assert coherences(ens, z).mu_sq == float(mu_sq)
 
@@ -92,11 +92,12 @@ class TestCoherences:
 
 class TestPenaltyParams:
     def test_rejects_nonpositive(self):
-        """Zero, a negative value and NaN (for which `x <= 0` is False) are
-        each rejected in every field."""
+        """Zero, a negative value, NaN (for which `x <= 0` is False) and inf
+        (which makes an idle hinge's rho * 0 NaN) are each rejected in every
+        field."""
         good = dict(rho=1.0, d=1.0, d_n=np.ones(2), mu=1.0, nu=1.0)
         for name in good:
-            for bad in (0.0, -1.0, np.nan):
+            for bad in (0.0, -1.0, np.nan, np.inf):
                 value = np.array([1.0, bad]) if name == "d_n" else bad
                 with pytest.raises(ValueError, match="must be positive"):
                     PenaltyParams(**{**good, name: value})
@@ -290,10 +291,14 @@ class TestIdleCertificate:
         if np.all(peaks == _FAR_PEAK):
             assert certified
 
-    def test_desk_solve_forms_coded_messages_once(self, monkeypatch):
-        """The certificate holds throughout a desk solve: the coded messages
-        are formed once, by coherences at the start, and in no evaluation."""
-        ens, truth, obs = make_instance(Dimensions(L=320, Q=320, M=8, K=8, N=2))
+    @pytest.mark.parametrize("dims", [Dimensions(L=320, Q=320, M=8, K=8, N=2),
+                                      Dimensions(L=3200, Q=3200, M=12, K=12, N=2)],
+                             ids=["desk", "paper"])
+    def test_solve_forms_coded_messages_once(self, dims, monkeypatch):
+        """The certificate holds throughout a solve at both benchmark sizes:
+        the coded messages are formed once, by coherences at the start, and
+        in no evaluation, so the exact hinge sum never runs."""
+        ens, truth, obs = make_instance(dims)
         calls = _count_coded_messages(monkeypatch)
         _, trace = solve(ens, obs, truth=truth)
         assert trace.stop_reason == "residual" and trace.rel_err[-1] < 1e-2

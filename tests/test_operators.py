@@ -14,7 +14,6 @@ from moddemix.operators import (
     Dimensions,
     MeasurementEnsemble,
     ObservationVector,
-    _adjoint_blocks,
     adjoint_component,
     component_spectra,
     dense_oracle,
@@ -212,10 +211,28 @@ class TestForwardAdjoint:
         with pytest.raises(ValueError):
             adjoint_component(ens, 1, np.ones(16))
 
+    @pytest.mark.parametrize("n", [True, False, 1.5, 0.0, -1, 2, "0"], ids=repr)
+    def test_component_index_is_an_integer_in_range(self, n):
+        """Each is a ValueError for the adjoint and the oracle alike: a bool
+        (as an index, True would add an axis), a float, even a whole one, a
+        string, and an integer outside [0, N).  numpy integers are indices."""
+        ens, _, _ = make_instance(Dimensions(L=16, Q=8, M=3, K=2, N=2))
+        with pytest.raises(ValueError, match="component index"):
+            adjoint_component(ens, n, np.ones(16))
+        with pytest.raises(ValueError, match="component index"):
+            dense_oracle(ens, n)
+        for index in (1, np.int64(1)):
+            assert adjoint_component(ens, index, np.ones(16)).shape == (3, 2)
+
 
 # the desk and paper geometries of the benchmark
 PRODUCT_DIMS = [Dimensions(L=320, Q=320, M=8, K=8, N=2),
                 Dimensions(L=3200, Q=3200, M=12, K=12, N=2)]
+
+
+def _stacked_adjoint(ens, w):
+    """The N blocks A_n^*(w), stacked as the spectral start stacks them."""
+    return np.stack([adjoint_component(ens, n, w) for n in range(ens.dims.N)])
 
 
 class TestProductForms:
@@ -227,7 +244,7 @@ class TestProductForms:
         ens, _, obs = make_instance(dims)
         w = obs.samples + rng.standard_normal(dims.L)
         one = np.conj(dft_basis(dims.L, dims.M).T @ (np.conj(w)[:, None] * ens.coded_spectra))
-        np.testing.assert_array_equal(_adjoint_blocks(ens, w), one)
+        np.testing.assert_array_equal(_stacked_adjoint(ens, w), one)
 
     @pytest.mark.parametrize("dims", PRODUCT_DIMS, ids=str)
     def test_component_spectra_equal_one_product_form(self, dims, rng):
@@ -237,14 +254,14 @@ class TestProductForms:
         np.testing.assert_array_equal(component_spectra(ens, z)[1], coded)
 
     def test_adjoint_blocks_form_no_stacked_temporary(self):
-        """At paper scale _adjoint_blocks peaks below one (N, L, K) complex
-        array, 1.2 MB, which the single batched product allocated."""
+        """At paper scale the N stacked adjoint blocks peak below one (N, L, K)
+        complex array, 1.2 MB, which the single batched product allocated."""
         dims = PRODUCT_DIMS[1]
         ens, _, obs = make_instance(dims)
-        _adjoint_blocks(ens, obs.samples)  # the cached basis is built outside the count
+        _stacked_adjoint(ens, obs.samples)  # the cached basis is built outside the count
         tracemalloc.start()
         try:
-            _adjoint_blocks(ens, obs.samples)
+            _stacked_adjoint(ens, obs.samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
