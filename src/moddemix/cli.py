@@ -1,7 +1,8 @@
 """Command-line experiment driver.
 
 Subcommands: trial, phase, snr, scaling, trace, probe.  Exit codes:
-0 success, 1 invalid arguments, 2 I/O failure, 3 numerical failure.
+0 success, 1 invalid arguments, 2 I/O failure, 3 numerical failure (also an
+adjoint or gradcheck probe whose max_rel_mismatch is over its tolerance).
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+
+# acceptance tolerances on a probe's max_rel_mismatch (criteria 1 and 3);
+# isometry and rip report statistics with no pass mark
+_PROBE_TOLERANCES = {"adjoint": 1e-10, "gradcheck": 1e-6}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,6 +192,12 @@ def _cmd_probe(args) -> int:
         params["dims"] = replace(PROBE_DIMS[args.kind], **dims)
     report = run_probe(args.kind, params, out=args.out)
     print(json.dumps(report, indent=2))
+    tol = _PROBE_TOLERANCES.get(args.kind)
+    if tol is not None and not report["max_rel_mismatch"] <= tol:  # NaN fails too
+        print(f"moddemix: numerical failure: {args.kind} probe max_rel_mismatch "
+              f"{report['max_rel_mismatch']:.3e} is over its tolerance {tol:g}",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

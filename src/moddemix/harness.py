@@ -276,14 +276,15 @@ def run_convergence_trace(spec: TrialSpec, cfg: SolverConfig | None = None,
                           out=None) -> dict:
     """Per-iteration history of one trial: `SolveTrace`'s columns and scale_exponent."""
     check_coding_fits(spec.dims)
-    header = ["t", "f_tilde", "f", "g", "rel_err", "grad_norm", "eta", "evals", "scale_exponent"]
+    header = ["t", "f_tilde", "f", "g", "rel_err", "err_est", "grad_norm", "eta", "evals",
+              "scale_exponent"]
     formats = {"f_tilde": ".10e", "f": ".10e", "g": ".10e",
-               "rel_err": ".6e", "grad_norm": ".6e", "eta": ".6e"}
+               "rel_err": ".6e", "err_est": ".6e", "grad_norm": ".6e", "eta": ".6e"}
     with _csv_rows(out, header, formats) as emit:
         ens, truth, obs = synthesize(spec)
         est, trace = solve(ens, obs, cfg or SolverConfig(), truth=truth)
         for row in zip(trace.t, trace.f_tilde, trace.f, trace.g, trace.rel_err,
-                       trace.grad_norm, trace.eta, trace.evals):
+                       trace.err_est, trace.grad_norm, trace.eta, trace.evals):
             emit((*row, trace.scale_exponent))
     return {"rel_err": relative_error(est, truth), "trace": trace}
 

@@ -36,9 +36,12 @@ __all__ = [
 # Backtracking gives up below this step size; the descent then stops with
 # "no_decrease".
 _MIN_ETA = 1e-20
-# The descent stops once the residual is below _RESIDUAL_TOL * ||y||, or
-# the gradient norm below _GRAD_TOL * d^2 (noisy y has a residual floor).
-_RESIDUAL_TOL = 5e-4
+# The descent stops once its estimated error (`_error_estimate`, which reads
+# the residuals of the last _WINDOW rows at most) is below _ERROR_TOL, or
+# once the gradient norm is below _GRAD_TOL * d^2 (noisy y has a residual
+# floor).
+_ERROR_TOL = 2.5e-3
+_WINDOW = 10
 _GRAD_TOL = 1e-7
 # `solve` takes mu, nu as this margin times the coherences of its start
 # point.  A spectral start h_n = sqrt(d_n) u_n has unit u_n, so
@@ -84,11 +87,14 @@ class SolveTrace:
     eta is the accepted step (0 on row 0 and on a "no_decrease" row; its
     search started at eta 2^(evals - 1)), evals the row's objective
     evaluations (row 0: the start value and its gradient, so 2), rel_err the
-    truth's score (NaN without a truth; no stop reads it)."""
+    truth's score (NaN without a truth; no stop reads it) and err_est the
+    estimated error the "residual" stop reads (`_error_estimate`; NaN on
+    row 0 unless f = 0 there)."""
 
     f: np.ndarray
     g: np.ndarray
     rel_err: np.ndarray
+    err_est: np.ndarray
     grad_norm: np.ndarray
     eta: np.ndarray
     evals: np.ndarray
@@ -250,17 +256,38 @@ def _scale_exponent(y: np.ndarray) -> int:
     return round((e + math.log2(np.linalg.norm(np.ldexp(np.abs(y), -e)))) / 2)
 
 
+def _error_estimate(r: list[float]) -> float:
+    """Estimated distance to the solution, relative to ||y||, after the rows
+    whose relative residuals sqrt(f) / ||y|| are r: r_t / sqrt(1 - q) for a
+    descent that contracts linearly at rate q = (r_t / r_{t-w})^(1/w), w =
+    min(`_WINDOW`, t).  0 where r_t = 0, on any row; NaN on row 0 otherwise
+    (no window); inf where q >= 1 (no contraction to read)."""
+    t = len(r) - 1
+    if r[t] == 0.0:
+        return 0.0
+    if t == 0:
+        return math.nan
+    w = min(_WINDOW, t)
+    q = (r[t] / r[t - w]) ** (1.0 / w)
+    return r[t] / math.sqrt(1.0 - q) if q < 1.0 else math.inf
+
+
 def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
           cfg: SolverConfig | None = None,
           truth: BlockFactorPair | None = None) -> tuple[BlockFactorPair, SolveTrace]:
-    """Descend from the spectral start until sqrt(f) < `_RESIDUAL_TOL` ||y||
-    ("residual"), the gradient norm is below `_GRAD_TOL` d^2 ("grad_tol"),
-    no step decreases the objective ("no_decrease") or max_iters ends it.
+    """Descend from the spectral start until the estimated error
+    `_error_estimate` is below `_ERROR_TOL` ("residual"), the gradient norm
+    is below `_GRAD_TOL` d^2 ("grad_tol"), no step decreases the objective
+    ("no_decrease") or max_iters ends it.
 
     `solve` is blind: its penalty takes mu, nu = `_COHERENCE_MARGIN` times
     the spectral start's coherences, d_n its leading singular values and
     rho = d^2.  The truth only scores, through `relative_error_to`: the
-    trace's rel_err column, which no stop reads.
+    trace's rel_err column, which no stop reads.  The "residual" stop reads
+    only f: its estimate r / sqrt(1 - q) takes the residual r = sqrt(f) /
+    ||y|| and the rate q at which r contracted over the last rows, so an
+    ill-conditioned instance, which contracts slowly, descends further than
+    an easy one.
 
     Each iteration evaluates the objective once per step-size trial, with
     the gradient: the accepted trial's gradient drives the next step, so
@@ -296,21 +323,25 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     eta0 = 1.0 / (2.0 * ens.dims.N * ens.dims.M * d)
     start = 2.0 * eta0  # the first search's first step
 
-    f_stop = _RESIDUAL_TOL**2 * float(np.vdot(y_hat.samples, y_hat.samples).real)
-    rows = []  # (f, g, rel_err, grad_norm, eta, evals)
+    y_norm = float(np.linalg.norm(y_hat.samples))
+    residuals = []  # sqrt(f) / ||y|| per row
+    rows = []  # (f, g, rel_err, err_est, grad_norm, eta, evals)
     error = relative_error_to(_scaled(truth, c)) if truth is not None else lambda z: np.nan
 
     def record(ev, gn, step, evals):
-        rows.append((ev.f, ev.g, error(z), gn, step, evals))
+        residuals.append(math.sqrt(ev.f) / y_norm)
+        est = _error_estimate(residuals)
+        rows.append((ev.f, ev.g, error(z), est, gn, step, evals))
+        return est
 
     cur = evaluate(ens, z, y_hat, p)
     if not np.isfinite(cur.f_tilde):
         raise NumericalFailureError(f"non-finite objective ({cur.f_tilde}) at the start point")
     g = grad_total(ens, z, y_hat, p)
-    record(cur, np.nan, 0.0, 2)
+    est = record(cur, np.nan, 0.0, 2)
     stop = "max_iters"
     for _ in range(cfg.max_iters):
-        if cur.f < f_stop:
+        if est < _ERROR_TOL:
             stop = "residual"
             break
         gn_sq = float(np.vdot(g.channels, g.channels).real
@@ -326,10 +357,10 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
             break
         start = _next_start(g, cur.grad, eta, evals, eta0)
         g = cur.grad
-        record(cur, gn, eta, evals)
+        est = record(cur, gn, eta, evals)
 
-    f, g, rel_err, grad_norm, eta, evals = np.array(rows, dtype=float).T
-    trace = SolveTrace(f=f, g=g, rel_err=rel_err, grad_norm=grad_norm, eta=eta,
-                       evals=evals.astype(int), stop_reason=stop,
+    f, g, rel_err, err_est, grad_norm, eta, evals = np.array(rows, dtype=float).T
+    trace = SolveTrace(f=f, g=g, rel_err=rel_err, err_est=err_est, grad_norm=grad_norm,
+                       eta=eta, evals=evals.astype(int), stop_reason=stop,
                        iterations=len(rows) - 1, scale_exponent=j)
     return _scaled(_normalize_output(z), 1.0 / c), trace

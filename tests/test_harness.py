@@ -92,6 +92,19 @@ class TestRunTrial:
         rec = run_trial(TrialSpec(EASY, seed=1), SolverConfig(max_iters=7))
         assert (rec.iterations, rec.stop_reason) == (0, "NumericalFailureError")
 
+    def test_near_transition_solve_runs_on_to_a_success(self):
+        """Criterion-6 cell Q=80, K=M=22, base seed 0, trial 3, at
+        max_iters 5000: it contracts slowly near the transition, and a stop
+        on the residual alone (sqrt(f) < 5e-4 ||y||) ended it at rel_err
+        1.37e-2 after 1,791 iterations.  The estimated error reads the slow
+        contraction, so the descent runs on to a success."""
+        ci = 35
+        dims = SweepGrid().cells()[ci]
+        assert dims == Dimensions(L=320, Q=80, M=22, K=22, N=2)
+        rec = run_trial(TrialSpec(dims, seed=harness._derive_seed(0, ci, 3)),
+                        SolverConfig(max_iters=5000))
+        assert rec.stop_reason == "residual" and rec.success
+
 
 class TestSweeps:
     def test_phase_transition_csv(self, tmp_path):
@@ -196,9 +209,11 @@ class TestSweeps:
         assert res["rel_err"] < 1e-2
         with open(out, newline="") as fh:
             data = list(csv.reader(fh))
-        assert data[0] == ["t", "f_tilde", "f", "g", "rel_err", "grad_norm", "eta", "evals",
-                           "scale_exponent"]
+        assert data[0] == ["t", "f_tilde", "f", "g", "rel_err", "err_est", "grad_norm", "eta",
+                           "evals", "scale_exponent"]
         assert len(data) == res["trace"].iterations + 2  # header + rows 0..T
+        err_est = [float(row[5]) for row in data[1:]]
+        np.testing.assert_allclose(err_est, res["trace"].err_est, rtol=1e-6)
         assert {row[-1] for row in data[1:]} == {str(res["trace"].scale_exponent)}
 
     def test_phase_keeps_rows_finished_before_a_failure(self, tmp_path, monkeypatch):
@@ -590,6 +605,22 @@ class TestCli:
         assert main(["probe", "adjoint", "--trials", "5"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["max_rel_mismatch"] < 1e-10
+
+    @pytest.mark.parametrize("kind,tol", [("adjoint", 1e-10), ("gradcheck", 1e-6)])
+    def test_probe_over_its_tolerance_is_numeric_failure(self, kind, tol, monkeypatch,
+                                                         capsys):
+        """adjoint and gradcheck exit 3 when max_rel_mismatch is over their
+        acceptance tolerance (criteria 1 and 3) or NaN, and 0 at it; the
+        report is printed either way."""
+        _, dims, count, default = harness._PROBES[kind]
+        for mismatch, code in [(1.0, EXIT_NUMERIC), (math.nan, EXIT_NUMERIC), (tol, EXIT_OK)]:
+            monkeypatch.setitem(harness._PROBES, kind,
+                                (lambda dims, seed, n, m=mismatch: {"max_rel_mismatch": m},
+                                 dims, count, default))
+            assert main(["probe", kind, "--trials", "1"]) == code
+            out, err = capsys.readouterr()
+            assert json.loads(out)["kind"] == kind
+            assert ("over its tolerance" in err) == (code == EXIT_NUMERIC)
 
     def test_probe_isometry_defaults(self, capsys):
         """isometry runs at its own default dims (Q*N = 16), and a partial
