@@ -5,10 +5,10 @@ of two length-``L`` spectra: the channel spectrum ``F_M h_n`` and the coded
 spectrum of the modulated message.  The channel transform is a product
 with the cached partial DFT `dft_basis(L, M)`, forward and adjoint alike:
 `component_spectra` forms all N channel and coded spectra, and
-`adjoint_component` forms one adjoint block A_n^*(w).  A dense matrix oracle
-(`dense_oracle`) exists purely so tests can cross-check these products.  The
-solver's first step size needs no norm of A: ||A||^2 <= N M holds for every
-ensemble (see `moddemix.solver.solve`).
+`_adjoint_blocks` all N adjoint blocks A_n^*(w) (`adjoint_component`: one).
+A dense matrix oracle (`dense_oracle`) exists purely so tests can
+cross-check these products.  The solver's first step size needs no norm
+of A: ||A||^2 <= N M holds for every ensemble (see `moddemix.solver.solve`).
 
 Conventions
 -----------
@@ -121,7 +121,8 @@ class MeasurementEnsemble:
 
     def __post_init__(self):
         d = self.dims
-        modulation, coding = _read_only(self.modulation), _read_only(self.coding)
+        modulation = _read_only(self.modulation, "modulation")
+        coding = _read_only(self.coding, "coding")
         if modulation.shape != (d.N, d.Q):
             raise ValueError(f"modulation shape {modulation.shape} != {(d.N, d.Q)}")
         if coding.shape != (d.N, d.Q, d.K):
@@ -150,11 +151,15 @@ class MeasurementEnsemble:
             raise ValueError(f"component index {n} out of range [0, {self.dims.N})")
 
 
-def _read_only(a) -> np.ndarray:
+def _read_only(a, name: str) -> np.ndarray:
     """a as a read-only float array: taken as it is if it is one already (as
     `synthesize`'s cached coding stack is), else a copy, so that the caller's
-    array stays writeable and later writes to it cannot reach the ensemble."""
+    array stays writeable and later writes to it cannot reach the ensemble.
+    A complex a is a ValueError naming it, not a cast that drops its
+    imaginary part."""
     if not (isinstance(a, np.ndarray) and a.dtype == float and not a.flags.writeable):
+        if np.iscomplexobj(a):
+            raise ValueError(f"{name} must be real, got a complex array")
         a = np.array(a, dtype=float)
         a.setflags(write=False)
     return a
@@ -255,15 +260,21 @@ def forward_map(ens: MeasurementEnsemble, z: BlockFactorPair) -> np.ndarray:
 
 
 def adjoint_component(ens: MeasurementEnsemble, n: int, w: np.ndarray) -> np.ndarray:
-    """A_n^*(w) = conj(F_M^T diag(conj(w)) conj(B_n)): the M x K adjoint
-    block, satisfying <A_n(Z), w> = <Z, A_n^*(w)>_F exactly.  Only block n
-    is formed, so stacking the N blocks holds no (N, L, K) temporary."""
+    """A_n^*(w) = conj((diag(conj(w)) F_M)^T conj(B_n)): the M x K adjoint
+    block, satisfying <A_n(Z), w> = <Z, A_n^*(w)>_F exactly; block n of
+    `_adjoint_blocks`, bit for bit."""
     ens._check_component(n)
     w = np.asarray(w, dtype=complex)
     if w.shape != (ens.dims.L,):
         raise ValueError(f"input length {w.shape} != ({ens.dims.L},)")
-    basis = dft_basis(ens.dims.L, ens.dims.M)
-    return np.conj(basis.T @ (np.conj(w)[:, None] * ens.coded_spectra[n]))
+    return _adjoint_blocks(ens, w, n)
+
+
+def _adjoint_blocks(ens: MeasurementEnsemble, w: np.ndarray, n=...) -> np.ndarray:
+    """The (N, M, K) blocks A_n^*(w) of a checked complex w, or block n alone,
+    from one product whose only temporary is the (L, M) scaled basis."""
+    return np.conj((np.conj(w)[:, None] * dft_basis(ens.dims.L, ens.dims.M)).T
+                   @ ens.coded_spectra[n])
 
 
 def dense_oracle(ens: MeasurementEnsemble, n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .instances import relative_error_to
 from .objective import DegenerateInputError, PenaltyParams, coherences, evaluate, grad_total
-from .operators import (BlockFactorPair, MeasurementEnsemble, ObservationVector, adjoint_component,
+from .operators import (BlockFactorPair, MeasurementEnsemble, ObservationVector, _adjoint_blocks,
                         check_counts, dft_basis)
 
 __all__ = [
@@ -59,10 +59,10 @@ class NumericalFailureError(RuntimeError):
     """The objective is non-finite at the start point."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget of `solve`; the descent always starts from the
-    spectral start."""
+    """Iteration budget of `solve`, fixed once checked; the descent always
+    starts from the spectral start."""
 
     max_iters: int = 5000
 
@@ -129,7 +129,8 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float) -> np.nda
     infinity ball converge to the exact projection, to within
     `_PROJECTION_TOL`.  The returned point is always feasible (a final
     rescale enforces the constraint if the iteration hits
-    `_PROJECTION_MAX_ITERS` first, with a RuntimeWarning).
+    `_PROJECTION_MAX_ITERS` first, with a RuntimeWarning).  A NaN bound or
+    a non-finite entry of g is a ValueError.
     """
     if not bound > 0:
         raise ValueError("bound must be positive")
@@ -138,6 +139,8 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float) -> np.nda
     rows, cols = basis.shape
     if g.shape != (cols,):
         raise ValueError(f"point length {g.shape} incompatible with basis {basis.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("point has non-finite entries")
     radius = bound / np.sqrt(rows)
     if not np.any(g):
         return np.zeros(cols, dtype=complex)
@@ -177,8 +180,7 @@ def _spectral_start(ens: MeasurementEnsemble, y_hat: ObservationVector) -> InitR
     y_hat.check_dims(ens.dims)
     if not np.any(y_hat.samples):
         raise DegenerateInputError("cannot initialize from a zero observation")
-    blocks = np.stack([adjoint_component(ens, n, y_hat.samples) for n in range(ens.dims.N)])
-    d_n, u, v = leading_singular_triple(blocks)
+    d_n, u, v = leading_singular_triple(_adjoint_blocks(ens, y_hat.samples))
     root = np.sqrt(d_n)[:, None]
     return InitResult(d_n=d_n, start=BlockFactorPair(root * u, root * v))
 

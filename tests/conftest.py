@@ -5,6 +5,7 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import configuration
+from hypothesis import strategies as st
 
 from moddemix import TrialSpec, synthesize
 from moddemix.operators import BlockFactorPair, Dimensions
@@ -30,6 +31,17 @@ def random_pair(dims: Dimensions, rng: np.random.Generator,
 def make_instance(dims: Dimensions, seed: int = 0, snr_db=None):
     """Ensemble/truth/observation triple for a seeded instance."""
     return synthesize(TrialSpec(dims, seed=seed, snr_db=snr_db))
+
+
+@st.composite
+def small_dimensions(draw) -> Dimensions:
+    """Any small geometry `synthesize` accepts: L odd or even, Q <= L,
+    M <= L, K * N <= Q."""
+    L = draw(st.integers(1, 40))
+    Q = draw(st.integers(1, L))
+    N = draw(st.integers(1, min(Q, 3)))
+    return Dimensions(L=L, Q=Q, M=draw(st.integers(1, L)),
+                      K=draw(st.integers(1, Q // N)), N=N)
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
 
+from conftest import small_dimensions
 from moddemix.instances import (
     TrialSpec,
     _coding_stack,
@@ -221,13 +222,31 @@ class TestRelativeError:
         den = sum(np.linalg.norm(truth.lifted_block(n)) ** 2 for n in range(dims.N))
         assert relative_error(est, truth) == pytest.approx(np.sqrt(num / den), rel=1e-7)
 
-    def test_ambiguity_invariance(self):
-        rng = np.random.default_rng(1)
-        _, truth, _ = synthesize(TrialSpec(DIMS, seed=0))
-        alpha = rng.standard_normal(DIMS.N) + 1j * rng.standard_normal(DIMS.N)
-        est = BlockFactorPair(truth.channels * alpha[:, None],
-                              truth.coefficients / np.conj(alpha)[:, None])
-        assert relative_error(est, truth) < 1e-12
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(d=small_dimensions(), seed=st.integers(0, 2**32 - 1))
+    @example(d=Dimensions(L=24, Q=12, M=5, K=4, N=3), seed=0)  # K N = Q
+    @example(d=Dimensions(L=16, Q=16, M=16, K=8, N=2), seed=0)  # M = L and K N = Q
+    @example(d=Dimensions(L=1, Q=1, M=1, K=1, N=1), seed=0)
+    def test_ambiguity_invariance(self, d, seed):
+        """Scaling each component of a perturbed estimate by (alpha_n,
+        1/conj(alpha_n)), |alpha_n| in [1e-3, 1e3], leaves its score
+        unchanged to 1e-12 relative, and the truth so scaled scores below
+        1e-12.  103 examples in about 0.3 s."""
+        _, truth, _ = synthesize(TrialSpec(d, seed=seed))
+        rng = np.random.default_rng(seed)
+        alpha = 10.0 ** rng.uniform(-3, 3, d.N) * np.exp(2j * np.pi * rng.uniform(size=d.N))
+
+        def ambiguous(z):
+            return BlockFactorPair(z.channels * alpha[:, None],
+                                   z.coefficients / np.conj(alpha)[:, None])
+
+        def perturbed(a):
+            return a + 0.1 * (rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))
+
+        est = BlockFactorPair(perturbed(truth.channels), perturbed(truth.coefficients))
+        assert relative_error(ambiguous(est), truth) == pytest.approx(
+            relative_error(est, truth), rel=1e-12)
+        assert relative_error(ambiguous(truth), truth) < 1e-12
 
     @pytest.mark.parametrize("s", [1e-200, 1e-160, 1e160, 1e200])
     def test_extreme_scales_match_unit_scale(self, s):
@@ -299,6 +318,18 @@ class TestSnapshot:
         text = snapshot_to_json(spec, SimpleNamespace(modulation=ens.modulation,
                                                       coding=coding), truth, obs)
         with pytest.raises(ValueError, match="coding matrix 1 not orthonormal"):
+            snapshot_from_json(text)
+
+    @pytest.mark.parametrize("field", ["modulation", "coding"])
+    def test_rejects_complex_ensemble_arrays(self, field):
+        """A complex modulation or coding read from outside is a ValueError
+        naming it; its imaginary part is not dropped."""
+        spec = TrialSpec(DIMS, seed=11)
+        ens, truth, obs = synthesize(spec)
+        arrays = {"modulation": ens.modulation, "coding": ens.coding}
+        arrays[field] = (1 + 0.5j) * arrays[field]
+        text = snapshot_to_json(spec, SimpleNamespace(**arrays), truth, obs)
+        with pytest.raises(ValueError, match=f"{field} must be real"):
             snapshot_from_json(text)
 
     def test_rejects_unknown_format(self):

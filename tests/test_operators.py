@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SMALL_DIMS, make_instance, random_pair
+from conftest import SMALL_DIMS, make_instance, random_pair, small_dimensions
 from moddemix.operators import (
     BlockFactorPair,
     Dimensions,
     MeasurementEnsemble,
     ObservationVector,
+    _adjoint_blocks,
     adjoint_component,
     component_spectra,
     dense_oracle,
@@ -84,6 +85,17 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="modulation"):
             MeasurementEnsemble(d, np.full((1, 4), 0.5), coding)
 
+    def test_rejects_complex_arrays(self):
+        """A complex modulation or coding is a ValueError naming it, even
+        with a zero imaginary part, not a cast that keeps the real part."""
+        d = Dimensions(L=8, Q=4, M=2, K=2, N=1)
+        modulation, coding = np.ones((1, 4)), np.eye(4)[None, :, :2]
+        for name, bad in (("modulation", (1 + 0.5j) * modulation),
+                          ("coding", coding.astype(complex))):
+            arrays = {"modulation": modulation, "coding": coding, name: bad}
+            with pytest.raises(ValueError, match=f"{name} must be real"):
+                MeasurementEnsemble(d, **arrays)
+
     def test_rejects_nonorthonormal_coding(self):
         """The batched check names the first bad component; a non-finite
         coding matrix is not orthonormal either."""
@@ -129,19 +141,9 @@ class TestEnsemble:
                 np.testing.assert_allclose(ens.coded_spectra[n], np.conj(B), atol=1e-12)
 
 
-@st.composite
-def _dimensions(draw) -> Dimensions:
-    """Any small geometry: L odd or even, Q <= L, K * N <= Q."""
-    L = draw(st.integers(1, 40))
-    Q = draw(st.integers(1, L))
-    N = draw(st.integers(1, min(Q, 3)))
-    return Dimensions(L=L, Q=Q, M=draw(st.integers(1, L)),
-                      K=draw(st.integers(1, Q // N)), N=N)
-
-
 class TestCodedSpectraProperty:
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-    @given(d=_dimensions(), seed=st.integers(0, 2**32 - 1))
+    @given(d=small_dimensions(), seed=st.integers(0, 2**32 - 1))
     @example(d=Dimensions(L=15, Q=12, M=3, K=4, N=3), seed=0)  # odd L, Q < L, K N = Q
     @example(d=Dimensions(L=16, Q=16, M=2, K=8, N=2), seed=0)  # even L, Q = L, K N = Q
     @example(d=Dimensions(L=1, Q=1, M=1, K=1, N=1), seed=0)
@@ -230,21 +232,20 @@ PRODUCT_DIMS = [Dimensions(L=320, Q=320, M=8, K=8, N=2),
                 Dimensions(L=3200, Q=3200, M=12, K=12, N=2)]
 
 
-def _stacked_adjoint(ens, w):
-    """The N blocks A_n^*(w), stacked as the spectral start stacks them."""
-    return np.stack([adjoint_component(ens, n, w) for n in range(ens.dims.N)])
-
-
 class TestProductForms:
-    """The per-component and matvec products equal the former single
-    batched products bit for bit."""
+    """The spectral start's batched adjoint and the matvec coded spectra
+    equal their one-product forms bit for bit, and `adjoint_component` is
+    block n of the start's product."""
 
-    @pytest.mark.parametrize("dims", PRODUCT_DIMS, ids=str)
+    @pytest.mark.parametrize("dims", PRODUCT_DIMS + SMALL_DIMS, ids=str)
     def test_adjoint_blocks_equal_one_product_form(self, dims, rng):
         ens, _, obs = make_instance(dims)
         w = obs.samples + rng.standard_normal(dims.L)
-        one = np.conj(dft_basis(dims.L, dims.M).T @ (np.conj(w)[:, None] * ens.coded_spectra))
-        np.testing.assert_array_equal(_stacked_adjoint(ens, w), one)
+        scaled = np.conj(w)[:, None] * dft_basis(dims.L, dims.M)
+        blocks = _adjoint_blocks(ens, w)
+        np.testing.assert_array_equal(blocks, np.conj(scaled.T @ ens.coded_spectra))
+        for n in range(dims.N):
+            np.testing.assert_array_equal(adjoint_component(ens, n, w), blocks[n])
 
     @pytest.mark.parametrize("dims", PRODUCT_DIMS, ids=str)
     def test_component_spectra_equal_one_product_form(self, dims, rng):
@@ -254,14 +255,15 @@ class TestProductForms:
         np.testing.assert_array_equal(component_spectra(ens, z)[1], coded)
 
     def test_adjoint_blocks_form_no_stacked_temporary(self):
-        """At paper scale the N stacked adjoint blocks peak below one (N, L, K)
-        complex array, 1.2 MB, which the single batched product allocated."""
+        """At paper scale the spectral start's batched product peaks below one
+        (N, L, K) complex array, 1.2 MB: its only temporary is the (L, M)
+        scaled basis, 0.6 MB."""
         dims = PRODUCT_DIMS[1]
         ens, _, obs = make_instance(dims)
-        _stacked_adjoint(ens, obs.samples)  # the cached basis is built outside the count
+        _adjoint_blocks(ens, obs.samples)  # the cached basis is built outside the count
         tracemalloc.start()
         try:
-            _stacked_adjoint(ens, obs.samples)
+            _adjoint_blocks(ens, obs.samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -105,6 +105,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    def test_frozen(self):
+        """A checked config cannot be changed into an unchecked one."""
+        cfg = SolverConfig(max_iters=10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.max_iters = -3
+        assert cfg.max_iters == 10
+
 
 class TestLeadingSingularTriple:
     @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (8, 8), (1, 5)])
@@ -201,13 +208,19 @@ class TestProjectIncoherent:
         assert np.all(z == 0)
 
     def test_bad_bound(self):
-        """A nonpositive or NaN bound, or a point that does not fit the
-        basis, is a ValueError; a NaN bound does not run the rounds out."""
+        """A nonpositive or NaN bound, a point that does not fit the basis,
+        or a point with a NaN or inf entry is a ValueError; neither a NaN
+        bound nor a non-finite point runs the rounds out."""
         for bound in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="bound must be positive"):
                 project_incoherent(np.ones(4), dft_basis(8, 4), bound=bound)
         with pytest.raises(ValueError, match="point length"):
             project_incoherent(np.ones(3), dft_basis(8, 4), bound=1.0)
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            g = np.ones(4, dtype=complex)
+            g[2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                project_incoherent(g, dft_basis(8, 4), bound=1.0)
 
 
 class TestInitialize:
