@@ -127,13 +127,13 @@ def _cmd_trial(args) -> int:
     dims = Dimensions(L=args.L, Q=args.Q, M=args.M, K=args.K, N=args.N)
     spec = TrialSpec(dims, seed=args.seed, snr_db=args.snr_db)
     cfg = SolverConfig(args.max_iters)
-    if args.dump_instance:
+    if args.dump_instance is not None:
         ens, truth, obs = synthesize(spec)
         with open(args.dump_instance, "w", encoding="utf-8") as fh:
             fh.write(snapshot_to_json(spec, ens, truth, obs))
     rec = run_trial(spec, cfg)
     text = json.dumps(asdict(rec), default=str, indent=2)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
@@ -179,8 +179,9 @@ def _cmd_trace(args) -> int:
     dims = Dimensions(L=args.L, Q=args.Q, M=args.M, K=args.K, N=args.N)
     spec = TrialSpec(dims, seed=args.seed, snr_db=args.snr_db)
     result = run_convergence_trace(spec, SolverConfig(args.max_iters), out=args.out)
+    trace = result["trace"]
     print(f"final relative error {result['rel_err']:.3e} "
-          f"({result['trace'].iterations} iterations)")
+          f"({trace.iterations} iterations, stopped on {trace.stop_reason})")
     return EXIT_OK
 
 

@@ -56,7 +56,7 @@ def _derive_seed(base: int, *idx: int) -> int:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one synthesize -> initialize -> solve -> score run."""
+    """Outcome of one synthesize -> solve -> score run."""
 
     L: int
     Q: int

@@ -57,8 +57,9 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class TrialSpec:
     """One reproducible experiment instance: geometry, seed (an integer
-    >= 0) and optional SNR in dB (None or +inf = noiseless; NaN, -inf and
-    anything but a real, non-bool number are a ValueError)."""
+    >= 0) and optional SNR in dB (None = noiseless, and +inf is stored as
+    None; NaN, -inf and anything but a real, non-bool number are a
+    ValueError)."""
 
     dims: Dimensions
     seed: int
@@ -71,6 +72,8 @@ class TrialSpec:
                               or not s > -math.inf):
             raise ValueError(f"snr_db must be above -inf and not NaN (a real number, "
                              f"not a bool), got {s!r}")
+        if s == math.inf:
+            object.__setattr__(self, "snr_db", None)
 
 
 def check_coding_fits(dims: Dimensions) -> None:
@@ -122,16 +125,13 @@ def synthesize(spec: TrialSpec) -> tuple[MeasurementEnsemble, BlockFactorPair, O
     modulation = np.stack([make_modulation(d.Q, n, spec.seed) for n in range(d.N)])
     ens = MeasurementEnsemble(dims=d, modulation=modulation, coding=_coding_stack(d.Q, d.K, d.N))
     truth = make_ground_truth(spec)
-    clean = forward_map(ens, truth)
-    if spec.snr_db is None or spec.snr_db == math.inf:
-        obs = ObservationVector(samples=clean, noise=None)
-    else:
+    y = forward_map(ens, truth)
+    if spec.snr_db is not None:
         rng = _rng(spec.seed, _STREAM_NOISE)
         e = rng.standard_normal(d.L) + 1j * rng.standard_normal(d.L)
-        target = np.linalg.norm(clean) * 10.0 ** (-float(spec.snr_db) / 20.0)
-        e *= target / np.linalg.norm(e)
-        obs = ObservationVector(samples=clean + e, noise=e)
-    return ens, truth, obs
+        target = np.linalg.norm(y) * 10.0 ** (-float(spec.snr_db) / 20.0)
+        y = y + e * (target / np.linalg.norm(e))
+    return ens, truth, ObservationVector(y)
 
 
 def relative_error(est: BlockFactorPair, truth: BlockFactorPair) -> float:
@@ -221,8 +221,8 @@ def _decode(obj: dict) -> np.ndarray:
 
 def snapshot_to_json(spec: TrialSpec, ens: MeasurementEnsemble,
                      truth: BlockFactorPair, obs: ObservationVector) -> str:
-    """Serialize an instance (dims, seed, arrays base64 little-endian) for
-    cross-language replay."""
+    """Serialize an instance for cross-language replay: dims, seed, SNR and
+    the ensemble, truth and samples as base64 little-endian arrays."""
     d = spec.dims
     doc = {
         "format": "moddemix-instance-v1",
@@ -235,16 +235,15 @@ def snapshot_to_json(spec: TrialSpec, ens: MeasurementEnsemble,
         "coefficients": _encode(truth.coefficients),
         "samples": _encode(obs.samples),
     }
-    if obs.noise is not None:
-        doc["noise"] = _encode(obs.noise)
     return json.dumps(doc)
 
 
 def snapshot_from_json(text: str) -> tuple[TrialSpec, MeasurementEnsemble,
                                            BlockFactorPair, ObservationVector]:
-    """Rebuild an instance written by `snapshot_to_json`.  Raises ValueError
-    for text that is not a snapshot, naming a missing or malformed field, or
-    one whose arrays do not fit its dims."""
+    """Rebuild an instance written by `snapshot_to_json` (the `noise` key of
+    older snapshots is ignored).  Raises ValueError for text that is not a
+    snapshot, naming a missing or malformed field, or one whose arrays do not
+    fit its dims."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != "moddemix-instance-v1":
         raise ValueError("unrecognized instance snapshot format")
@@ -254,8 +253,7 @@ def snapshot_from_json(text: str) -> tuple[TrialSpec, MeasurementEnsemble,
         ens = MeasurementEnsemble(dims=dims, modulation=_decode(doc["modulation"]),
                                   coding=_decode(doc["coding"]))
         truth = BlockFactorPair(_decode(doc["channels"]), _decode(doc["coefficients"]))
-        noise = _decode(doc["noise"]) if "noise" in doc else None
-        obs = ObservationVector(samples=_decode(doc["samples"]), noise=noise)
+        obs = ObservationVector(_decode(doc["samples"]))
         truth.check_dims(dims)
         obs.check_dims(dims)
     except (KeyError, TypeError) as exc:  # a field missing, or of the wrong JSON type

@@ -219,23 +219,14 @@ class BlockFactorPair:
 
 @dataclass(frozen=True)
 class ObservationVector:
-    """Fourier-domain observation: samples (length L) and, in simulation
-    mode, the noise realization that went into them."""
+    """Fourier-domain observation: the length-L samples y, all a receiver sees."""
 
     samples: np.ndarray
-    noise: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("non-finite observation samples")
-        if self.noise is not None:
-            noise = np.asarray(self.noise, dtype=complex)
-            if noise.shape != self.samples.shape:
-                raise ValueError("noise shape differs from samples")
-            if not np.all(np.isfinite(noise)):
-                raise ValueError("non-finite noise realization")
-            object.__setattr__(self, "noise", noise)
 
     def check_dims(self, dims: Dimensions) -> None:
         if self.samples.shape != (dims.L,):

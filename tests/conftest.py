@@ -1,5 +1,6 @@
 """Shared helpers for the moddemix test suite."""
 
+import json
 import tempfile
 
 import numpy as np
@@ -26,6 +27,15 @@ def random_pair(dims: Dimensions, rng: np.random.Generator,
     h = rng.standard_normal((dims.N, dims.M)) + 1j * rng.standard_normal((dims.N, dims.M))
     x = rng.standard_normal((dims.N, dims.K)) + 1j * rng.standard_normal((dims.N, dims.K))
     return BlockFactorPair(scale * h, scale * x)
+
+
+def strict_json(text: str):
+    """`json.loads` that rejects NaN and Infinity, which are not JSON (RFC 8259)."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def make_instance(dims: Dimensions, seed: int = 0, snr_db=None):

@@ -11,10 +11,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import moddemix.cli as cli
 import moddemix.harness as harness
 import moddemix.operators as operators
+from conftest import strict_json
 from moddemix.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from moddemix.harness import (
     SweepGrid,
@@ -36,6 +39,46 @@ TINY = ["--L", "32", "--Q", "16", "--M", "3", "--K", "2", "--N", "1"]
 
 def _fail_solve(*args, **kwargs):
     raise NumericalFailureError("non-finite objective (nan) at the start point")
+
+
+# a valid command line of each subcommand (of each probe kind), at tiny sizes
+_VALID_ARGV = {
+    "trial": ["trial", *TINY, "--max-iters", "5"],
+    "phase": ["phase", "--L", "32", "--N", "1", "--trials", "1", "--Q-values", "16",
+              "--K-values", "2", "--M-values", "2", "--max-iters", "5"],
+    "snr": ["snr", *TINY, "--trials", "1", "--snr-db", "20", "--max-iters", "5"],
+    "scaling": ["scaling", "--N-max", "1", "--K", "2", "--M", "2", "--L-step", "16",
+                "--L-max", "16", "--trials", "1", "--max-iters", "5"],
+    "trace": ["trace", *TINY, "--max-iters", "5"],
+    **{f"probe {kind}": ["probe", kind] for kind in harness._PROBES},
+}
+
+
+def _count_options(argv: list[str]) -> list[str]:
+    """The integer options but --seed that argv's subcommand reads: all of a
+    probe's dimensions, but only its own kind's count (--trials or --draws)."""
+    parser = build_parser()._subparsers._group_actions[0].choices[argv[0]]
+    options = [a.option_strings[0] for a in parser._actions
+               if a.type is int and a.dest != "seed"]
+    if argv[0] == "probe":
+        count = harness._PROBES[argv[1]][2]
+        options = [o for o in options if o not in ("--trials", "--draws") or o == f"--{count}"]
+    return options
+
+
+def _forbid_work(monkeypatch) -> list:
+    """Replace whatever runs a trial or a probe by a recorder of its calls."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(args)
+
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "run_trial", record)
+        monkeypatch.setattr(module, "synthesize", record)
+    for kind, (_, *entry) in list(harness._PROBES.items()):
+        monkeypatch.setitem(harness._PROBES, kind, (record, *entry))
+    return calls
 
 
 def _recording_namespace(reads: set) -> argparse.Namespace:
@@ -473,6 +516,56 @@ class TestCli:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @settings(max_examples=10, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=st.integers(max_value=0))
+    @example(value=0)
+    def test_count_at_most_zero_is_usage_error(self, value, tmp_path, monkeypatch, capsys):
+        """Every count option of every subcommand and probe kind, dimensions
+        included, exits 1 on a value <= 0 before any trial or probe runs,
+        leaving an existing --out as it was.  Each value is tried on all 59
+        command lines: about 1.5 s for the 11 values on 2 CPUs."""
+        calls = _forbid_work(monkeypatch)
+        out = tmp_path / "out"
+        for argv in _VALID_ARGV.values():
+            for option in _count_options(argv):
+                out.write_text("kept\n")
+                assert main([*argv, f"{option}={value}", "--out", str(out)]) == EXIT_USAGE
+                assert "must be >= 1 and an integer" in capsys.readouterr().err
+                assert calls == [] and out.read_text() == "kept\n", (argv, option)
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(max_value=-1))
+    @example(seed=-1)
+    def test_seed_below_zero_is_usage_error(self, seed, tmp_path, monkeypatch, capsys):
+        """`--seed` below 0 exits 1 on every subcommand and probe kind before
+        any trial or probe runs, leaving an existing --out as it was.  About
+        0.5 s for the 21 seeds on 2 CPUs."""
+        calls = _forbid_work(monkeypatch)
+        out = tmp_path / "out"
+        for argv in _VALID_ARGV.values():
+            out.write_text("kept\n")
+            assert main([*argv, f"--seed={seed}", "--out", str(out)]) == EXIT_USAGE
+            assert f"seed must be >= 0 and an integer, got {seed}" in capsys.readouterr().err
+            assert calls == [] and out.read_text() == "kept\n", argv
+
+    @pytest.mark.parametrize("option", ["--out", "--dump-instance"])
+    def test_trial_empty_path_is_io_error(self, option, capsys):
+        """An empty --out or --dump-instance is no path: exit 2, as on every
+        other command, not a silent exit 0 that writes nothing."""
+        assert main([*_VALID_ARGV["trial"], option, ""]) == EXIT_IO
+        assert "I/O failure" in capsys.readouterr().err
+
+    def test_trial_noiseless_files_are_strict_json(self, tmp_path, capsys):
+        """`--snr-db inf` is noiseless, and the record and the snapshot both
+        say null: neither holds Infinity, which is not JSON (RFC 8259)."""
+        out, inst = tmp_path / "trial.json", tmp_path / "inst.json"
+        assert main([*_VALID_ARGV["trial"], "--N", "2", "--snr-db", "inf",
+                     "--out", str(out), "--dump-instance", str(inst)]) == EXIT_OK
+        for path in (out, inst):
+            assert strict_json(path.read_text())["snr_db"] is None
+
     def test_phase_cell_without_coding_is_usage_error(self, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
@@ -652,12 +745,17 @@ class TestCli:
         assert code == EXIT_OK
         assert out.exists()
 
-    def test_trace_command(self, tmp_path):
+    def test_trace_command(self, tmp_path, capsys):
+        """trace writes the CSV and prints the final error, the iterations
+        and why the solve stopped."""
         out = tmp_path / "trace.csv"
         code = main(["trace", "--L", "64", "--Q", "64", "--M", "3", "--K", "3",
                      "--N", "1", "--out", str(out)])
         assert code == EXIT_OK
         assert out.read_text().startswith("t,f_tilde")
+        trace = run_convergence_trace(TrialSpec(EASY, seed=0))["trace"]
+        assert (f"({trace.iterations} iterations, stopped on {trace.stop_reason})\n"
+                in capsys.readouterr().out)
 
     def test_phase_command(self, tmp_path):
         out = tmp_path / "phase.csv"

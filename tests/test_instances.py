@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
 
-from conftest import small_dimensions
+from conftest import small_dimensions, strict_json
 from moddemix.instances import (
     TrialSpec,
     _coding_stack,
@@ -139,20 +139,22 @@ class TestSynthesize:
 
     def test_noiseless_observation_is_forward_map(self):
         ens, truth, obs = synthesize(TrialSpec(DIMS, seed=4))
-        assert obs.noise is None
-        np.testing.assert_allclose(obs.samples, forward_map(ens, truth), atol=1e-14)
+        np.testing.assert_array_equal(obs.samples, forward_map(ens, truth))
 
     @pytest.mark.parametrize("snr", [0.0, 10.0, 37.5, np.float32(12.5), np.int64(20), 7])
     def test_exact_snr(self, snr):
+        """The noise e = y - A(Z0) realizes the SNR exactly."""
         ens, truth, obs = synthesize(TrialSpec(DIMS, seed=4, snr_db=snr))
         clean = forward_map(ens, truth)
         realized = 10.0 * np.log10(np.linalg.norm(clean) ** 2
-                                   / np.linalg.norm(obs.noise) ** 2)
+                                   / np.linalg.norm(obs.samples - clean) ** 2)
         assert realized == pytest.approx(snr, abs=1e-10)
 
     def test_infinite_snr_is_noiseless(self):
-        _, _, obs = synthesize(TrialSpec(DIMS, seed=4, snr_db=np.inf))
-        assert obs.noise is None
+        """+inf dB is stored as None, the one spelling of noiseless."""
+        for inf in (math.inf, np.float32(np.inf)):
+            spec = TrialSpec(DIMS, seed=4, snr_db=inf)
+            assert spec == TrialSpec(DIMS, seed=4) and spec.snr_db is None
 
     def test_shares_one_read_only_coding_stack(self):
         """Trials with the same (Q, K, N), whatever their L, M and seed, share
@@ -294,13 +296,28 @@ class TestSnapshot:
         np.testing.assert_array_equal(ens2.coding, ens.coding)
         np.testing.assert_array_equal(truth2.channels, truth.channels)
         np.testing.assert_array_equal(obs2.samples, obs.samples)
-        np.testing.assert_array_equal(obs2.noise, obs.noise)
 
     def test_noiseless_round_trip(self):
-        spec = TrialSpec(DIMS, seed=11)
+        """A noiseless snapshot, +inf dB included, is strict JSON with
+        snr_db null."""
+        spec = TrialSpec(DIMS, seed=11, snr_db=math.inf)
         ens, truth, obs = synthesize(spec)
-        _, _, _, obs2 = snapshot_from_json(snapshot_to_json(spec, ens, truth, obs))
-        assert obs2.noise is None
+        text = snapshot_to_json(spec, ens, truth, obs)
+        assert strict_json(text)["snr_db"] is None
+        spec2, _, _, obs2 = snapshot_from_json(text)
+        assert spec2 == spec
+        np.testing.assert_array_equal(obs2.samples, obs.samples)
+
+    def test_ignores_noise_of_older_snapshots(self):
+        """A snapshot written with the simulation's noise beside the samples
+        still loads; the noise is not read."""
+        spec = TrialSpec(DIMS, seed=11, snr_db=25.0)
+        ens, truth, obs = synthesize(spec)
+        doc = json.loads(snapshot_to_json(spec, ens, truth, obs))
+        doc["noise"] = doc["samples"]
+        spec2, _, _, obs2 = snapshot_from_json(json.dumps(doc))
+        assert spec2 == spec
+        np.testing.assert_array_equal(obs2.samples, obs.samples)
 
     def test_format_is_versioned_json(self):
         spec = TrialSpec(DIMS, seed=11)

@@ -27,6 +27,7 @@ from moddemix.operators import (
     component_spectra,
     dense_oracle,
     dft_basis,
+    forward_map,
 )
 from moddemix.solver import solve
 
@@ -113,7 +114,8 @@ class TestLoss:
     def test_equals_noise_energy_at_truth(self):
         dims = Dimensions(L=64, Q=32, M=4, K=4, N=2)
         ens, truth, obs = make_instance(dims, snr_db=20.0)
-        expected = float(np.vdot(obs.noise, obs.noise).real)
+        noise = obs.samples - forward_map(ens, truth)
+        expected = float(np.vdot(noise, noise).real)
         p = oracle_params(ens, truth)
         assert evaluate(ens, truth, obs, p).f == pytest.approx(expected, rel=1e-10)
 

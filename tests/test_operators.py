@@ -319,10 +319,6 @@ class TestBlockFactorPair:
 
 
 class TestObservationVector:
-    def test_noise_shape_check(self):
-        with pytest.raises(ValueError):
-            ObservationVector(np.ones(8), noise=np.ones(7))
-
     def test_dims_check(self):
         obs = ObservationVector(np.ones(8))
         with pytest.raises(ValueError):
@@ -334,5 +330,3 @@ class TestObservationVector:
         samples[3] = bad
         with pytest.raises(ValueError, match="non-finite"):
             ObservationVector(samples)
-        with pytest.raises(ValueError, match="non-finite"):
-            ObservationVector(np.ones(8), noise=samples)
