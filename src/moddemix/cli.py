@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, replace
 
 from .harness import (
@@ -127,15 +129,17 @@ def _cmd_trial(args) -> int:
     dims = Dimensions(L=args.L, Q=args.Q, M=args.M, K=args.K, N=args.N)
     spec = TrialSpec(dims, seed=args.seed, snr_db=args.snr_db)
     cfg = SolverConfig(args.max_iters)
-    if args.dump_instance is not None:
-        ens, truth, obs = synthesize(spec)
-        with open(args.dump_instance, "w", encoding="utf-8") as fh:
-            fh.write(snapshot_to_json(spec, ens, truth, obs))
-    rec = run_trial(spec, cfg)
-    text = json.dumps(asdict(rec), default=str, indent=2)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    with nullcontext() if args.out is None else open(args.out, "w", encoding="utf-8") as out:
+        if args.dump_instance is not None:
+            ens, truth, obs = synthesize(spec)
+            with open(args.dump_instance, "w", encoding="utf-8") as fh:
+                fh.write(snapshot_to_json(spec, ens, truth, obs))
+        # a failed solve's rel_err is inf, which JSON (RFC 8259) has no word for
+        record = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                  for k, v in asdict(run_trial(spec, cfg)).items()}
+        text = json.dumps(record, default=str, indent=2, allow_nan=False)
+        if out is not None:
+            out.write(text + "\n")
     print(text)
     return EXIT_OK
 

@@ -20,13 +20,13 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import islice, repeat
 
 import numpy as np
 
-from .instances import TrialSpec, check_coding_fits, relative_error, synthesize
+from .instances import TrialSpec, relative_error, synthesize
 from .objective import PenaltyParams, coherences, grad_total, loss_total
 from .operators import (BlockFactorPair, Dimensions, MeasurementEnsemble, adjoint_component,
                         check_counts, check_seeds, forward_map)
@@ -157,15 +157,12 @@ class SweepGrid:
 
     def cells(self) -> list[Dimensions]:
         """Every cell, in (Q, K, M) grid order; raises ValueError naming the
-        first cell whose coding does not fit (`check_coding_fits`)."""
-        dims = [Dimensions(L=self.L, Q=Q, M=M, K=K, N=self.N)
-                for Q in self.q_values() for K in self.K_values for M in self.M_values]
-        for d in dims:
-            try:
-                check_coding_fits(d)
-            except ValueError as exc:
-                raise ValueError(f"cell {exc}") from None
-        return dims
+        first cell `Dimensions` rejects (such as K * N > Q)."""
+        try:
+            return [Dimensions(L=self.L, Q=Q, M=M, K=K, N=self.N)
+                    for Q in self.q_values() for K in self.K_values for M in self.M_values]
+        except ValueError as exc:
+            raise ValueError(f"cell {exc}") from None
 
 
 def run_phase_transition(grid: SweepGrid, cfg: SolverConfig | None = None,
@@ -205,7 +202,6 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
     rejects (NaN, -inf, a bool, a non-real) or no point at all is a
     ValueError before any trial."""
     check_seeds(base_seed=base_seed)
-    check_coding_fits(dims)
     checked = [TrialSpec(dims, base_seed, s).snr_db for s in snr_values]
     check_counts(trials=trials, workers=workers, snr_values=len(checked))
     points = sorted(math.inf if s is None else s for s in checked)
@@ -241,7 +237,7 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
     grids = []  # (N, admissible L values); the coding needs Q = L >= K * N
     for N in N_values:
         check_counts(N=N)
-        L_lo = max(L_step, L_step * math.ceil(max(K * N, M, K) / L_step))
+        L_lo = max(L_step, L_step * math.ceil(max(K * N, M) / L_step))
         if L_lo > L_max:
             raise ValueError(f"N={N} needs L >= {L_lo}, above L_max={L_max}")
         grids.append((N, list(range(L_lo, L_max + 1, L_step))))
@@ -275,7 +271,6 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
 def run_convergence_trace(spec: TrialSpec, cfg: SolverConfig | None = None,
                           out=None) -> dict:
     """Per-iteration history of one trial: `SolveTrace`'s columns and scale_exponent."""
-    check_coding_fits(spec.dims)
     header = ["t", "f_tilde", "f", "g", "rel_err", "err_est", "grad_norm", "eta", "evals",
               "scale_exponent"]
     formats = {"f_tilde": ".10e", "f": ".10e", "g": ".10e",
@@ -327,11 +322,7 @@ def _probe_isometry(dims: Dimensions, seed: int) -> dict:
     all 2^(Q*N) sign patterns r, against ||Z - Z0||_F^2.  The residual D(r) =
     A_r(Z) - A_r(Z0) is linear in r: D(r) = r @ V, with the rows V_j =
     (D(1) - D(1 - 2 e_j)) / 2 taken from 1 + Q*N ensembles."""
-    bits = dims.Q * dims.N
-    if bits > _ISOMETRY_GUARD:
-        raise ValueError(
-            f"exhaustive isometry needs Q*N <= {_ISOMETRY_GUARD}, got {bits}; "
-            "reduce Q or N (or use the rip probe for Monte-Carlo sampling)")
+    bits = dims.Q * dims.N  # at most _ISOMETRY_GUARD, checked by run_probe
     ens, truth, z, fro = _perturbed_point(dims, seed, 7)
     flips = np.vstack([np.ones(bits), 1.0 - 2.0 * np.eye(bits)])  # r = 1, then 1 - 2 e_j
     ensembles = [MeasurementEnsemble(dims, r.reshape(dims.N, dims.Q), ens.coding) for r in flips]
@@ -405,8 +396,10 @@ def run_probe(kind: str, params: dict | None = None, out=None) -> dict:
     """Run a numerical identity probe and return (optionally JSON-dump) the
     report.  kinds: adjoint | isometry | rip | gradcheck.  params: `dims`,
     `seed` and the kind's count (`trials` or `draws`), defaults per kind in
-    `_PROBES`; any other key, a count that is not an integer >= 1 or a seed
-    that is not an integer >= 0 is rejected before the probe runs."""
+    `_PROBES`; any other key, a count that is not an integer >= 1, a seed
+    that is not an integer >= 0 or an isometry over its Q*N guard is
+    rejected before `out` is opened, and `out` is opened before the probe
+    runs."""
     import json
 
     if kind not in _PROBES:
@@ -420,9 +413,13 @@ def run_probe(kind: str, params: dict | None = None, out=None) -> dict:
         raise ValueError(f"unused probe parameters: {sorted(params)}")
     check_counts(**counts)
     check_seeds(seed=seed)
+    if kind == "isometry" and dims.Q * dims.N > _ISOMETRY_GUARD:
+        raise ValueError(
+            f"exhaustive isometry needs Q*N <= {_ISOMETRY_GUARD}, got {dims.Q * dims.N}; "
+            "reduce Q or N (or use the rip probe for Monte-Carlo sampling)")
     seed = int(seed)  # exact once checked, and json writes no numpy integer
-    report = {"kind": kind, "seed": seed, **probe(dims, seed, *counts.values())}
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
+    with nullcontext() if out is None else open(out, "w", encoding="utf-8") as fh:
+        report = {"kind": kind, "seed": seed, **probe(dims, seed, *counts.values())}
+        if fh is not None:
             json.dump(report, fh, indent=2)
     return report

@@ -32,7 +32,6 @@ from .operators import (
 
 __all__ = [
     "TrialSpec",
-    "check_coding_fits",
     "make_modulation",
     "make_ground_truth",
     "synthesize",
@@ -76,12 +75,6 @@ class TrialSpec:
             object.__setattr__(self, "snr_db", None)
 
 
-def check_coding_fits(dims: Dimensions) -> None:
-    """Raise ValueError unless Q holds N disjoint K-column DCT subsets: K * N <= Q."""
-    if dims.K * dims.N > dims.Q:
-        raise ValueError(f"Q={dims.Q}, K={dims.K}, M={dims.M}: N={dims.N} codings need K * N <= Q")
-
-
 @functools.lru_cache(maxsize=4)
 def _coding_stack(Q: int, K: int, N: int) -> np.ndarray:
     """The (N, Q, K) stack of coding matrices, cached, read-only and
@@ -89,7 +82,7 @@ def _coding_stack(Q: int, K: int, N: int) -> np.ndarray:
     the orthonormal DCT-II columns {n, n+N, ...}, disjoint across components:
     one DCT of the first K*N unit vectors gives column k of C_n as column
     k*N + n.  One entry serves every M of a sweep's (Q, K) row, 1.2 MB at
-    the paper grid's largest cell.  K * N <= Q is the caller's to check."""
+    the paper grid's largest cell.  K * N <= Q holds for every `Dimensions`."""
     columns = dct(np.eye(Q, K * N), norm="ortho", axis=0)
     stack = np.ascontiguousarray(columns.reshape(Q, K, N).transpose(2, 0, 1))
     stack.setflags(write=False)
@@ -121,7 +114,6 @@ def synthesize(spec: TrialSpec) -> tuple[MeasurementEnsemble, BlockFactorPair, O
     10*log10(||y_clean||^2 / ||e||^2) matches snr_db exactly.
     """
     d = spec.dims
-    check_coding_fits(d)
     modulation = np.stack([make_modulation(d.Q, n, spec.seed) for n in range(d.N)])
     ens = MeasurementEnsemble(dims=d, modulation=modulation, coding=_coding_stack(d.Q, d.K, d.N))
     truth = make_ground_truth(spec)

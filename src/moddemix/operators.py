@@ -55,7 +55,9 @@ _DENSE_GUARD = 4096
 @dataclass(frozen=True)
 class Dimensions:
     """Problem geometry: sample count L, modulation length Q, channel taps M,
-    subspace dimension K and number of components N."""
+    subspace dimension K and number of components N, with Q <= L, M <= L and
+    K * N <= Q: the N codings are disjoint K-column slices of one Q-point DCT
+    (and the paper's bound Q >= N^2 (B + M) admits no other geometry)."""
 
     L: int
     Q: int
@@ -65,8 +67,11 @@ class Dimensions:
 
     def __post_init__(self):
         check_counts(**vars(self))
-        if not self.K <= self.Q <= self.L:
-            raise ValueError(f"need K <= Q <= L, got K={self.K}, Q={self.Q}, L={self.L}")
+        if self.Q > self.L:
+            raise ValueError(f"need Q <= L, got Q={self.Q}, L={self.L}")
+        if self.K * self.N > self.Q:
+            raise ValueError(f"Q={self.Q}, K={self.K}, M={self.M}: N={self.N} codings need "
+                             "K * N <= Q")
         if self.M > self.L:
             raise ValueError(f"need M <= L, got M={self.M}, L={self.L}")
 

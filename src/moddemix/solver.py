@@ -250,8 +250,9 @@ def _scaled(z: BlockFactorPair, c: float) -> BlockFactorPair:
 
 
 def _scale_exponent(y: np.ndarray) -> int:
-    """j such that 4^j is the power of four nearest ||y|| (0 for y = 0)."""
-    peak = float(np.max(np.abs(y)))
+    """j such that 4^j is the power of four nearest ||y|| (0 for y = 0 and
+    for an empty y, which `_spectral_start` then rejects by its shape)."""
+    peak = float(np.max(np.abs(y), initial=0.0))
     if peak == 0.0:
         return 0
     e = math.frexp(peak)[1]  # |y| 2^-e is exact and finite, also for a subnormal peak
@@ -311,7 +312,6 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     as its scale_exponent, so its columns are finite at any scale of y.
     """
     cfg = cfg or SolverConfig()
-    y_hat.check_dims(ens.dims)
     j = _scale_exponent(y_hat.samples)
     c = float(np.ldexp(1.0, -j))  # factors scale by c, y by c^2
     y_hat = ObservationVector(c * (c * y_hat.samples))  # c * c overflows for a subnormal y

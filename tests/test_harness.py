@@ -427,9 +427,12 @@ class TestProbes:
         rep = run_probe("isometry", {"dims": Dimensions(L=16, Q=6, M=3, K=2, N=2)})
         assert rep["ratio"] == pytest.approx(1.21, rel=1e-12)
 
-    def test_isometry_guard(self):
+    def test_isometry_guard(self, tmp_path):
+        """Q*N over the guard is a ValueError before `out` is opened."""
+        out = tmp_path / "iso.json"
         with pytest.raises(ValueError, match="exhaustive"):
-            run_probe("isometry", {"dims": Dimensions(L=32, Q=32, M=3, K=2, N=2)})
+            run_probe("isometry", {"dims": Dimensions(L=32, Q=32, M=3, K=2, N=2)}, out=out)
+        assert not out.exists()
 
     def test_rip_concentrates(self):
         rep = run_probe("rip", {"dims": Dimensions(L=128, Q=128, M=3, K=3, N=2),
@@ -447,6 +450,14 @@ class TestProbes:
         with pytest.raises(ValueError, match=f"{count} must be >= 1"):
             run_probe(kind, {count: 0}, out=out)
         assert calls == [] and out.read_text() == "kept\n"
+
+    def test_unwritable_output_fails_before_the_probe(self, tmp_path, monkeypatch):
+        """`out` in a missing directory is an OSError before any draw."""
+        calls = []
+        monkeypatch.setattr(harness, "synthesize", lambda spec: calls.append(spec))
+        with pytest.raises(OSError):
+            run_probe("rip", {"draws": 2000}, out=tmp_path / "missing" / "r.json")
+        assert calls == []
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -556,6 +567,28 @@ class TestCli:
         other command, not a silent exit 0 that writes nothing."""
         assert main([*_VALID_ARGV["trial"], option, ""]) == EXIT_IO
         assert "I/O failure" in capsys.readouterr().err
+
+    def test_trial_unwritable_out_fails_before_the_trial(self, tmp_path, monkeypatch, capsys):
+        """`--out` in a missing directory exits 2 before the trial runs or
+        `--dump-instance` is written."""
+        calls = []
+        monkeypatch.setattr(cli, "run_trial", lambda *a: calls.append(a))
+        inst = tmp_path / "inst.json"
+        assert main([*_VALID_ARGV["trial"], "--out", str(tmp_path / "missing" / "t.json"),
+                     "--dump-instance", str(inst)]) == EXIT_IO
+        assert "I/O failure" in capsys.readouterr().err
+        assert calls == [] and not inst.exists()
+
+    def test_trial_failed_solve_is_strict_json(self, tmp_path, monkeypatch, capsys):
+        """A solve that raised NumericalFailureError is recorded with
+        rel_err null, not the non-JSON Infinity, in the file and on stdout."""
+        monkeypatch.setattr(harness, "solve", _fail_solve)
+        out = tmp_path / "trial.json"
+        assert main([*_VALID_ARGV["trial"], "--out", str(out)]) == EXIT_OK
+        for text in (out.read_text(), capsys.readouterr().out):
+            doc = strict_json(text)
+            assert doc["rel_err"] is None and doc["success"] is False
+            assert doc["stop_reason"] == "NumericalFailureError"
 
     def test_trial_noiseless_files_are_strict_json(self, tmp_path, capsys):
         """`--snr-db inf` is noiseless, and the record and the snapshot both

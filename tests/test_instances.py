@@ -167,9 +167,10 @@ class TestSynthesize:
             e1.coding[0, 0, 0] = 0.0
 
     def test_coding_that_does_not_fit_is_rejected(self):
-        """K * N > Q is the error every sweep gives (`check_coding_fits`)."""
-        with pytest.raises(ValueError, match=r"N=2 codings need K \* N <= Q"):
-            synthesize(TrialSpec(dataclasses.replace(DIMS, K=9), seed=0))
+        """K * N > Q is no geometry: `Dimensions` raises the error every
+        sweep gives, so no TrialSpec reaches `synthesize` with it."""
+        with pytest.raises(ValueError, match=r"Q=16, K=9, M=4: N=2 codings need K \* N <= Q"):
+            Dimensions(L=32, Q=16, M=4, K=9, N=2)
 
     @pytest.mark.parametrize("snr", [math.nan, -math.inf, True, np.True_, "20", 1j],
                              ids=["nan", "-inf", "True", "np.True_", "str", "complex"])

@@ -1,6 +1,7 @@
 """Operator-level tests: the partial-DFT basis, forward/adjoint maps and the dense
 matrix oracle they must agree with."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -72,10 +73,23 @@ class TestDimensions:
         dict(L=64.5, Q=8, M=4, K=4, N=1),  # not an integer
         dict(L=16, Q=8.0, M=4, K=4, N=1),
         dict(L=16, Q=8, M=4, K=4, N=True),
+        dict(L=16, Q=8, M=4, K=5, N=2),   # K <= Q < K * N
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             Dimensions(**kwargs)
+
+    def test_builds_exactly_when_the_geometry_fits(self):
+        """Every L, Q, M, K, N in 1..6: a geometry builds exactly when
+        Q <= L, M <= L and K * N <= Q, and is a ValueError otherwise."""
+        for L, Q, M, K, N in itertools.product(range(1, 7), repeat=5):
+            fits = Q <= L and M <= L and K * N <= Q
+            try:
+                Dimensions(L=L, Q=Q, M=M, K=K, N=N)
+            except ValueError:
+                assert not fits, (L, Q, M, K, N)
+            else:
+                assert fits, (L, Q, M, K, N)
 
 
 class TestEnsemble:

@@ -309,6 +309,15 @@ class TestSolve:
         est, trace = solve(ens, obs, SolverConfig(), truth=truth)
         _assert_recovered(est, trace, truth, obs)
 
+    @pytest.mark.parametrize("samples", [np.zeros(0), np.ones(63), np.ones((64, 1))],
+                             ids=["empty", "short", "2-D"])
+    def test_observation_of_wrong_shape_rejected(self, samples):
+        """The spectral start's one shape check names the samples' shape,
+        an empty observation included."""
+        ens, _, _ = make_instance(EASY, seed=1)
+        with pytest.raises(ValueError, match=r"samples shape .* != \(64,\)"):
+            solve(ens, ObservationVector(samples))
+
     def test_monotone_objective_backtracking(self):
         ens, truth, obs = make_instance(TWO, seed=3, snr_db=20.0)
         _, trace = solve(ens, obs, SolverConfig(max_iters=300), truth=truth)
