@@ -56,7 +56,8 @@ def _derive_seed(base: int, *idx: int) -> int:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one synthesize -> solve -> score run."""
+    """Outcome of one synthesize -> solve -> score run; evaluations sums the
+    solve's trace.evals (0 when the solve failed)."""
 
     L: int
     Q: int
@@ -70,6 +71,7 @@ class TrialRecord:
     success: bool
     wall_time: float
     stop_reason: str
+    evaluations: int
 
 
 def run_trial(spec: TrialSpec, cfg: SolverConfig | None = None) -> TrialRecord:
@@ -82,13 +84,13 @@ def run_trial(spec: TrialSpec, cfg: SolverConfig | None = None) -> TrialRecord:
     try:
         est, trace = solve(ens, obs, cfg)
         err = relative_error(est, truth)
-        iters, reason = trace.iterations, trace.stop_reason
+        iters, reason, evals = trace.iterations, trace.stop_reason, int(trace.evals.sum())
     except NumericalFailureError as exc:
-        err, iters, reason = math.inf, 0, type(exc).__name__
+        err, iters, reason, evals = math.inf, 0, type(exc).__name__, 0
     return TrialRecord(
         L=d.L, Q=d.Q, M=d.M, K=d.K, N=d.N, seed=spec.seed, snr_db=spec.snr_db,
         iterations=iters, rel_err=err, success=err < SUCCESS_THRESHOLD,
-        wall_time=time.perf_counter() - t0, stop_reason=reason,
+        wall_time=time.perf_counter() - t0, stop_reason=reason, evaluations=evals,
     )
 
 

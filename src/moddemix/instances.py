@@ -132,44 +132,45 @@ def relative_error(est: BlockFactorPair, truth: BlockFactorPair) -> float:
     squares that cancels nothing at small errors (see `_distance_sq`).
     Invariant under the per-component (alpha, conj(alpha)^-1) ambiguity, and
     exact at extreme scales of either side (see `_rescaled_error`)."""
-    return relative_error_to(truth)(est)
+    return float(relative_error_to(truth)(est.channels[None], est.coefficients[None])[0])
 
 
-def relative_error_to(truth: BlockFactorPair) -> Callable[[BlockFactorPair], float]:
-    """`relative_error(est, truth)` as a function of est, with the truth's
-    side (||h0_n||^2 and sum_n ||h0_n||^2 ||x0_n||^2) computed once."""
+def relative_error_to(truth: BlockFactorPair) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """`relative_error` of each estimate of a stack, from their (T, N, M)
+    channels and (T, N, K) coefficients, with the truth's side computed
+    once: one vectorised pass, then `_rescaled_error` for each row that
+    overflows, or for every row where the truth's energy nears underflow."""
     h0, x0 = truth.channels, truth.coefficients
     with np.errstate(all="ignore"):
         h0_sq = np.vecdot(h0, h0).real
         energy = float(np.dot(h0_sq, np.vecdot(x0, x0).real))
 
-    def error(est: BlockFactorPair) -> float:
-        h, x = est.channels, est.coefficients
-        if h.shape != h0.shape or x.shape != x0.shape:
+    def error(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+        if h.shape[1:] != h0.shape or x.shape[1:] != x0.shape or len(h) != len(x):
             raise ValueError("estimate/truth shapes differ")
         with np.errstate(all="ignore"):  # an overflow or underflow is redone below
-            num = _distance_sq(h, x, h0, x0, h0_sq)
-        if math.isfinite(num) and energy > 2.0 ** -600:
-            return float(np.sqrt(num / energy))
-        return _rescaled_error(h, x, h0, x0)  # overflow, or near underflow
+            err = np.sqrt(_distance_sq(h, x, h0, x0, h0_sq) / energy)
+        for t in np.flatnonzero(~np.isfinite(err) | (energy <= 2.0 ** -600)):
+            err[t] = _rescaled_error(h[t], x[t], h0, x0)  # overflow, or near underflow
+        return err
 
     return error
 
 
-def _energy(h: np.ndarray, x: np.ndarray) -> float:
-    """Sum_n ||h_n x_n^*||_F^2 = sum_n ||h_n||^2 ||x_n||^2."""
-    return float(np.dot(np.vecdot(h, h).real, np.vecdot(x, x).real))
+def _energy(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sum_n ||h_n x_n^*||_F^2 = sum_n ||h_n||^2 ||x_n||^2, per leading index."""
+    return np.vecdot(np.vecdot(h, h).real, np.vecdot(x, x).real)
 
 
-def _distance_sq(h, x, h0, x0, h0_sq) -> float:
-    """Sum_n ||h_n x_n^* - h0_n x0_n^*||_F^2, h0_sq being ||h0_n||^2.  With
-    a_n = <h0_n, h_n> / ||h0_n||^2 (0 where h0_n = 0), h_n - a_n h0_n is
-    orthogonal to h0_n, which splits each block difference into two orthogonal
-    terms: ||h0_n||^2 ||conj(a_n) x_n - x0_n||^2 + ||h_n - a_n h0_n||^2 ||x_n||^2.
-    Nothing cancels near the truth, and est = truth gives exactly 0."""
+def _distance_sq(h, x, h0, x0, h0_sq) -> np.ndarray:
+    """Sum_n ||h_n x_n^* - h0_n x0_n^*||_F^2 per leading index, h0_sq being
+    ||h0_n||^2.  With a_n = <h0_n, h_n> / ||h0_n||^2 (0 where h0_n = 0),
+    h_n - a_n h0_n is orthogonal to h0_n, which splits each block difference
+    into two orthogonal terms: ||h0_n||^2 ||conj(a_n) x_n - x0_n||^2 +
+    ||h_n - a_n h0_n||^2 ||x_n||^2.  Nothing cancels near the truth."""
     a = np.vecdot(h0, h) / np.where(h0_sq > 0.0, h0_sq, 1.0)
-    dx = a.conj()[:, None] * x - x0
-    return float(np.dot(h0_sq, np.vecdot(dx, dx).real)) + _energy(h - a[:, None] * h0, x)
+    dx = a.conj()[..., None] * x - x0
+    return np.vecdot(h0_sq, np.vecdot(dx, dx).real) + _energy(h - a[..., None] * h0, x)
 
 
 def _rescaled_error(h, x, h0, x0) -> float:
@@ -179,8 +180,9 @@ def _rescaled_error(h, x, h0, x0) -> float:
     between 2^(k - hi) times est's rescaled blocks and 2^-hi times the
     truth's, hi = max(k, 0), over sqrt(E0), E0 the truth's rescaled energy:
     no term overflows, and one that underflows is negligible."""
-    # 2^-e, finite for e >= -1022, puts a factor's largest entry in [0.5, 1)
-    e = [max(math.frexp(abs(a).max())[1], -1022) for a in (h, x, h0, x0)]
+    # 2^-e, finite for e >= -1022, puts a factor's largest entry in [0.5, 1);
+    # a zero factor takes the least e, as its blocks are zero at any scale
+    e = [max(math.frexp(m)[1], -1022) if (m := abs(a).max()) else -1022 for a in (h, x, h0, x0)]
     h, x, h0, x0 = (a * 2.0 ** -ea for a, ea in zip((h, x, h0, x0), e))
     k = e[0] + e[1] - e[2] - e[3]
     h0_sq = np.vecdot(h0, h0).real

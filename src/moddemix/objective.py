@@ -87,7 +87,8 @@ def coherences(ens: MeasurementEnsemble, z: BlockFactorPair) -> CoherenceReport:
 @dataclass(frozen=True)
 class PenaltyParams:
     """Hinge-penalty configuration: weight rho, global/per-component scale
-    estimates d and d_n, and the coherence bounds mu, nu used inside G."""
+    estimates d and d_n, and the coherence bounds mu, nu used inside G
+    (`evaluate` keeps its certificate's bounds on it, for one ensemble)."""
 
     rho: float
     d: float
@@ -147,12 +148,16 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     grad_h = A_n^*(residual) x_n + grad_h G and
     grad_x = [A_n^*(residual)]^H h_n + grad_x G.
     G is zero unless some hinge argument exceeds 1, as G0 and G0' vanish at
-    or below 1.  A certificate settles that first, from numbers at hand: the
-    spectral arguments are at most h_arg M / (4 mu^2), as |(F_M h_n)_l|^2 <=
-    M ||h_n||^2 / L, and the coded ones at most x_arg Q rho_n / (4 nu^2),
-    rho_n = max_q ||C_n[q, :]||^2.  With every bound <= `_IDLE_BOUND`, G = 0
-    and no coded message is formed.  Otherwise (a NaN included) G is the
-    exact hinge sum, which is rho * 0.0 = 0.0 where every argument is <= 1.
+    or below 1.  A certificate settles that first, from the norms at hand:
+    with h_arg = ||h_n||^2 / (2 d_n), the spectral arguments are at most
+    h_arg M / (4 mu^2), as |(F_M h_n)_l|^2 <= M ||h_n||^2 / L, and with x_arg
+    likewise, the coded ones at most x_arg Q rho_n / (4 nu^2), rho_n =
+    max_q ||C_n[q, :]||^2.  So each argument is at most ||h_n||^2 or
+    ||x_n||^2 times a bound that depends on ens and p alone, which p keeps
+    from its first evaluation on (with ens itself, not its id, which can be
+    reused).  With every such product <= `_IDLE_BOUND`, G = 0 and no argument
+    or coded message is formed.  Otherwise (a NaN included) G is the exact
+    hinge sum, which is rho * 0.0 = 0.0 where every argument is <= 1.
     The gradient forms conj(w) directly, which is exact, skips its hinge terms
     at G = 0, where they vanish, and is not formed where F + G is not finite.
     """
@@ -162,12 +167,17 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     h, x = z.channels, z.coefficients
     spectra, coded_spectra = component_spectra(ens, z)                # (L, N) each
     residual = (spectra * coded_spectra).sum(axis=1) - y_hat.samples
-    # hinge arguments; the trailing axis is the component, matching d_n
-    h_arg, x_arg = np.array((np.vecdot(h, h).real, np.vecdot(x, x).real)) / (2 * p.d_n)
+    h_sq, x_sq = np.vecdot(h, h).real, np.vecdot(x, x).real
     f = float(np.vdot(residual, residual).real)
     g = 0.0
-    if not (h_arg.max() * max(1.0, d.M / (4 * p.mu**2)) <= _IDLE_BOUND and np.max(
-            x_arg * np.maximum(1.0, d.Q / (4 * p.nu**2) * ens._row_peak)) <= _IDLE_BOUND):
+    kept = vars(p).get("_idle_bounds")
+    if kept is None or kept[0] is not ens:
+        kept = (ens, max(1.0, d.M / (4 * p.mu**2)) / (2 * p.d_n),
+                np.maximum(1.0, d.Q / (4 * p.nu**2) * ens._row_peak) / (2 * p.d_n))
+        object.__setattr__(p, "_idle_bounds", kept)
+    if not ((h_sq * kept[1]).max() <= _IDLE_BOUND and (x_sq * kept[2]).max() <= _IDLE_BOUND):
+        # hinge arguments; the trailing axis is the component, matching d_n
+        h_arg, x_arg = h_sq / (2 * p.d_n), x_sq / (2 * p.d_n)
         coded = _coded_messages(ens, x)                               # (Q, N)
         spec_arg = np.abs(spectra) ** 2 * (d.L / (8 * p.mu**2) / p.d_n)
         coded_arg = np.abs(coded) ** 2 * (d.Q / (8 * p.nu**2) / p.d_n)

@@ -87,8 +87,8 @@ class SolveTrace:
     eta is the accepted step (0 on row 0 and on a "no_decrease" row; its
     search started at eta 2^(evals - 1)), evals the row's objective
     evaluations (row 0: the start value and its gradient, so 2), rel_err the
-    truth's score (NaN without a truth; no stop reads it) and err_est the
-    estimated error the "residual" stop reads (`_error_estimate`; NaN on
+    truth's score, made after the descent (NaN without a truth), and err_est
+    the estimated error the "residual" stop reads (`_error_estimate`; NaN on
     row 0 unless f = 0 there)."""
 
     f: np.ndarray
@@ -286,11 +286,12 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     `solve` is blind: its penalty takes mu, nu = `_COHERENCE_MARGIN` times
     the spectral start's coherences, d_n its leading singular values and
     rho = d^2.  The truth only scores, through `relative_error_to`: the
-    trace's rel_err column, which no stop reads.  The "residual" stop reads
-    only f: its estimate r / sqrt(1 - q) takes the residual r = sqrt(f) /
-    ||y|| and the rate q at which r contracted over the last rows, so an
-    ill-conditioned instance, which contracts slowly, descends further than
-    an easy one.
+    trace's rel_err column, which no stop reads.  The descent keeps each
+    row's point, and one batched call scores them all after it; a blind
+    solve keeps none.  The "residual" stop reads only f: its estimate
+    r / sqrt(1 - q) takes the residual r = sqrt(f) / ||y|| and the rate q at
+    which r contracted over the last rows, so an ill-conditioned instance,
+    which contracts slowly, descends further than an easy one.
 
     Each iteration evaluates the objective once per step-size trial, with
     the gradient: the accepted trial's gradient drives the next step, so
@@ -327,13 +328,15 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
 
     y_norm = float(np.linalg.norm(y_hat.samples))
     residuals = []  # sqrt(f) / ||y|| per row
-    rows = []  # (f, g, rel_err, err_est, grad_norm, eta, evals)
-    error = relative_error_to(_scaled(truth, c)) if truth is not None else lambda z: np.nan
+    rows = []  # (f, g, err_est, grad_norm, eta, evals)
+    points = []  # (h, x) per row, only to be scored against a truth
 
     def record(ev, gn, step, evals):
         residuals.append(math.sqrt(ev.f) / y_norm)
         est = _error_estimate(residuals)
-        rows.append((ev.f, ev.g, error(z), est, gn, step, evals))
+        rows.append((ev.f, ev.g, est, gn, step, evals))
+        if truth is not None:
+            points.append((z.channels, z.coefficients))
         return est
 
     cur = evaluate(ens, z, y_hat, p)
@@ -361,7 +364,10 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
         g = cur.grad
         est = record(cur, gn, eta, evals)
 
-    f, g, rel_err, err_est, grad_norm, eta, evals = np.array(rows, dtype=float).T
+    f, g, err_est, grad_norm, eta, evals = np.array(rows, dtype=float).T
+    rel_err = np.full(len(rows), np.nan)
+    if truth is not None:  # one call scores every row
+        rel_err = relative_error_to(_scaled(truth, c))(*map(np.array, zip(*points)))
     trace = SolveTrace(f=f, g=g, rel_err=rel_err, err_est=err_est, grad_norm=grad_norm,
                        eta=eta, evals=evals.astype(int), stop_reason=stop,
                        iterations=len(rows) - 1, scale_exponent=j)

@@ -135,6 +135,24 @@ class TestRunTrial:
         rec = run_trial(TrialSpec(EASY, seed=1), SolverConfig(max_iters=7))
         assert (rec.iterations, rec.stop_reason) == (0, "NumericalFailureError")
 
+    def test_evaluations_sum_the_trace(self, monkeypatch):
+        """evaluations is the seeded solve's trace.evals summed, as an int;
+        a solve that raised NumericalFailureError made none."""
+        traces = []
+        real = harness.solve
+
+        def spy(*args):
+            est, trace = real(*args)
+            traces.append(trace)
+            return est, trace
+
+        monkeypatch.setattr(harness, "solve", spy)
+        rec = run_trial(TrialSpec(EASY, seed=1))
+        assert type(rec.evaluations) is int
+        assert rec.evaluations == traces[0].evals.sum() > rec.iterations
+        monkeypatch.setattr(harness, "solve", _fail_solve)
+        assert run_trial(TrialSpec(EASY, seed=1)).evaluations == 0
+
     def test_near_transition_solve_runs_on_to_a_success(self):
         """Criterion-6 cell Q=80, K=M=22, base seed 0, trial 3, at
         max_iters 5000: it contracts slowly near the transition, and a stop
@@ -482,6 +500,13 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["success"] is True
         assert list(doc) == [f.name for f in dataclasses.fields(TrialRecord)]
+
+    def test_trial_writes_evaluations(self, capsys):
+        """`moddemix trial` writes the record's evaluations as a JSON number."""
+        assert main(["trial", "--L", "64", "--Q", "64", "--M", "3", "--K", "3",
+                     "--N", "1", "--seed", "1"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["evaluations"] == run_trial(TrialSpec(EASY, seed=1)).evaluations > 0
 
     def test_trial_out_is_the_printed_json(self, tmp_path, capsys):
         out = tmp_path / "trial.json"

@@ -20,6 +20,7 @@ from moddemix.instances import (
     make_ground_truth,
     make_modulation,
     relative_error,
+    relative_error_to,
     snapshot_from_json,
     snapshot_to_json,
     synthesize,
@@ -284,6 +285,68 @@ class TestRelativeError:
         other = BlockFactorPair(np.ones((2, 5)), np.ones((2, 3)))
         with pytest.raises(ValueError):
             relative_error(other, truth)
+
+
+    # per-factor scales of a stacked row: the last three put a sum out of the
+    # double range (an inf, or 0 * inf), so their rows take `_rescaled_error`
+    _ROW_SCALES = [(1.0, 1.0), (1e-200, 1.0), (1e200, 1e-200), (1e-200, 1e200), (1e200, 1.0)]
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(d=small_dimensions(), seed=st.integers(0, 2**32 - 1),
+           rows=st.lists(st.sampled_from(range(len(_ROW_SCALES))), min_size=1, max_size=6),
+           tiny_truth=st.booleans())
+    @example(d=DIMS, seed=0, rows=list(range(len(_ROW_SCALES))), tiny_truth=False)
+    def test_stack_scores_each_row_alone(self, d, seed, rows, tiny_truth):
+        """The stacked scorer gives every row of a stack exactly the score
+        `relative_error` gives it alone: ordinary rows, rows at 1e+-200,
+        which take the fallback, and a truth whose energy is near underflow
+        (1e-100 per factor), where every row takes it.  A row whose blocks
+        are a unit row's scores as that row does.  The truth's own row scores
+        0 to rounding, not exactly: a_n = <h0_n, h_n> / ||h0_n||^2 is a
+        complex division, which can miss 1 by an ulp (`_distance_sq`).
+        61 examples in about 0.4 s."""
+        _, truth, _ = synthesize(TrialSpec(d, seed=seed))
+        if tiny_truth:
+            truth = BlockFactorPair(1e-100 * truth.channels, 1e-100 * truth.coefficients)
+        rng = np.random.default_rng(seed)
+
+        def perturbed(a):
+            return a + 0.1 * np.abs(a).max() * (rng.standard_normal(a.shape)
+                                                + 1j * rng.standard_normal(a.shape))
+
+        base = [(perturbed(truth.channels), perturbed(truth.coefficients)) for _ in rows]
+        scales = [self._ROW_SCALES[r] for r in rows]
+        h = np.stack([sh * bh for (sh, _), (bh, _) in zip(scales, base)] + [truth.channels])
+        x = np.stack([sx * bx for (_, sx), (_, bx) in zip(scales, base)] + [truth.coefficients])
+        errs = relative_error_to(truth)(h, x)
+        assert errs.shape == (len(rows) + 1,) and errs[-1] < 1e-15
+        for t in range(len(rows) + 1):
+            assert errs[t] == relative_error(BlockFactorPair(h[t], x[t]), truth)
+        for (sh, sx), (bh, bx), err in zip(scales, base, errs):
+            if sh * sx == 1.0:
+                assert err == pytest.approx(relative_error(BlockFactorPair(bh, bx), truth),
+                                            rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [1.0, 1e-100, 1e-160, 1e-200, 1e200])
+    def test_zero_factor_scores_one(self, s):
+        """An estimate with a zero factor has zero blocks, so it scores
+        exactly 1 against a truth at any scale.  The fallback once read a zero
+        factor's exponent as 0 and scored 0.0 against a truth at 1e-100."""
+        _, truth, _ = synthesize(TrialSpec(DIMS, seed=0))
+        truth = BlockFactorPair(s * truth.channels, s * truth.coefficients)
+        zero_h = BlockFactorPair(np.zeros_like(truth.channels), truth.coefficients)
+        zero_x = BlockFactorPair(truth.channels, np.zeros_like(truth.coefficients))
+        for est in (zero_h, zero_x, BlockFactorPair(zero_h.channels, zero_x.coefficients)):
+            assert relative_error(est, truth) == 1.0
+
+    def test_stack_zero_truth_raises(self):
+        _, truth, _ = synthesize(TrialSpec(DIMS, seed=0))
+        zero = BlockFactorPair(np.zeros_like(truth.channels),
+                               np.zeros_like(truth.coefficients))
+        with pytest.raises(ValueError, match="degenerate"):
+            relative_error_to(zero)(np.stack([truth.channels] * 3),
+                                    np.stack([truth.coefficients] * 3))
 
 
 class TestSnapshot:

@@ -23,6 +23,7 @@ from moddemix.objective import (
 from moddemix.operators import (
     BlockFactorPair,
     Dimensions,
+    MeasurementEnsemble,
     ObservationVector,
     component_spectra,
     dense_oracle,
@@ -388,6 +389,29 @@ class TestEvaluate:
         g = grad_total(ens, z, obs, p)
         np.testing.assert_array_equal(full.grad.channels, g.channels)
         np.testing.assert_array_equal(full.grad.coefficients, g.coefficients)
+
+    def test_bounds_follow_the_ensemble(self, rng):
+        """p keeps the certificate's bounds with the ensemble they were
+        formed for, and forms them again for another.  With one p, a point
+        that the DCT coding certifies idle (coded bound 0.28) has a coded
+        argument of 1.5 under a coding of unit rows (rho_n = 1): there G > 0,
+        bit for bit as with a fresh p."""
+        dims = Dimensions(L=32, Q=16, M=4, K=2, N=2)
+        ens, _, obs = make_instance(dims)
+        unit_rows = MeasurementEnsemble(dims=dims, modulation=ens.modulation, coding=np.stack(
+            [np.eye(dims.Q)[:, n * dims.K:(n + 1) * dims.K] for n in range(dims.N)]))
+        x = np.zeros((dims.N, dims.K), dtype=complex)
+        x[:, 0] = np.sqrt(0.2)  # C_n x_n of unit rows has one entry of size^2 0.2
+        z = BlockFactorPair(0.1 * random_pair(dims, rng).channels, x)
+        p = PenaltyParams(rho=1.0, d=1.0, d_n=np.ones(dims.N), mu=10.0,
+                          nu=np.sqrt(dims.Q * 0.2 / (8 * 1.5)))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_coded_messages(mp)
+            assert evaluate(ens, z, obs, p).g == 0.0 and not calls
+        ev = evaluate(unit_rows, z, obs, p, grad=True)
+        fresh = evaluate(unit_rows, z, obs, dataclasses.replace(p), grad=True)
+        assert ev.g == fresh.g == pytest.approx(2 * (1.5 - 1.0) ** 2)
+        np.testing.assert_array_equal(ev.grad.coefficients, fresh.grad.coefficients)
 
     def test_no_gradient_at_non_finite_point(self):
         """At 1e100 x truth F + G overflows: evaluate reports it and forms no

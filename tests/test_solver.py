@@ -380,6 +380,29 @@ class TestSolve:
         levels.  About 0.5 s: 40 pairs of solves."""
         _assert_truth_only_scores(dims, seed, snr_db, max_iters)
 
+    def test_truthful_solve_scores_once(self, monkeypatch):
+        """At DESK, a solve given the truth scores its whole trace after the
+        descent, in one call of the scorer, whatever its row count; a blind
+        solve makes no call."""
+        calls = []
+        real = solver_module.relative_error_to
+
+        def counted(truth):
+            score = real(truth)
+
+            def scorer(h, x):
+                calls.append(len(h))
+                return score(h, x)
+
+            return scorer
+
+        monkeypatch.setattr(solver_module, "relative_error_to", counted)
+        ens, truth, obs = make_instance(DESK)
+        _, trace = solve(ens, obs, truth=truth)
+        assert trace.iterations > 1 and calls == [trace.iterations + 1]
+        solve(ens, obs)
+        assert len(calls) == 1
+
     def test_output_normalized(self):
         ens, truth, obs = make_instance(TWO, seed=2)
         est, _ = solve(ens, obs, SolverConfig(), truth=truth)
