@@ -77,14 +77,14 @@ class TrialSpec:
 
 @functools.lru_cache(maxsize=4)
 def _coding_stack(Q: int, K: int, N: int) -> np.ndarray:
-    """The (N, Q, K) stack of coding matrices, cached, read-only and
-    C-contiguous (`evaluate`'s products would copy a strided view).  C_n is
-    the orthonormal DCT-II columns {n, n+N, ...}, disjoint across components:
-    one DCT of the first K*N unit vectors gives column k of C_n as column
-    k*N + n.  One entry serves every M of a sweep's (Q, K) row, 1.2 MB at
-    the paper grid's largest cell.  K * N <= Q holds for every `Dimensions`."""
+    """The (N, Q, K) stack of coding matrices, cached, read-only, C-contiguous
+    (`evaluate`'s products would copy a strided view) and owning its data, so
+    `_coding_facts` checks it once.  C_n is the orthonormal DCT-II columns
+    {n, n+N, ...}, disjoint across components: one DCT of the first K*N <= Q
+    unit vectors (`Dimensions`) gives column k of C_n as column k*N + n.  One
+    entry serves every M of a (Q, K) row, at most 1.2 MB on the paper grid."""
     columns = dct(np.eye(Q, K * N), norm="ortho", axis=0)
-    stack = np.ascontiguousarray(columns.reshape(Q, K, N).transpose(2, 0, 1))
+    stack = columns.reshape(Q, K, N).transpose(2, 0, 1).copy()
     stack.setflags(write=False)
     return stack
 
@@ -167,8 +167,10 @@ def _distance_sq(h, x, h0, x0, h0_sq) -> np.ndarray:
     ||h0_n||^2.  With a_n = <h0_n, h_n> / ||h0_n||^2 (0 where h0_n = 0),
     h_n - a_n h0_n is orthogonal to h0_n, which splits each block difference
     into two orthogonal terms: ||h0_n||^2 ||conj(a_n) x_n - x0_n||^2 +
-    ||h_n - a_n h0_n||^2 ||x_n||^2.  Nothing cancels near the truth."""
-    a = np.vecdot(h0, h) / np.where(h0_sq > 0.0, h0_sq, 1.0)
+    ||h_n - a_n h0_n||^2 ||x_n||^2.  Nothing cancels, and the truth scores
+    exact 0: a_n's parts are divided apart (complex division can miss an ulp)."""
+    a, norm = np.vecdot(h0, h), np.where(h0_sq > 0.0, h0_sq, 1.0)
+    a.real, a.imag = a.real / norm, a.imag / norm
     dx = a.conj()[..., None] * x - x0
     return np.vecdot(h0_sq, np.vecdot(dx, dx).real) + _energy(h - a[..., None] * h0, x)
 

@@ -21,6 +21,7 @@ from .operators import (
     BlockFactorPair,
     MeasurementEnsemble,
     ObservationVector,
+    _coding_facts,
     component_spectra,
     dft_basis,
 )
@@ -152,12 +153,12 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     with h_arg = ||h_n||^2 / (2 d_n), the spectral arguments are at most
     h_arg M / (4 mu^2), as |(F_M h_n)_l|^2 <= M ||h_n||^2 / L, and with x_arg
     likewise, the coded ones at most x_arg Q rho_n / (4 nu^2), rho_n =
-    max_q ||C_n[q, :]||^2.  So each argument is at most ||h_n||^2 or
-    ||x_n||^2 times a bound that depends on ens and p alone, which p keeps
-    from its first evaluation on (with ens itself, not its id, which can be
-    reused).  With every such product <= `_IDLE_BOUND`, G = 0 and no argument
-    or coded message is formed.  Otherwise (a NaN included) G is the exact
-    hinge sum, which is rho * 0.0 = 0.0 where every argument is <= 1.
+    max_q ||C_n[q, :]||^2, formed once per stack (`_coding_facts`).  So each
+    argument is at most ||h_n||^2 or ||x_n||^2 times a bound that depends on
+    ens and p alone, which p keeps from its first evaluation on (with ens, not
+    its id, which can be reused).  With every such product <= `_IDLE_BOUND`,
+    G = 0 and no argument or coded message is formed.  Otherwise (a NaN
+    included) G is the exact hinge sum, rho * 0.0 = 0.0 if no argument is > 1.
     The gradient forms conj(w) directly, which is exact, skips its hinge terms
     at G = 0, where they vanish, and is not formed where F + G is not finite.
     """
@@ -173,7 +174,7 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     kept = vars(p).get("_idle_bounds")
     if kept is None or kept[0] is not ens:
         kept = (ens, max(1.0, d.M / (4 * p.mu**2)) / (2 * p.d_n),
-                np.maximum(1.0, d.Q / (4 * p.nu**2) * ens._row_peak) / (2 * p.d_n))
+                np.maximum(1.0, d.Q / (4 * p.nu**2) * _coding_facts(ens.coding)) / (2 * p.d_n))
         object.__setattr__(p, "_idle_bounds", kept)
     if not ((h_sq * kept[1]).max() <= _IDLE_BOUND and (x_sq * kept[2]).max() <= _IDLE_BOUND):
         # hinge arguments; the trailing axis is the component, matching d_n

@@ -30,6 +30,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
 
 _ORTHO_TOL = 1e-12
 _DENSE_GUARD = 4096
+_CODING_FACTS: dict[int, np.ndarray] = {}  # id of a live read-only stack -> its rho_n
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,8 @@ class MeasurementEnsemble:
 
     The conjugated coded spectra conj(sqrt(L) F_Q R_n C_n), shape (N, L, K),
     are precomputed once, from an rfft of the real r_n * C_n and its
-    conjugate mirror, and shared read-only.  Every coding stack is checked
-    for orthonormality (one batched C_n^T C_n), including a shared cached one.
+    conjugate mirror, and shared read-only.  `_coding_facts` checks each
+    coding stack for orthonormality once, not once per ensemble.
     """
 
     dims: Dimensions
@@ -134,21 +136,12 @@ class MeasurementEnsemble:
             raise ValueError(f"coding shape {coding.shape} != {(d.N, d.Q, d.K)}")
         if not np.all(np.abs(modulation) == 1.0):
             raise ValueError("modulation entries must be exactly +-1")
-        defects = np.linalg.norm(coding.transpose(0, 2, 1) @ coding - np.eye(d.K), axis=(1, 2))
-        bad = np.flatnonzero(~(defects <= _ORTHO_TOL * max(1.0, d.K)))  # NaN is bad too
-        if bad.size:
-            n = bad[0]
-            raise ValueError(f"coding matrix {n} not orthonormal (defect {defects[n]:.2e})")
+        _coding_facts(coding)
         spectra = _conj_coded_spectra(modulation[:, :, None] * coding, d.L)
         spectra.setflags(write=False)
         object.__setattr__(self, "modulation", modulation)
         object.__setattr__(self, "coding", coding)
         object.__setattr__(self, "coded_spectra", spectra)
-
-    @functools.cached_property
-    def _row_peak(self) -> np.ndarray:
-        """rho_n = max_q ||C_n[q, :]||^2 for `evaluate`, computed on first use."""
-        return np.max(np.vecdot(self.coding, self.coding), axis=1)
 
     def _check_component(self, n: int) -> None:
         _check_integers({"component index": n}, 0)  # a bool or 1.5 is no index
@@ -156,10 +149,29 @@ class MeasurementEnsemble:
             raise ValueError(f"component index {n} out of range [0, {self.dims.N})")
 
 
+def _coding_facts(coding: np.ndarray) -> np.ndarray:
+    """rho_n = max_q ||C_n[q, :]||^2 of an (N, Q, K) coding stack whose C_n
+    pass one batched C_n^T C_n orthonormality check (else a ValueError), kept
+    for a read-only stack that owns its data, for as long as it lives."""
+    if (peak := _CODING_FACTS.get(id(coding))) is not None:
+        return peak
+    K = coding.shape[2]
+    defects = np.linalg.norm(coding.transpose(0, 2, 1) @ coding - np.eye(K), axis=(1, 2))
+    bad = np.flatnonzero(~(defects <= _ORTHO_TOL * max(1.0, K)))  # NaN is bad too
+    if bad.size:
+        raise ValueError(f"coding matrix {bad[0]} not orthonormal (defect {defects[bad[0]]:.2e})")
+    peak = np.max(np.vecdot(coding, coding), axis=1)
+    peak.setflags(write=False)
+    if coding.flags.owndata and not coding.flags.writeable:
+        _CODING_FACTS[id(coding)] = peak  # dropped as the stack dies, before its id is reused
+        weakref.finalize(coding, _CODING_FACTS.pop, id(coding))
+    return peak
+
+
 def _read_only(a, name: str) -> np.ndarray:
     """a as a read-only float array: taken as it is if it is one already (as
-    `synthesize`'s cached coding stack is), else a copy, so that the caller's
-    array stays writeable and later writes to it cannot reach the ensemble.
+    `synthesize`'s cached coding stack is), else a new copy, which keeps the
+    caller's array writeable and out of the ensemble and `_coding_facts`.
     A complex a is a ValueError naming it, not a cast that drops its
     imaginary part."""
     if not (isinstance(a, np.ndarray) and a.dtype == float and not a.flags.writeable):

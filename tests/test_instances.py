@@ -187,6 +187,16 @@ class TestRelativeError:
         _, truth, _ = synthesize(TrialSpec(DIMS, seed=0))
         assert relative_error(truth, truth) == 0.0
 
+    def test_zero_at_tiny_truth(self):
+        """At 1e-100 per factor the truth still scores exact 0.  This case
+        scored 2.3e-16 while a_n = <h0_n, h_n> / ||h0_n||^2 was a complex
+        division, which missed 1 by an ulp; its parts are now divided apart."""
+        d = Dimensions(L=13, Q=1, M=13, K=1, N=1)
+        _, truth, _ = synthesize(TrialSpec(d, seed=7100765))
+        tiny = BlockFactorPair(1e-100 * truth.channels, 1e-100 * truth.coefficients)
+        assert relative_error(tiny, tiny) == 0.0
+        assert relative_error_to(tiny)(tiny.channels[None], tiny.coefficients[None])[0] == 0.0
+
     def test_one_at_zero_estimate(self):
         _, truth, _ = synthesize(TrialSpec(DIMS, seed=0))
         zero = BlockFactorPair(np.zeros_like(truth.channels),
@@ -301,10 +311,8 @@ class TestRelativeError:
         `relative_error` gives it alone: ordinary rows, rows at 1e+-200,
         which take the fallback, and a truth whose energy is near underflow
         (1e-100 per factor), where every row takes it.  A row whose blocks
-        are a unit row's scores as that row does.  The truth's own row scores
-        0 to rounding, not exactly: a_n = <h0_n, h_n> / ||h0_n||^2 is a
-        complex division, which can miss 1 by an ulp (`_distance_sq`).
-        61 examples in about 0.4 s."""
+        are a unit row's scores as that row does, and the truth's own row
+        scores exact 0 (`_distance_sq`).  61 examples in about 0.4 s."""
         _, truth, _ = synthesize(TrialSpec(d, seed=seed))
         if tiny_truth:
             truth = BlockFactorPair(1e-100 * truth.channels, 1e-100 * truth.coefficients)
@@ -319,7 +327,7 @@ class TestRelativeError:
         h = np.stack([sh * bh for (sh, _), (bh, _) in zip(scales, base)] + [truth.channels])
         x = np.stack([sx * bx for (_, sx), (_, bx) in zip(scales, base)] + [truth.coefficients])
         errs = relative_error_to(truth)(h, x)
-        assert errs.shape == (len(rows) + 1,) and errs[-1] < 1e-15
+        assert errs.shape == (len(rows) + 1,) and errs[-1] == 0.0
         for t in range(len(rows) + 1):
             assert errs[t] == relative_error(BlockFactorPair(h[t], x[t]), truth)
         for (sh, sx), (bh, bx), err in zip(scales, base, errs):

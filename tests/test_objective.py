@@ -25,6 +25,7 @@ from moddemix.operators import (
     Dimensions,
     MeasurementEnsemble,
     ObservationVector,
+    _coding_facts,
     component_spectra,
     dense_oracle,
     dft_basis,
@@ -307,18 +308,30 @@ class TestIdleCertificate:
         assert trace.stop_reason == "residual" and trace.rel_err[-1] < 1e-2
         assert len(calls) == 1
 
-    def test_row_peak_computed_on_first_use(self, rng):
-        """rho_n is not computed in set-up; the first evaluation computes it
-        once, as max_q ||C_n[q, :]||^2."""
+    def test_row_peak_formed_once_per_stack(self, monkeypatch):
+        """rho_n = max_q ||C_n[q, :]||^2 is formed once per coding stack, when
+        the first ensemble on it is set up: no evaluation forms it again, and
+        every ensemble on the stack shares it."""
         dims = Dimensions(L=32, Q=16, M=6, K=4, N=2)
-        ens, truth, obs = make_instance(dims)
-        assert "_row_peak" not in vars(ens)
-        evaluate(ens, truth, obs, oracle_params(ens, truth))
-        peak = vars(ens)["_row_peak"]
+        (ens, truth, obs), (other, _, _) = make_instance(dims), make_instance(dims, seed=1)
+        peak = _coding_facts(ens.coding)
         np.testing.assert_allclose(peak, [max(np.linalg.norm(ens.coding[n], axis=1) ** 2)
                                           for n in range(dims.N)], rtol=1e-15)
-        evaluate(ens, truth, obs, oracle_params(ens, truth))
-        assert vars(ens)["_row_peak"] is peak
+        ndims, vecdot = [], np.vecdot
+
+        def spy(a, b, **kwargs):
+            ndims.append(a.ndim)
+            return vecdot(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "vecdot", spy)
+        for e in (ens, other):
+            p = oracle_params(e, truth)
+            evaluate(e, truth, obs, p)
+            np.testing.assert_array_equal(
+                vars(p)["_idle_bounds"][2],
+                np.maximum(1.0, dims.Q / (4 * p.nu**2) * peak) / (2 * p.d_n))
+        assert 2 in ndims and 3 not in ndims  # (N, Q, K) is where rho_n is formed
+        assert _coding_facts(other.coding) is peak
 
 
 class TestEvaluate:

@@ -10,12 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SMALL_DIMS, make_instance, random_pair, small_dimensions
+from moddemix.instances import _coding_stack
+from moddemix.objective import PenaltyParams, evaluate
 from moddemix.operators import (
+    _CODING_FACTS,
     BlockFactorPair,
     Dimensions,
     MeasurementEnsemble,
     ObservationVector,
     _adjoint_blocks,
+    _coding_facts,
     adjoint_component,
     component_spectra,
     dense_oracle,
@@ -153,6 +157,94 @@ class TestEnsemble:
                 B = np.sqrt(d.L) * dft_basis(d.L, d.Q) @ (
                     ens.modulation[n][:, None] * ens.coding[n])
                 np.testing.assert_allclose(ens.coded_spectra[n], np.conj(B), atol=1e-12)
+
+
+def _spy_checks(monkeypatch) -> list:
+    """Record the stack shape of each batched orthonormality check, the one
+    norm taken over axes (1, 2)."""
+    calls, norm = [], np.linalg.norm
+
+    def spy(a, *args, **kwargs):
+        if kwargs.get("axis") == (1, 2):
+            calls.append(a.shape)
+        return norm(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    return calls
+
+
+class TestCodingFacts:
+    """`_coding_facts` checks a read-only stack that owns its data once and
+    keeps its rho_n while the stack lives; any other coding is checked anew."""
+
+    @staticmethod
+    def _penalty(dims: Dimensions) -> PenaltyParams:
+        return PenaltyParams(rho=1.0, d=1.0, d_n=np.ones(dims.N), mu=1.0, nu=1.0)
+
+    def test_synthesized_ensembles_share_one_check(self, monkeypatch):
+        """Ensembles that `synthesize` builds on one cached stack run the
+        check and form rho_n once, in the first set-up, and share that rho_n
+        through every evaluation."""
+        dims = Dimensions(L=40, Q=21, M=3, K=4, N=3)
+        _coding_stack.cache_clear()  # a new stack, so no earlier test's entry is found
+        checks = _spy_checks(monkeypatch)
+        instances = [make_instance(dims, seed=seed) for seed in range(3)]
+        for ens, truth, obs in instances:
+            evaluate(ens, truth, obs, self._penalty(dims), grad=True)
+        assert checks == [(dims.N, dims.K, dims.K)]
+        assert len({id(ens.coding) for ens, _, _ in instances}) == 1
+        peaks = [_coding_facts(ens.coding) for ens, _, _ in instances]
+        assert all(peak is peaks[0] for peak in peaks) and not peaks[0].flags.writeable
+        assert checks == [(dims.N, dims.K, dims.K)]
+
+    def test_rejection_is_never_kept(self, monkeypatch):
+        """A non-orthonormal stack is rejected by every ensemble built on it,
+        also a read-only one that owns its data, which would be kept if it
+        passed."""
+        d = Dimensions(L=8, Q=4, M=2, K=2, N=2)
+        coding = np.stack([np.eye(4)[:, :2], np.ones((4, 2))])
+        coding.setflags(write=False)
+        checks = _spy_checks(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="coding matrix 1 not orthonormal"):
+                MeasurementEnsemble(d, np.ones((2, 4)), coding)
+        assert len(checks) == 3 and id(coding) not in _CODING_FACTS
+
+    def test_caller_coding_is_copied_and_checked_per_ensemble(self, monkeypatch, rng):
+        """A writable caller coding is copied, so each ensemble checks its own
+        copy; later writes to the caller's array change neither the copy,
+        its rho_n nor an evaluation."""
+        d = Dimensions(L=8, Q=4, M=2, K=2, N=1)
+        coding = np.eye(4)[None, :, :2].copy()
+        checks = _spy_checks(monkeypatch)
+        first, second = (MeasurementEnsemble(d, np.ones((1, 4)), coding) for _ in range(2))
+        assert len(checks) == 2
+        assert first.coding is not coding and first.coding is not second.coding
+        z, y = random_pair(d, rng), ObservationVector(np.ones(d.L))
+        before = evaluate(first, z, y, self._penalty(d), grad=True)
+        peak = _coding_facts(first.coding).copy()
+        coding[0] = 1.0
+        np.testing.assert_array_equal(first.coding, np.eye(4)[None, :, :2])
+        np.testing.assert_array_equal(_coding_facts(first.coding), peak)
+        after = evaluate(first, z, y, self._penalty(d), grad=True)
+        assert (after.f, after.g) == (before.f, before.g)
+        np.testing.assert_array_equal(after.grad.coefficients, before.grad.coefficients)
+        assert len(checks) == 2
+
+    def test_kept_only_for_a_live_stack_that_owns_its_data(self):
+        """An entry goes with its stack; a read-only view, whose base may be
+        writeable, is never kept."""
+        stack = np.eye(6)[None, :, :3].copy()
+        stack.setflags(write=False)
+        key = id(stack)
+        _coding_facts(stack)
+        assert key in _CODING_FACTS
+        del stack
+        assert key not in _CODING_FACTS
+        view = np.eye(6)[None, :, :3]
+        view.setflags(write=False)
+        _coding_facts(view)
+        assert id(view) not in _CODING_FACTS
 
 
 class TestCodedSpectraProperty:
