@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import asdict, replace
 
 from .harness import (
@@ -129,15 +130,20 @@ def _cmd_trial(args) -> int:
     dims = Dimensions(L=args.L, Q=args.Q, M=args.M, K=args.K, N=args.N)
     spec = TrialSpec(dims, seed=args.seed, snr_db=args.snr_db)
     cfg = SolverConfig(args.max_iters)
-    with nullcontext() if args.out is None else open(args.out, "w", encoding="utf-8") as out:
-        if args.dump_instance is not None:
-            ens, truth, obs = synthesize(spec)
-            with open(args.dump_instance, "w", encoding="utf-8") as fh:
-                fh.write(snapshot_to_json(spec, ens, truth, obs))
+    paths = (args.dump_instance, args.out)
+    if None not in paths and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        raise ValueError("--out and --dump-instance name the same file")
+    if args.out is not None:  # an --out that cannot be opened fails here, emptying nothing
+        open(args.out, "a", encoding="utf-8").close()
+    with ExitStack() as stack:  # the dump first: one that cannot be opened leaves --out be
+        dump, out = (None if p is None else stack.enter_context(open(p, "w", encoding="utf-8"))
+                     for p in paths)
+        if dump is not None:
+            dump.write(snapshot_to_json(spec, *synthesize(spec)))
         # a failed solve's rel_err is inf, which JSON (RFC 8259) has no word for
         record = {k: None if isinstance(v, float) and not math.isfinite(v) else v
                   for k, v in asdict(run_trial(spec, cfg)).items()}
-        text = json.dumps(record, default=str, indent=2, allow_nan=False)
+        text = json.dumps(record, indent=2, allow_nan=False)
         if out is not None:
             out.write(text + "\n")
     print(text)

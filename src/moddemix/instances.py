@@ -16,7 +16,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.fft import dct
@@ -36,7 +35,7 @@ __all__ = [
     "make_ground_truth",
     "synthesize",
     "relative_error",
-    "relative_error_to",
+    "relative_errors",
     "snapshot_to_json",
     "snapshot_from_json",
 ]
@@ -56,9 +55,9 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class TrialSpec:
     """One reproducible experiment instance: geometry, seed (an integer
-    >= 0) and optional SNR in dB (None = noiseless, and +inf is stored as
-    None; NaN, -inf and anything but a real, non-bool number are a
-    ValueError)."""
+    >= 0, kept as an int) and optional SNR in dB (kept as a float; None =
+    noiseless, and +inf is stored as None; NaN, -inf and anything but a
+    real, non-bool number are a ValueError)."""
 
     dims: Dimensions
     seed: int
@@ -71,8 +70,8 @@ class TrialSpec:
                               or not s > -math.inf):
             raise ValueError(f"snr_db must be above -inf and not NaN (a real number, "
                              f"not a bool), got {s!r}")
-        if s == math.inf:
-            object.__setattr__(self, "snr_db", None)
+        object.__setattr__(self, "seed", int(self.seed))  # JSON writes no numpy scalar
+        object.__setattr__(self, "snr_db", None if s is None or s == math.inf else float(s))
 
 
 @functools.lru_cache(maxsize=4)
@@ -132,29 +131,24 @@ def relative_error(est: BlockFactorPair, truth: BlockFactorPair) -> float:
     squares that cancels nothing at small errors (see `_distance_sq`).
     Invariant under the per-component (alpha, conj(alpha)^-1) ambiguity, and
     exact at extreme scales of either side (see `_rescaled_error`)."""
-    return float(relative_error_to(truth)(est.channels[None], est.coefficients[None])[0])
+    return float(relative_errors(est.channels[None], est.coefficients[None], truth)[0])
 
 
-def relative_error_to(truth: BlockFactorPair) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def relative_errors(h: np.ndarray, x: np.ndarray, truth: BlockFactorPair) -> np.ndarray:
     """`relative_error` of each estimate of a stack, from their (T, N, M)
-    channels and (T, N, K) coefficients, with the truth's side computed
-    once: one vectorised pass, then `_rescaled_error` for each row that
-    overflows, or for every row where the truth's energy nears underflow."""
+    channels and (T, N, K) coefficients: one vectorised pass, then
+    `_rescaled_error` for each row that overflows, or for every row where
+    the truth's energy nears underflow."""
     h0, x0 = truth.channels, truth.coefficients
-    with np.errstate(all="ignore"):
+    if h.shape[1:] != h0.shape or x.shape[1:] != x0.shape or len(h) != len(x):
+        raise ValueError("estimate/truth shapes differ")
+    with np.errstate(all="ignore"):  # an overflow or underflow is redone below
         h0_sq = np.vecdot(h0, h0).real
         energy = float(np.dot(h0_sq, np.vecdot(x0, x0).real))
-
-    def error(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if h.shape[1:] != h0.shape or x.shape[1:] != x0.shape or len(h) != len(x):
-            raise ValueError("estimate/truth shapes differ")
-        with np.errstate(all="ignore"):  # an overflow or underflow is redone below
-            err = np.sqrt(_distance_sq(h, x, h0, x0, h0_sq) / energy)
-        for t in np.flatnonzero(~np.isfinite(err) | (energy <= 2.0 ** -600)):
-            err[t] = _rescaled_error(h[t], x[t], h0, x0)  # overflow, or near underflow
-        return err
-
-    return error
+        err = np.sqrt(_distance_sq(h, x, h0, x0, h0_sq) / energy)
+    for t in np.flatnonzero(~np.isfinite(err) | (energy <= 2.0 ** -600)):
+        err[t] = _rescaled_error(h[t], x[t], h0, x0)  # overflow, or near underflow
+    return err
 
 
 def _energy(h: np.ndarray, x: np.ndarray) -> np.ndarray:

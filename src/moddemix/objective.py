@@ -21,7 +21,6 @@ from .operators import (
     BlockFactorPair,
     MeasurementEnsemble,
     ObservationVector,
-    _coding_facts,
     component_spectra,
     dft_basis,
 )
@@ -85,11 +84,11 @@ def coherences(ens: MeasurementEnsemble, z: BlockFactorPair) -> CoherenceReport:
                            d0=float(np.sqrt(np.sum(d_n**2))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PenaltyParams:
     """Hinge-penalty configuration: weight rho, global/per-component scale
-    estimates d and d_n, and the coherence bounds mu, nu used inside G
-    (`evaluate` keeps its certificate's bounds on it, for one ensemble)."""
+    estimates d and d_n, and the coherence bounds mu, nu used inside G.
+    Slotted, so it holds these fields and nothing else."""
 
     rho: float
     d: float
@@ -149,16 +148,15 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     grad_h = A_n^*(residual) x_n + grad_h G and
     grad_x = [A_n^*(residual)]^H h_n + grad_x G.
     G is zero unless some hinge argument exceeds 1, as G0 and G0' vanish at
-    or below 1.  A certificate settles that first, from the norms at hand:
-    with h_arg = ||h_n||^2 / (2 d_n), the spectral arguments are at most
-    h_arg M / (4 mu^2), as |(F_M h_n)_l|^2 <= M ||h_n||^2 / L, and with x_arg
-    likewise, the coded ones at most x_arg Q rho_n / (4 nu^2), rho_n =
-    max_q ||C_n[q, :]||^2, formed once per stack (`_coding_facts`).  So each
-    argument is at most ||h_n||^2 or ||x_n||^2 times a bound that depends on
-    ens and p alone, which p keeps from its first evaluation on (with ens, not
-    its id, which can be reused).  With every such product <= `_IDLE_BOUND`,
-    G = 0 and no argument or coded message is formed.  Otherwise (a NaN
-    included) G is the exact hinge sum, rho * 0.0 = 0.0 if no argument is > 1.
+    or below 1.  A certificate settles that first.  With h_arg =
+    ||h_n||^2 / (2 d_n) and x_arg = ||x_n||^2 / (2 d_n), every argument is at
+    most h_arg times the cap max(1, M / (4 mu^2)), as
+    |(F_M h_n)_l|^2 <= M ||h_n||^2 / L, or x_arg times max(1, Q kappa / (4 nu^2)),
+    as |(C_n x_n)_q|^2 <= kappa ||x_n||^2, kappa = `ens.row_peak`.  Both caps
+    are Python floats formed per call from the fields of ens and p.  With
+    every such product <= `_IDLE_BOUND`, G = 0 and no argument array or coded
+    message is formed.  Otherwise (a NaN included) G is the exact hinge sum,
+    rho * 0.0 = 0.0 if no argument is > 1.
     The gradient forms conj(w) directly, which is exact, skips its hinge terms
     at G = 0, where they vanish, and is not formed where F + G is not finite.
     """
@@ -171,12 +169,10 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     h_sq, x_sq = np.vecdot(h, h).real, np.vecdot(x, x).real
     f = float(np.vdot(residual, residual).real)
     g = 0.0
-    kept = vars(p).get("_idle_bounds")
-    if kept is None or kept[0] is not ens:
-        kept = (ens, max(1.0, d.M / (4 * p.mu**2)) / (2 * p.d_n),
-                np.maximum(1.0, d.Q / (4 * p.nu**2) * _coding_facts(ens.coding)) / (2 * p.d_n))
-        object.__setattr__(p, "_idle_bounds", kept)
-    if not ((h_sq * kept[1]).max() <= _IDLE_BOUND and (x_sq * kept[2]).max() <= _IDLE_BOUND):
+    h_cap, x_cap = max(1.0, d.M / (4 * p.mu**2)), max(1.0, d.Q * ens.row_peak / (4 * p.nu**2))
+    # all(), not max(): a NaN argument must decline, and Python's max can skip one
+    if not all(hs / (2 * dn) * h_cap <= _IDLE_BOUND and xs / (2 * dn) * x_cap <= _IDLE_BOUND
+               for hs, xs, dn in zip(h_sq.tolist(), x_sq.tolist(), p.d_n.tolist())):
         # hinge arguments; the trailing axis is the component, matching d_n
         h_arg, x_arg = h_sq / (2 * p.d_n), x_sq / (2 * p.d_n)
         coded = _coded_messages(ens, x)                               # (Q, N)

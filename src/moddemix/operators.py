@@ -51,7 +51,7 @@ __all__ = [
 
 _ORTHO_TOL = 1e-12
 _DENSE_GUARD = 4096
-_CODING_FACTS: dict[int, np.ndarray] = {}  # id of a live read-only stack -> its rho_n
+_CODING_FACTS: dict[int, float] = {}  # id of a live read-only stack -> its row peak
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,8 @@ class Dimensions:
 
     def __post_init__(self):
         check_counts(**vars(self))
+        for name, value in vars(self).items():  # plain ints, as JSON writes no np.integer
+            object.__setattr__(self, name, int(value))
         if self.Q > self.L:
             raise ValueError(f"need Q <= L, got Q={self.Q}, L={self.L}")
         if self.K * self.N > self.Q:
@@ -117,14 +119,15 @@ class MeasurementEnsemble:
 
     The conjugated coded spectra conj(sqrt(L) F_Q R_n C_n), shape (N, L, K),
     are precomputed once, from an rfft of the real r_n * C_n and its
-    conjugate mirror, and shared read-only.  `_coding_facts` checks each
-    coding stack for orthonormality once, not once per ensemble.
+    conjugate mirror, and shared read-only.  `_coding_facts` checks each coding
+    stack and forms its row_peak, max_{n, q} ||C_n[q, :]||^2, once.
     """
 
     dims: Dimensions
     modulation: np.ndarray  # (N, Q), entries exactly +-1
     coding: np.ndarray      # (N, Q, K), each slice orthonormal
     coded_spectra: np.ndarray = field(init=False, repr=False, compare=False)
+    row_peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.dims
@@ -136,7 +139,7 @@ class MeasurementEnsemble:
             raise ValueError(f"coding shape {coding.shape} != {(d.N, d.Q, d.K)}")
         if not np.all(np.abs(modulation) == 1.0):
             raise ValueError("modulation entries must be exactly +-1")
-        _coding_facts(coding)
+        object.__setattr__(self, "row_peak", _coding_facts(coding))
         spectra = _conj_coded_spectra(modulation[:, :, None] * coding, d.L)
         spectra.setflags(write=False)
         object.__setattr__(self, "modulation", modulation)
@@ -149,10 +152,10 @@ class MeasurementEnsemble:
             raise ValueError(f"component index {n} out of range [0, {self.dims.N})")
 
 
-def _coding_facts(coding: np.ndarray) -> np.ndarray:
-    """rho_n = max_q ||C_n[q, :]||^2 of an (N, Q, K) coding stack whose C_n
-    pass one batched C_n^T C_n orthonormality check (else a ValueError), kept
-    for a read-only stack that owns its data, for as long as it lives."""
+def _coding_facts(coding: np.ndarray) -> float:
+    """Row peak max_{n, q} ||C_n[q, :]||^2 of an (N, Q, K) coding stack whose
+    C_n pass one batched C_n^T C_n orthonormality check (else a ValueError),
+    kept for a read-only stack that owns its data, for as long as it lives."""
     if (peak := _CODING_FACTS.get(id(coding))) is not None:
         return peak
     K = coding.shape[2]
@@ -160,8 +163,7 @@ def _coding_facts(coding: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~(defects <= _ORTHO_TOL * max(1.0, K)))  # NaN is bad too
     if bad.size:
         raise ValueError(f"coding matrix {bad[0]} not orthonormal (defect {defects[bad[0]]:.2e})")
-    peak = np.max(np.vecdot(coding, coding), axis=1)
-    peak.setflags(write=False)
+    peak = float(np.max(np.vecdot(coding, coding)))
     if coding.flags.owndata and not coding.flags.writeable:
         _CODING_FACTS[id(coding)] = peak  # dropped as the stack dies, before its id is reused
         weakref.finalize(coding, _CODING_FACTS.pop, id(coding))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import relative_error_to
+from .instances import relative_errors
 from .objective import DegenerateInputError, PenaltyParams, coherences, evaluate, grad_total
 from .operators import (BlockFactorPair, MeasurementEnsemble, ObservationVector, _adjoint_blocks,
                         check_counts, dft_basis)
@@ -285,7 +285,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
 
     `solve` is blind: its penalty takes mu, nu = `_COHERENCE_MARGIN` times
     the spectral start's coherences, d_n its leading singular values and
-    rho = d^2.  The truth only scores, through `relative_error_to`: the
+    rho = d^2.  The truth only scores, through `relative_errors`: the
     trace's rel_err column, which no stop reads.  The descent keeps each
     row's point, and one batched call scores them all after it; a blind
     solve keeps none.  The "residual" stop reads only f: its estimate
@@ -367,7 +367,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     f, g, err_est, grad_norm, eta, evals = np.array(rows, dtype=float).T
     rel_err = np.full(len(rows), np.nan)
     if truth is not None:  # one call scores every row
-        rel_err = relative_error_to(_scaled(truth, c))(*map(np.array, zip(*points)))
+        rel_err = relative_errors(*map(np.array, zip(*points)), _scaled(truth, c))
     trace = SolveTrace(f=f, g=g, rel_err=rel_err, err_est=err_est, grad_norm=grad_norm,
                        eta=eta, evals=evals.astype(int), stop_reason=stop,
                        iterations=len(rows) - 1, scale_exponent=j)

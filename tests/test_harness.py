@@ -29,7 +29,7 @@ from moddemix.harness import (
     run_transmitter_sweep,
     run_trial,
 )
-from moddemix.instances import TrialSpec, snapshot_from_json
+from moddemix.instances import TrialSpec, snapshot_from_json, snapshot_to_json, synthesize
 from moddemix.operators import Dimensions, MeasurementEnsemble, forward_map
 from moddemix.solver import NumericalFailureError, SolverConfig
 
@@ -120,6 +120,23 @@ class TestRunTrial:
         r2 = run_trial(TrialSpec(EASY, seed=2))
         assert r1.rel_err == r2.rel_err
         assert r1.iterations == r2.iterations
+
+    def test_numpy_scalars_are_stored_as_plain_json_types(self):
+        """Dimensions, a seed and an SNR given as numpy scalars are kept as int
+        and float, so the snapshot, the record and a phase row are JSON that
+        reads back equal, not a TypeError from json."""
+        dims = Dimensions(*map(np.int64, (32, 16, 3, 2, 2)))
+        spec = TrialSpec(dims, seed=np.int64(1), snr_db=np.float32(30.0))
+        assert [type(v) for v in (*vars(dims).values(), spec.seed, spec.snr_db)] == \
+            [int] * 6 + [float]
+        back, *_ = snapshot_from_json(snapshot_to_json(spec, *synthesize(spec)))
+        assert back == spec
+        rec = run_trial(spec, SolverConfig(max_iters=5))
+        assert TrialRecord(**strict_json(json.dumps(dataclasses.asdict(rec)))) == rec
+        grid = SweepGrid(L=np.int64(32), N=np.int64(2), Q_values=(np.int64(16),),
+                         K_values=(np.int64(2),), M_values=(np.int64(3),), trials=1)
+        rows = run_phase_transition(grid, SolverConfig(max_iters=5))
+        assert strict_json(json.dumps(rows)) == rows
 
     def test_divergence_recorded_not_raised(self, monkeypatch):
         monkeypatch.setattr(harness, "solve", _fail_solve)
@@ -603,6 +620,28 @@ class TestCli:
                      "--dump-instance", str(inst)]) == EXIT_IO
         assert "I/O failure" in capsys.readouterr().err
         assert calls == [] and not inst.exists()
+
+    def test_trial_unwritable_dump_keeps_out(self, tmp_path, monkeypatch, capsys):
+        """`--dump-instance` in a missing directory exits 2 before any work
+        and leaves an existing `--out` as it was, not emptied."""
+        calls = _forbid_work(monkeypatch)
+        out = tmp_path / "t.json"
+        out.write_text("kept\n")
+        assert main([*_VALID_ARGV["trial"], "--out", str(out),
+                     "--dump-instance", str(tmp_path / "missing" / "i.json")]) == EXIT_IO
+        assert "I/O failure" in capsys.readouterr().err
+        assert calls == [] and out.read_text() == "kept\n"
+
+    def test_trial_one_file_for_both_outputs_is_usage_error(self, tmp_path, monkeypatch,
+                                                            capsys):
+        """`--out` and `--dump-instance` naming one file, under two spellings,
+        exit 1 before any work and create no file: written in turn, the
+        record would follow the snapshot and leave neither valid JSON."""
+        calls = _forbid_work(monkeypatch)
+        assert main([*_VALID_ARGV["trial"], "--out", str(tmp_path / "t.json"),
+                     "--dump-instance", f"{tmp_path}/./t.json"]) == EXIT_USAGE
+        assert "name the same file" in capsys.readouterr().err
+        assert calls == [] and list(tmp_path.iterdir()) == []
 
     def test_trial_failed_solve_is_strict_json(self, tmp_path, monkeypatch, capsys):
         """A solve that raised NumericalFailureError is recorded with

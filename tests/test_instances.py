@@ -20,7 +20,7 @@ from moddemix.instances import (
     make_ground_truth,
     make_modulation,
     relative_error,
-    relative_error_to,
+    relative_errors,
     snapshot_from_json,
     snapshot_to_json,
     synthesize,
@@ -195,7 +195,7 @@ class TestRelativeError:
         _, truth, _ = synthesize(TrialSpec(d, seed=7100765))
         tiny = BlockFactorPair(1e-100 * truth.channels, 1e-100 * truth.coefficients)
         assert relative_error(tiny, tiny) == 0.0
-        assert relative_error_to(tiny)(tiny.channels[None], tiny.coefficients[None])[0] == 0.0
+        assert relative_errors(tiny.channels[None], tiny.coefficients[None], tiny)[0] == 0.0
 
     def test_one_at_zero_estimate(self):
         _, truth, _ = synthesize(TrialSpec(DIMS, seed=0))
@@ -326,7 +326,7 @@ class TestRelativeError:
         scales = [self._ROW_SCALES[r] for r in rows]
         h = np.stack([sh * bh for (sh, _), (bh, _) in zip(scales, base)] + [truth.channels])
         x = np.stack([sx * bx for (_, sx), (_, bx) in zip(scales, base)] + [truth.coefficients])
-        errs = relative_error_to(truth)(h, x)
+        errs = relative_errors(h, x, truth)
         assert errs.shape == (len(rows) + 1,) and errs[-1] == 0.0
         for t in range(len(rows) + 1):
             assert errs[t] == relative_error(BlockFactorPair(h[t], x[t]), truth)
@@ -353,8 +353,8 @@ class TestRelativeError:
         zero = BlockFactorPair(np.zeros_like(truth.channels),
                                np.zeros_like(truth.coefficients))
         with pytest.raises(ValueError, match="degenerate"):
-            relative_error_to(zero)(np.stack([truth.channels] * 3),
-                                    np.stack([truth.coefficients] * 3))
+            relative_errors(np.stack([truth.channels] * 3), np.stack([truth.coefficients] * 3),
+                            zero)
 
 
 class TestSnapshot:

@@ -175,7 +175,8 @@ def _spy_checks(monkeypatch) -> list:
 
 class TestCodingFacts:
     """`_coding_facts` checks a read-only stack that owns its data once and
-    keeps its rho_n while the stack lives; any other coding is checked anew."""
+    keeps its row peak while the stack lives; any other coding is checked
+    anew.  Each ensemble holds its stack's peak as `row_peak`."""
 
     @staticmethod
     def _penalty(dims: Dimensions) -> PenaltyParams:
@@ -183,8 +184,8 @@ class TestCodingFacts:
 
     def test_synthesized_ensembles_share_one_check(self, monkeypatch):
         """Ensembles that `synthesize` builds on one cached stack run the
-        check and form rho_n once, in the first set-up, and share that rho_n
-        through every evaluation."""
+        check and form the row peak once, in the first set-up, share that
+        float as `row_peak` and check nothing in an evaluation."""
         dims = Dimensions(L=40, Q=21, M=3, K=4, N=3)
         _coding_stack.cache_clear()  # a new stack, so no earlier test's entry is found
         checks = _spy_checks(monkeypatch)
@@ -193,8 +194,9 @@ class TestCodingFacts:
             evaluate(ens, truth, obs, self._penalty(dims), grad=True)
         assert checks == [(dims.N, dims.K, dims.K)]
         assert len({id(ens.coding) for ens, _, _ in instances}) == 1
-        peaks = [_coding_facts(ens.coding) for ens, _, _ in instances]
-        assert all(peak is peaks[0] for peak in peaks) and not peaks[0].flags.writeable
+        peaks = [ens.row_peak for ens, _, _ in instances]
+        assert all(peak is peaks[0] for peak in peaks) and type(peaks[0]) is float
+        assert peaks[0] == np.max(np.vecdot(instances[0][0].coding, instances[0][0].coding))
         assert checks == [(dims.N, dims.K, dims.K)]
 
     def test_rejection_is_never_kept(self, monkeypatch):
@@ -213,7 +215,7 @@ class TestCodingFacts:
     def test_caller_coding_is_copied_and_checked_per_ensemble(self, monkeypatch, rng):
         """A writable caller coding is copied, so each ensemble checks its own
         copy; later writes to the caller's array change neither the copy,
-        its rho_n nor an evaluation."""
+        its `row_peak` nor an evaluation."""
         d = Dimensions(L=8, Q=4, M=2, K=2, N=1)
         coding = np.eye(4)[None, :, :2].copy()
         checks = _spy_checks(monkeypatch)
@@ -222,10 +224,10 @@ class TestCodingFacts:
         assert first.coding is not coding and first.coding is not second.coding
         z, y = random_pair(d, rng), ObservationVector(np.ones(d.L))
         before = evaluate(first, z, y, self._penalty(d), grad=True)
-        peak = _coding_facts(first.coding).copy()
-        coding[0] = 1.0
+        assert first.row_peak == second.row_peak == 1.0
+        coding[0] = 1.0  # rows of squared norm 2 in the caller's array
         np.testing.assert_array_equal(first.coding, np.eye(4)[None, :, :2])
-        np.testing.assert_array_equal(_coding_facts(first.coding), peak)
+        assert first.row_peak == second.row_peak == 1.0
         after = evaluate(first, z, y, self._penalty(d), grad=True)
         assert (after.f, after.g) == (before.f, before.g)
         np.testing.assert_array_equal(after.grad.coefficients, before.grad.coefficients)

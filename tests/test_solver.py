@@ -385,18 +385,13 @@ class TestSolve:
         descent, in one call of the scorer, whatever its row count; a blind
         solve makes no call."""
         calls = []
-        real = solver_module.relative_error_to
+        real = solver_module.relative_errors
 
-        def counted(truth):
-            score = real(truth)
+        def counted(h, x, truth):
+            calls.append(len(h))
+            return real(h, x, truth)
 
-            def scorer(h, x):
-                calls.append(len(h))
-                return score(h, x)
-
-            return scorer
-
-        monkeypatch.setattr(solver_module, "relative_error_to", counted)
+        monkeypatch.setattr(solver_module, "relative_errors", counted)
         ens, truth, obs = make_instance(DESK)
         _, trace = solve(ens, obs, truth=truth)
         assert trace.iterations > 1 and calls == [trace.iterations + 1]
