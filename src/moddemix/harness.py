@@ -173,8 +173,8 @@ def run_phase_transition(grid: SweepGrid, cfg: SolverConfig | None = None,
     """Success fraction per (K, M, Q) cell, in (Q, K, M) order.  Returns the
     rows and, when `out` is given, writes each as CSV when its cell ends;
     an empty Q, K or M axis is a ValueError before `out` is opened."""
-    check_counts(trials=grid.trials, workers=workers, Q_values=len(grid.q_values()),
-                 K_values=len(grid.K_values), M_values=len(grid.M_values))
+    trials = check_counts(trials=grid.trials, workers=workers, Q_values=len(grid.q_values()),
+                          K_values=len(grid.K_values), M_values=len(grid.M_values))[0]
     check_seeds(base_seed=base_seed)
     cells = grid.cells()  # validates every cell up front
     # a cell's seeds derive from its index in grid.cells(), not its run order
@@ -184,12 +184,12 @@ def run_phase_transition(grid: SweepGrid, cfg: SolverConfig | None = None,
     with _csv_rows(out, header, {"mean_error": ".6e"}) as emit, \
             _trial_runner(cfg or SolverConfig(max_iters=400), workers) as run:
         records = run(TrialSpec(cells[ci], seed=_derive_seed(base_seed, ci, t))
-                      for ci in order for t in range(grid.trials))
+                      for ci in order for t in range(trials))
         for ci in order:
             d = cells[ci]
-            recs = list(islice(records, grid.trials))
+            recs = list(islice(records, trials))
             errs = [r.rel_err for r in recs if math.isfinite(r.rel_err)]
-            rows.append(emit((d.K, d.M, d.Q, d.L, d.N, grid.trials,
+            rows.append(emit((d.K, d.M, d.Q, d.L, d.N, trials,
                               sum(r.success for r in recs),
                               float(np.mean(errs)) if errs else math.inf)))
     return rows
@@ -205,7 +205,7 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
     ValueError before any trial."""
     check_seeds(base_seed=base_seed)
     checked = [TrialSpec(dims, base_seed, s).snr_db for s in snr_values]
-    check_counts(trials=trials, workers=workers, snr_values=len(checked))
+    trials = check_counts(trials=trials, workers=workers, snr_values=len(checked))[0]
     points = sorted(math.inf if s is None else s for s in checked)
     specs = [TrialSpec(dims, seed=_derive_seed(base_seed, t), snr_db=snr_db)
              for snr_db in points for t in range(trials)]
@@ -233,12 +233,12 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
     integer >= 1 (K, M, each N, trials, L_step, L_max, workers), no N at all, a
     base_seed that is not an integer >= 0, or when some N admits no L up to
     L_max."""
-    check_counts(trials=trials, L_step=L_step, L_max=L_max, workers=workers, K=K, M=M,
-                 N_values=len(N_values))
+    trials, *_, K, M, _ = check_counts(trials=trials, L_step=L_step, L_max=L_max, workers=workers,
+                                       K=K, M=M, N_values=len(N_values))
     check_seeds(base_seed=base_seed)
     grids = []  # (N, admissible L values); the coding needs Q = L >= K * N
     for N in N_values:
-        check_counts(N=N)
+        [N] = check_counts(N=N)
         L_lo = max(L_step, L_step * math.ceil(max(K * N, M) / L_step))
         if L_lo > L_max:
             raise ValueError(f"N={N} needs L >= {L_lo}, above L_max={L_max}")

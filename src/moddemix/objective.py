@@ -22,7 +22,6 @@ from .operators import (
     MeasurementEnsemble,
     ObservationVector,
     component_spectra,
-    dft_basis,
 )
 
 __all__ = [
@@ -63,8 +62,8 @@ class CoherenceReport:
 
 def _coded_messages(ens: MeasurementEnsemble, x: np.ndarray) -> np.ndarray:
     """The coded messages C_n x_n as (Q, N) columns.  The coding is real:
-    one real product on x's (re, im) pairs, viewed as complex."""
-    pairs = np.ascontiguousarray(x).view(float).reshape(*x.shape, 2)
+    one real product on x's (re, im) pairs, viewed as complex (complex128)."""
+    pairs = np.ascontiguousarray(x).view(x.real.dtype).reshape(*x.shape, 2)
     return (ens.coding @ pairs).view(complex)[..., 0].T
 
 
@@ -76,7 +75,7 @@ def coherences(ens: MeasurementEnsemble, z: BlockFactorPair) -> CoherenceReport:
     h_sq, x_sq = np.vecdot(h, h).real, np.vecdot(x, x).real
     if np.any(h_sq == 0.0) or np.any(x_sq == 0.0):
         raise DegenerateInputError("coherences undefined for zero factors")
-    spectra = h @ dft_basis(d.L, d.M).T                               # (N, L)
+    spectra = h @ ens.basis.T                                         # (N, L)
     mu_sq = d.L * np.max(np.abs(spectra).max(axis=1) ** 2 / h_sq)
     nu_sq = d.Q * np.max(np.max(np.abs(_coded_messages(ens, x)), axis=0) ** 2 / x_sq)
     d_n = np.sqrt(h_sq) * np.sqrt(x_sq)
@@ -159,6 +158,7 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     rho * 0.0 = 0.0 if no argument is > 1.
     The gradient forms conj(w) directly, which is exact, skips its hinge terms
     at G = 0, where they vanish, and is not formed where F + G is not finite.
+    Complex64 operands and z give a complex64 gradient; F sums in float64.
     """
     y_hat.check_dims(ens.dims)
     z.check_dims(ens.dims)
@@ -167,7 +167,7 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     spectra, coded_spectra = component_spectra(ens, z)                # (L, N) each
     residual = (spectra * coded_spectra).sum(axis=1) - y_hat.samples
     h_sq, x_sq = np.vecdot(h, h).real, np.vecdot(x, x).real
-    f = float(np.vdot(residual, residual).real)
+    f = float(np.vdot(wide := residual.astype(complex, copy=False), wide).real)  # float64 sums
     g = 0.0
     h_cap, x_cap = max(1.0, d.M / (4 * p.mu**2)), max(1.0, d.Q * ens.row_peak / (4 * p.nu**2))
     # all(), not max(): a NaN argument must decline, and Python's max can skip one
@@ -185,15 +185,15 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     conj_residual = np.conj(residual)
     conj_w = conj_residual[:, None] * coded_spectra                   # conj(w), (L, N)
     gx = ((conj_residual[:, None] * spectra).T[:, None, :] @ ens.coded_spectra)[:, 0]
-    gh_hinge = 0.0
     if g > 0:  # G0' is zero wherever G0 is, so at g == 0 these terms vanish
         scale = p.rho / (2 * p.d_n)                                    # (N,)
-        conj_w = conj_w + (scale * d.L / (4 * p.mu**2)) * _hinge_prime(spec_arg) * np.conj(spectra)
-        gh_hinge = (scale * _hinge_prime(h_arg))[:, None] * h
+        conj_w += (scale * d.L / (4 * p.mu**2)) * _hinge_prime(spec_arg) * np.conj(spectra)
         coded_w = (scale * d.Q / (4 * p.nu**2)) * _hinge_prime(coded_arg) * coded
-        gx = (gx + (scale * _hinge_prime(x_arg))[:, None] * x
-              + (coded_w.T[:, None, :] @ ens.coding)[:, 0])
-    gh = np.conj(conj_w.T @ dft_basis(d.L, d.M)) + gh_hinge
+        gx += (scale * _hinge_prime(x_arg))[:, None] * x
+        gx += (coded_w.T[:, None, :] @ ens.coding)[:, 0]
+    gh = np.conj(conj_w.T @ ens.basis)
+    if g > 0:
+        gh += (scale * _hinge_prime(h_arg))[:, None] * h
     return Evaluation(f, g, BlockFactorPair.unchecked(gh, gx))
 
 

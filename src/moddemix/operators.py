@@ -3,9 +3,9 @@
 The observation model sums, over ``N`` transmitters, the elementwise product
 of two length-``L`` spectra: the channel spectrum ``F_M h_n`` and the coded
 spectrum of the modulated message.  The channel transform is a product
-with the cached partial DFT `dft_basis(L, M)`, forward and adjoint alike:
-`component_spectra` forms all N channel and coded spectra, and
-`_adjoint_blocks` all N adjoint blocks A_n^*(w) (`adjoint_component`: one).
+with the ensemble's `basis`, the cached partial DFT `dft_basis(L, M)`,
+forward and adjoint alike: `component_spectra` forms all N channel and coded
+spectra, and `_adjoint_blocks` all N adjoint blocks A_n^*(w) (`adjoint_component`: one).
 A dense matrix oracle (`dense_oracle`) exists purely so tests can
 cross-check these products.  The solver's first step size needs no norm
 of A: ||A||^2 <= N M holds for every ensemble (see `moddemix.solver.solve`).
@@ -68,9 +68,8 @@ class Dimensions:
     N: int
 
     def __post_init__(self):
-        check_counts(**vars(self))
-        for name, value in vars(self).items():  # plain ints, as JSON writes no np.integer
-            object.__setattr__(self, name, int(value))
+        for name, value in zip(vars(self), check_counts(**vars(self))):
+            object.__setattr__(self, name, value)
         if self.Q > self.L:
             raise ValueError(f"need Q <= L, got Q={self.Q}, L={self.L}")
         if self.K * self.N > self.Q:
@@ -80,10 +79,11 @@ class Dimensions:
             raise ValueError(f"need M <= L, got M={self.M}, L={self.L}")
 
 
-def check_counts(**counts) -> None:
+def check_counts(**counts) -> list[int]:
     """Raise ValueError for a count that is not an integer >= 1 (a bool is
-    not a count)."""
+    not a count); else return the counts as plain ints (JSON writes no np.integer)."""
     _check_integers(counts, 1)
+    return [int(value) for value in counts.values()]
 
 
 def check_seeds(**seeds) -> None:
@@ -119,14 +119,16 @@ class MeasurementEnsemble:
 
     The conjugated coded spectra conj(sqrt(L) F_Q R_n C_n), shape (N, L, K),
     are precomputed once, from an rfft of the real r_n * C_n and its
-    conjugate mirror, and shared read-only.  `_coding_facts` checks each coding
-    stack and forms its row_peak, max_{n, q} ||C_n[q, :]||^2, once.
+    conjugate mirror, and shared read-only, as is basis, the cached F_M.
+    `_coding_facts` checks each coding stack and forms its row_peak,
+    max_{n, q} ||C_n[q, :]||^2, once.
     """
 
     dims: Dimensions
     modulation: np.ndarray  # (N, Q), entries exactly +-1
     coding: np.ndarray      # (N, Q, K), each slice orthonormal
     coded_spectra: np.ndarray = field(init=False, repr=False, compare=False)
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
     row_peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -142,9 +144,8 @@ class MeasurementEnsemble:
         object.__setattr__(self, "row_peak", _coding_facts(coding))
         spectra = _conj_coded_spectra(modulation[:, :, None] * coding, d.L)
         spectra.setflags(write=False)
-        object.__setattr__(self, "modulation", modulation)
-        object.__setattr__(self, "coding", coding)
-        object.__setattr__(self, "coded_spectra", spectra)
+        vars(self).update(modulation=modulation, coding=coding, coded_spectra=spectra,
+                          basis=dft_basis(d.L, d.M))  # bypasses the frozen __setattr__
 
     def _check_component(self, n: int) -> None:
         _check_integers({"component index": n}, 0)  # a bool or 1.5 is no index
@@ -231,6 +232,9 @@ class BlockFactorPair:
             raise ValueError(
                 f"coefficients shape {self.coefficients.shape} != {(dims.N, dims.K)}")
 
+    def astype(self, dtype) -> "BlockFactorPair":
+        return self.unchecked(self.channels.astype(dtype), self.coefficients.astype(dtype))
+
     def lifted_block(self, n: int) -> np.ndarray:
         """Dense M x K outer product h_n x_n^* (tests and diagnostics only)."""
         return np.outer(self.channels[n], np.conj(self.coefficients[n]))
@@ -258,7 +262,7 @@ def component_spectra(ens: MeasurementEnsemble,
     (L, N) columns, each from one matrix product.  Their product summed over
     n is A(Z(h, x)).  Dimensions are the caller's to check."""
     # column-major (L, N): summing over n, as the residual does, is then fast
-    spectra = (z.channels @ dft_basis(ens.dims.L, ens.dims.M).T).T
+    spectra = (z.channels @ ens.basis.T).T
     return spectra, np.matvec(ens.coded_spectra, np.conj(z.coefficients)).T
 
 
@@ -283,8 +287,7 @@ def adjoint_component(ens: MeasurementEnsemble, n: int, w: np.ndarray) -> np.nda
 def _adjoint_blocks(ens: MeasurementEnsemble, w: np.ndarray, n=...) -> np.ndarray:
     """The (N, M, K) blocks A_n^*(w) of a checked complex w, or block n alone,
     from one product whose only temporary is the (L, M) scaled basis."""
-    return np.conj((np.conj(w)[:, None] * dft_basis(ens.dims.L, ens.dims.M)).T
-                   @ ens.coded_spectra[n])
+    return np.conj((np.conj(w)[:, None] * ens.basis).T @ ens.coded_spectra[n])
 
 
 def dense_oracle(ens: MeasurementEnsemble, n: int) -> np.ndarray:
@@ -296,6 +299,5 @@ def dense_oracle(ens: MeasurementEnsemble, n: int) -> np.ndarray:
     d = ens.dims
     if d.M * d.K > _DENSE_GUARD:
         raise ValueError(f"M*K = {d.M * d.K} exceeds dense-oracle guard {_DENSE_GUARD}")
-    fcols = dft_basis(d.L, d.M)                                       # (L, M)
-    return (fcols[:, :, None] * ens.coded_spectra[n][:, None, :]).reshape(d.L, d.M * d.K)
+    return (ens.basis[:, :, None] * ens.coded_spectra[n][:, None, :]).reshape(d.L, d.M * d.K)
 

@@ -185,6 +185,29 @@ class TestRunTrial:
 
 
 class TestSweeps:
+    def test_phase_rows_store_a_numpy_trials_count_as_int(self):
+        """grid.trials given as a numpy integer is stored as a plain int."""
+        grid = SweepGrid(L=32, N=1, Q_values=(16,), K_values=(2,), M_values=(2,),
+                         trials=np.int64(1))
+        rows = run_phase_transition(grid, SolverConfig(max_iters=5))
+        assert type(rows[0]["trials"]) is int
+        assert strict_json(json.dumps(rows)) == rows
+
+    def test_snr_rows_store_a_numpy_trials_count_as_int(self):
+        rows = run_snr_sweep(Dimensions(32, 16, 2, 2, 1), [10.0], SolverConfig(max_iters=5),
+                             trials=np.int64(1))
+        assert type(rows[0]["trials"]) is int
+        assert strict_json(json.dumps(rows)) == rows
+
+    def test_transmitter_rows_store_numpy_counts_as_int(self):
+        """N, K, M and trials given as numpy integers, and the target derived
+        from trials, are stored as plain ints."""
+        rows = run_transmitter_sweep(SolverConfig(max_iters=50), N_values=(np.int64(1),),
+                                     K=np.int64(2), M=np.int64(2), L_step=np.int64(16),
+                                     L_max=np.int64(32), trials=np.int64(1))
+        assert [type(rows[0][c]) for c in ("N", "K", "M", "trials", "target")] == [int] * 5
+        assert json.loads(json.dumps(rows)) == rows
+
     def test_phase_transition_csv(self, tmp_path):
         grid = SweepGrid(L=64, N=1, Q_values=(32, 64), K_values=(2,),
                          M_values=(2, 3), trials=2)

@@ -2,6 +2,7 @@
 gradient: the `evaluate` kernel against dense and direct transcriptions,
 and its gradient against central finite differences."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -446,6 +447,36 @@ class TestEvaluate:
         fresh = evaluate(unit_rows, z, obs, dataclasses.replace(p), grad=True)
         assert ev.g == fresh.g == pytest.approx(2 * (1.5 - 1.0) ** 2)
         np.testing.assert_array_equal(ev.grad.coefficients, fresh.grad.coefficients)
+
+    @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
+    @pytest.mark.parametrize("scale", [1.0, 1.6], ids=["truth", "hinge"])
+    def test_complex64_operands(self, dims, scale, rng):
+        """complex64 copies of the coded spectra, basis, y and z, as `solve`
+        descends on at paper scale: the gradient is complex64, also where the
+        hinge (formed in float64) is active, and agrees with complex128; F
+        sums the complex64 residual in float64."""
+        ens, truth, obs = make_instance(dims, snr_db=30.0)
+        p = oracle_params(ens, truth)
+        z = truth if scale == 1.0 else random_pair(dims, rng, scale=scale)
+        ens32, obs32 = copy.copy(ens), copy.copy(obs)
+        vars(ens32).update(coded_spectra=ens.coded_spectra.astype(np.complex64),
+                           basis=ens.basis.astype(np.complex64))
+        vars(obs32).update(samples=obs.samples.astype(np.complex64))
+        z32 = z.astype(np.complex64)
+        assert ens32.basis.dtype == np.complex64
+        assert ens.coded_spectra.dtype == obs.samples.dtype == np.complex128
+        ev, ref = evaluate(ens32, z32, obs32, p, grad=True), evaluate(ens, z, obs, p, grad=True)
+        assert (ev.g > 0.0) == (ref.g > 0.0) == (scale > 1.0)
+        spectra, coded = component_spectra(ens32, z32)
+        residual = ((spectra * coded).sum(axis=1) - obs32.samples).astype(complex)
+        assert ev.f == float(np.vdot(residual, residual).real)
+        y_sq = np.vdot(obs.samples, obs.samples).real
+        assert ev.f == pytest.approx(ref.f, rel=1e-5, abs=1e-6 * y_sq)
+        assert ev.g == pytest.approx(ref.g, rel=1e-4, abs=1e-12)
+        for got, want in [(ev.grad.channels, ref.grad.channels),
+                          (ev.grad.coefficients, ref.grad.coefficients)]:
+            assert got.dtype == np.complex64
+            assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want) + 1e-6
 
     def test_no_gradient_at_non_finite_point(self):
         """At 1e100 x truth F + G overflows: evaluate reports it and forms no

@@ -45,6 +45,7 @@ from moddemix.solver import (
 EASY = Dimensions(L=64, Q=64, M=3, K=3, N=1)
 TWO = Dimensions(L=128, Q=128, M=4, K=4, N=2)
 DESK = Dimensions(L=320, Q=320, M=8, K=8, N=2)
+PAPER = Dimensions(L=3200, Q=3200, M=12, K=12, N=2)
 
 
 def _assert_rescaled(trace, ref, s, rtol):
@@ -492,10 +493,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("dims,seed,snr_db,max_iters",
                              [(TWO, 2, None, 5000), (EASY, 1, None, 5000),
-                              (TWO, 3, 20.0, 30)])
+                              (TWO, 3, 20.0, 30), (PAPER, 0, None, 5000),
+                              (PAPER, 0, 10.0, 5000)])
     def test_trace_error_is_relative_error(self, dims, seed, snr_db, max_iters):
         """The trace's error, against the truth prepared once per solve,
-        matches the public relative_error of the normalized estimate."""
+        matches the public relative_error of the normalized estimate; at
+        paper scale the rows are scored in complex128 too."""
         ens, truth, obs = make_instance(dims, seed=seed, snr_db=snr_db)
         est, trace = solve(ens, obs, SolverConfig(max_iters=max_iters), truth=truth)
         assert abs(trace.rel_err[-1] - relative_error(est, truth)) <= 1e-12
@@ -712,6 +715,157 @@ class TestSolve:
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         assert out.stdout.split() == []
+
+
+def _dtype_spy(monkeypatch) -> list:
+    """Rebind the solver's evaluate so each call appends z's dtype to the
+    returned list (the start's gradient, from grad_total, does not pass it)."""
+    real, seen = solver_module.evaluate, []
+
+    def spy(ens, z, y_hat, p, grad=False):
+        seen.append(z.channels.dtype)
+        return real(ens, z, y_hat, p, grad=grad)
+
+    monkeypatch.setattr(solver_module, "evaluate", spy)
+    return seen
+
+
+class TestSinglePrecision:
+    """At paper scale (L=Q=3200, M=K=12, N=2) the coded spectra and basis
+    take 1.76 MiB in complex128, above `_SINGLE_BYTES`, so the descent
+    starts in complex64."""
+
+    def test_paper_scale_takes_the_single_path_and_desk_does_not(self, monkeypatch):
+        """The size test reads the input: 16 L (N K + M) bytes in complex128.
+        The criterion-6 grid's largest cell (L=320, K=M=22) stays complex128."""
+        seen = _dtype_spy(monkeypatch)
+        for dims, single in ((PAPER, True), (DESK, False),
+                             (Dimensions(L=320, Q=320, M=22, K=22, N=2), False)):
+            seen.clear()
+            ens, _, obs = make_instance(dims, seed=0)
+            assert (ens.coded_spectra.nbytes + ens.basis.nbytes
+                    == 16 * dims.L * (dims.N * dims.K + dims.M))
+            est, _ = solve(ens, obs, SolverConfig(max_iters=3))
+            assert set(seen) == {np.dtype(np.complex64 if single else np.complex128)}
+            assert est.channels.dtype == est.coefficients.dtype == np.complex128
+
+    def test_noiseless_matches_complex128(self, monkeypatch):
+        """Seeds 0-3 stop after as many iterations, for the same reason, as
+        a solve forced to complex128, with rel_err within 1e-6; none
+        switches precision."""
+        runs = []
+        for single_bytes in (solver_module._SINGLE_BYTES, math.inf):
+            monkeypatch.setattr(solver_module, "_SINGLE_BYTES", single_bytes)
+            runs.append([])
+            for seed in range(4):
+                ens, truth, obs = make_instance(PAPER, seed=seed)
+                est, trace = solve(ens, obs, SolverConfig(), truth=truth)
+                runs[-1].append((trace, relative_error(est, truth)))
+        for (single, err), (double, ref_err) in zip(*runs):
+            assert (single.iterations, single.stop_reason) == (double.iterations, "residual")
+            assert single.stop_reason == double.stop_reason
+            assert single.switch_row is None and double.switch_row is None
+            assert abs(err - ref_err) <= 1e-6 and err < SUCCESS_THRESHOLD
+            assert abs(single.rel_err[-1] - err) <= 1e-6
+
+    def test_noisy_solve_switches_and_stays_monotone(self, monkeypatch):
+        """At 10 dB float32 cannot reach `_GRAD_TOL` d^2: seeds 0-2 switch to
+        complex128, every row from the switch row's successor on is evaluated
+        in complex128, they stop on "grad_tol", and f_tilde does not rise by
+        more than criterion 8's slack of 1e-12 max(1, f_tilde[0])."""
+        seen = _dtype_spy(monkeypatch)
+        for seed in range(3):
+            seen.clear()
+            ens, truth, obs = make_instance(PAPER, seed=seed, snr_db=10.0)
+            _, trace = solve(ens, obs, SolverConfig(), truth=truth)
+            assert trace.stop_reason == "grad_tol" and trace.switch_row is not None
+            slack = 1e-12 * max(1.0, float(trace.f_tilde[0]))
+            assert np.max(np.diff(trace.f_tilde)) <= slack
+            # evaluations up to the switch row, but for its re-evaluation, are
+            # complex64 (less the start's gradient), the rest complex128
+            single = int(trace.evals[:trace.switch_row + 1].sum()) - 2
+            assert seen == [np.complex64] * single + [np.complex128] * (len(seen) - single)
+            assert len(seen) + 1 == trace.evals.sum()
+            assert np.all(np.isfinite(trace.rel_err))
+
+    def test_first_complex128_search_accepts_nothing_above_the_row(self, monkeypatch):
+        """The switch row's point, evaluated again in complex128, may score
+        above the row's complex64 value: the first complex128 search then
+        tests sufficient decrease against the row's value (with the new
+        gradient), and against the new value where that is lower."""
+        real = solver_module.evaluate
+        searches = []
+        backtrack = solver_module._backtrack
+
+        def spy(ens, z, y_hat, p, g, gn_sq, cur, eta):
+            searches.append((z.channels.dtype, cur))
+            return backtrack(ens, z, y_hat, p, g, gn_sq, cur, eta)
+
+        monkeypatch.setattr(solver_module, "_backtrack", spy)
+        for factor in (1.0 + 1e-3, 1.0 - 1e-3):
+            dtypes = []
+
+            def shifted(ens, z, y_hat, p, grad=False, factor=factor):
+                """The first complex128 evaluation is the switch row's."""
+                ev = real(ens, z, y_hat, p, grad=grad)
+                first = z.channels.dtype == np.complex128 and np.complex128 not in dtypes
+                dtypes.append(z.channels.dtype)
+                return Evaluation(ev.f * factor, ev.g, ev.grad) if first else ev
+
+            monkeypatch.setattr(solver_module, "evaluate", shifted)
+            searches.clear()
+            ens, _, obs = make_instance(PAPER, seed=0, snr_db=10.0)
+            _, trace = solve(ens, obs, SolverConfig())
+            k = trace.switch_row
+            assert k is not None
+            first = next(cur for dt, cur in searches if dt == np.complex128)
+            if factor > 1.0:  # the row's value
+                assert first.f_tilde == trace.f_tilde[k]
+            else:  # the lower complex128 value
+                assert first.f_tilde < trace.f_tilde[k]
+                assert first.f_tilde == pytest.approx(factor * trace.f[k] + trace.g[k], rel=1e-6)
+            assert trace.f_tilde[k + 1] <= trace.f_tilde[k]
+
+    def test_failed_search_switches(self, monkeypatch):
+        """A complex64 search that finds no decrease (here every complex64
+        trial is non-finite) is a row with eta 0; the descent goes on in
+        complex128 from its point, which it evaluates once more on that row,
+        and recovers."""
+        real = solver_module.evaluate
+        calls = []
+
+        def single_steps_fail(ens, z, y_hat, p, grad=False):
+            calls.append(z.channels.dtype)
+            if grad and z.channels.dtype == np.complex64:  # a step trial
+                return Evaluation(np.inf, 0.0)
+            return real(ens, z, y_hat, p, grad=grad)
+
+        monkeypatch.setattr(solver_module, "evaluate", single_steps_fail)
+        ens, truth, obs = make_instance(PAPER, seed=1)
+        est, trace = solve(ens, obs, SolverConfig(), truth=truth)
+        # the start's value passes the spy, its gradient (grad_total) does not
+        trials = calls.count(np.complex64) - 1
+        assert trace.switch_row == 1 and trace.eta[1] == 0.0
+        assert trace.evals[1] == trials + 1 and trials > 1
+        assert trace.f_tilde[1] == trace.f_tilde[0]
+        assert set(calls[trials + 1:]) == {np.dtype(np.complex128)}
+        assert trace.stop_reason == "residual" and relative_error(est, truth) < SUCCESS_THRESHOLD
+        assert trace.evals.sum() == len(calls) + 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_scales_give_a_finite_complex128_estimate(self, scale):
+        """The estimate is cast to complex128 before it is scaled back: 2^j
+        times a complex64 estimate would overflow float32."""
+        ens, truth, obs = make_instance(PAPER, seed=2)
+        _, ref = solve(ens, obs, SolverConfig())
+        est, trace = solve(ens, ObservationVector(scale * obs.samples), SolverConfig())
+        for part in (est.channels, est.coefficients):
+            assert part.dtype == np.complex128 and np.all(np.isfinite(part))
+        root = math.sqrt(scale)
+        err = relative_error(BlockFactorPair(est.channels / root, est.coefficients / root), truth)
+        assert trace.stop_reason == ref.stop_reason == "residual"
+        assert err < SUCCESS_THRESHOLD
 
 
 class TestErrorEstimate:
