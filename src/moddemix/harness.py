@@ -200,9 +200,10 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
                   workers: int = 1) -> list[dict]:
     """Geometric-mean relative error per SNR point, in ascending SNR order
     with the noiseless point (None or inf) last.  The same seeds are reused
-    across SNR values so the comparison is paired.  A point `TrialSpec`
-    rejects (NaN, -inf, a bool, a non-real) or no point at all is a
-    ValueError before any trial."""
+    across SNR values so the comparison is paired; a failed trial gives its
+    point mean_rel_err inf and std_log10 NaN.  A point `TrialSpec` rejects
+    (NaN, -inf, a bool, a non-real) or no point at all is a ValueError
+    before any trial."""
     check_seeds(base_seed=base_seed)
     checked = [TrialSpec(dims, base_seed, s).snr_db for s in snr_values]
     trials = check_counts(trials=trials, workers=workers, snr_values=len(checked))[0]
@@ -216,8 +217,9 @@ def run_snr_sweep(dims: Dimensions, snr_values, cfg: SolverConfig | None = None,
         records = run(specs)
         for snr_db in points:
             logs = np.log10([max(r.rel_err, 1e-300) for r in islice(records, trials)])
+            std = float(np.std(logs)) if np.all(np.isfinite(logs)) else math.nan
             rows.append(emit((snr_db, dims.L, dims.Q, dims.M, dims.K, dims.N, trials,
-                              float(10.0 ** np.mean(logs)), float(np.std(logs)))))
+                              float(10.0 ** np.mean(logs)), std)))
     return rows
 
 

@@ -51,7 +51,7 @@ __all__ = [
 
 _ORTHO_TOL = 1e-12
 _DENSE_GUARD = 4096
-_CODING_FACTS: dict[int, float] = {}  # id of a live read-only stack -> its row peak
+_CODING_FACTS: dict[int, float] = {}  # id of an ensemble's live coding stack -> its row peak
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,8 @@ class MeasurementEnsemble:
 def _coding_facts(coding: np.ndarray) -> float:
     """Row peak max_{n, q} ||C_n[q, :]||^2 of an (N, Q, K) coding stack whose
     C_n pass one batched C_n^T C_n orthonormality check (else a ValueError),
-    kept for a read-only stack that owns its data, for as long as it lives."""
+    kept while the stack lives (`_read_only` admits only read-only stacks
+    that own their data)."""
     if (peak := _CODING_FACTS.get(id(coding))) is not None:
         return peak
     K = coding.shape[2]
@@ -165,19 +166,19 @@ def _coding_facts(coding: np.ndarray) -> float:
     if bad.size:
         raise ValueError(f"coding matrix {bad[0]} not orthonormal (defect {defects[bad[0]]:.2e})")
     peak = float(np.max(np.vecdot(coding, coding)))
-    if coding.flags.owndata and not coding.flags.writeable:
-        _CODING_FACTS[id(coding)] = peak  # dropped as the stack dies, before its id is reused
-        weakref.finalize(coding, _CODING_FACTS.pop, id(coding))
+    _CODING_FACTS[id(coding)] = peak  # dropped as the stack dies, before its id is reused
+    weakref.finalize(coding, _CODING_FACTS.pop, id(coding))
     return peak
 
 
 def _read_only(a, name: str) -> np.ndarray:
-    """a as a read-only float array: taken as it is if it is one already (as
-    `synthesize`'s cached coding stack is), else a new copy, which keeps the
-    caller's array writeable and out of the ensemble and `_coding_facts`.
-    A complex a is a ValueError naming it, not a cast that drops its
-    imaginary part."""
-    if not (isinstance(a, np.ndarray) and a.dtype == float and not a.flags.writeable):
+    """a as a read-only float array that owns its data: taken as it is if it
+    is one already (as `synthesize`'s cached coding stack is), else a new
+    copy, so no later write to the caller's array, or to the memory a
+    read-only view of it reads, reaches the ensemble.  A complex a is a
+    ValueError naming it, not a cast that drops its imaginary part."""
+    if not (isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata
+            and not a.flags.writeable):
         if np.iscomplexobj(a):
             raise ValueError(f"{name} must be real, got a complex array")
         a = np.array(a, dtype=float)

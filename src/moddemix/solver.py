@@ -137,31 +137,27 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float) -> np.nda
     infinity ball converge to the exact projection, to within
     `_PROJECTION_TOL`.  The returned point is always feasible (a final
     rescale enforces the constraint if the iteration hits
-    `_PROJECTION_MAX_ITERS` first, with a RuntimeWarning).  A NaN bound or
-    a non-finite entry of g is a ValueError.
+    `_PROJECTION_MAX_ITERS` first, with a RuntimeWarning).  A radius bound /
+    sqrt(rows) that is not positive and finite, or a non-finite g, is a ValueError.
     """
-    if not bound > 0:
-        raise ValueError("bound must be positive")
     basis = np.asarray(basis)
     g = np.asarray(g, dtype=complex)
     rows, cols = basis.shape
+    radius = bound / np.sqrt(rows)
+    if not 0 < radius < math.inf:
+        raise ValueError("bound must be positive and finite")
     if g.shape != (cols,):
         raise ValueError(f"point length {g.shape} incompatible with basis {basis.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError("point has non-finite entries")
-    radius = bound / np.sqrt(rows)
-    if not np.any(g):
-        return np.zeros(cols, dtype=complex)
 
     u = basis @ g
     p = np.zeros_like(u)
     q = np.zeros_like(u)
     scale = max(1.0, float(np.linalg.norm(u)))
-    converged = False
     for _ in range(_PROJECTION_MAX_ITERS):
         v = u + p
-        mag = np.abs(v)
-        y = np.where(mag > radius, v * (radius / np.maximum(mag, 1e-300)), v)
+        y = v * (radius / np.maximum(np.abs(v), radius))  # factor exactly 1 inside the radius, v = 0 too
         p = v - y
         w = y + q
         u_new = basis @ (basis.conj().T @ w)
@@ -170,9 +166,8 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float) -> np.nda
         u = u_new
         infeas = max(0.0, float(np.max(np.abs(u))) - radius)
         if step <= _PROJECTION_TOL * scale and infeas <= _PROJECTION_TOL * radius:
-            converged = True
             break
-    if not converged:
+    else:
         warnings.warn("incoherence projection hit max_iters; clipping to feasibility",
                       RuntimeWarning, stacklevel=2)
     z = basis.conj().T @ u

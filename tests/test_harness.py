@@ -240,6 +240,26 @@ class TestSweeps:
             header = next(csv.reader(fh))
         assert header[0] == "snr_db"
 
+    def test_snr_sweep_failed_trial_has_no_spread(self, monkeypatch, tmp_path):
+        """A point with a failed trial (rel_err inf) reads mean_rel_err inf and
+        std_log10 NaN, with no warning from np.std of a log list holding inf;
+        the other point keeps its finite row."""
+        real, calls = harness.solve, []
+
+        def fail_first(*args):
+            calls.append(args)
+            return _fail_solve() if len(calls) == 1 else real(*args)
+
+        monkeypatch.setattr(harness, "solve", fail_first)
+        out = tmp_path / "snr.csv"
+        rows = run_snr_sweep(EASY, [10.0, 30.0], SolverConfig(max_iters=500), out=out, trials=2)
+        assert len(calls) == 4
+        assert math.isinf(rows[0]["mean_rel_err"]) and math.isnan(rows[0]["std_log10"])
+        assert all(math.isfinite(rows[1][c]) for c in ("mean_rel_err", "std_log10"))
+        with open(out, newline="") as fh:
+            data = list(csv.DictReader(fh))
+        assert (data[0]["mean_rel_err"], data[0]["std_log10"]) == ("inf", "nan")
+
     def test_transmitter_sweep_finds_L(self):
         rows = run_transmitter_sweep(SolverConfig(max_iters=200), N_values=(1,),
                                      K=2, M=2, L_step=16, L_max=64, trials=3)

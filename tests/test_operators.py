@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import SMALL_DIMS, make_instance, random_pair, small_dimensions
 from moddemix.instances import _coding_stack
-from moddemix.objective import PenaltyParams, evaluate
+from moddemix.objective import PenaltyParams, coherences, evaluate
 from moddemix.operators import (
     _CODING_FACTS,
     BlockFactorPair,
@@ -149,6 +149,20 @@ class TestEnsemble:
         for arr, want in zip((ens.modulation, ens.coding, ens.coded_spectra), kept):
             np.testing.assert_array_equal(arr, want)
 
+    def test_broadcast_modulation_is_copied(self):
+        """A read-only view of writable memory, np.broadcast_to of the
+        caller's row, is copied: a later write to that row reaches neither
+        the modulation nor the coded spectra."""
+        d = Dimensions(L=8, Q=4, M=2, K=2, N=2)
+        r = np.ones((1, 4))
+        ens = MeasurementEnsemble(d, np.broadcast_to(r, (2, 4)),
+                                  np.stack([np.eye(4)[:, :2], np.eye(4)[:, 2:]]))
+        spectra = ens.coded_spectra.copy()
+        r[0, 0] = 5.0
+        assert ens.modulation.flags.owndata
+        np.testing.assert_array_equal(ens.modulation, np.ones((2, 4)))
+        np.testing.assert_array_equal(ens.coded_spectra, spectra)
+
     def test_coded_spectra_definition(self):
         """At an even and an odd L: the rfft mirror is exact for both."""
         for d in (Dimensions(L=16, Q=8, M=3, K=2, N=2), Dimensions(L=15, Q=9, M=3, K=2, N=2)):
@@ -234,8 +248,9 @@ class TestCodingFacts:
         assert len(checks) == 2
 
     def test_kept_only_for_a_live_stack_that_owns_its_data(self):
-        """An entry goes with its stack; a read-only view, whose base may be
-        writeable, is never kept."""
+        """An entry goes with its stack.  A read-only view, whose base may be
+        writeable, reaches `_coding_facts` only as the ensemble's own copy,
+        whose entry goes with that ensemble."""
         stack = np.eye(6)[None, :, :3].copy()
         stack.setflags(write=False)
         key = id(stack)
@@ -245,8 +260,33 @@ class TestCodingFacts:
         assert key not in _CODING_FACTS
         view = np.eye(6)[None, :, :3]
         view.setflags(write=False)
-        _coding_facts(view)
-        assert id(view) not in _CODING_FACTS
+        ens = MeasurementEnsemble(Dimensions(L=8, Q=6, M=2, K=3, N=1), np.ones((1, 6)), view)
+        assert ens.coding is not view and ens.coding.flags.owndata
+        key = id(ens.coding)
+        assert id(view) not in _CODING_FACTS and key in _CODING_FACTS
+        del ens
+        assert key not in _CODING_FACTS
+
+    def test_read_only_view_of_a_writable_coding_is_copied(self, rng):
+        """Zeroing the writable base of a read-only coding view after the
+        ensemble is built changes none of its coding, row_peak, coherences
+        (nu^2 stays in [1, Q]) or an evaluation."""
+        d = Dimensions(L=8, Q=4, M=2, K=2, N=2)
+        base = np.stack([np.eye(4)[:, :2], np.eye(4)[:, 2:]])
+        view = base.view()
+        view.setflags(write=False)
+        ens = MeasurementEnsemble(d, np.array([[1.0, -1, 1, 1], [-1, 1, 1, -1]]), view)
+        z, y, p = random_pair(d, rng), ObservationVector(np.ones(d.L)), self._penalty(d)
+        coding, peak = ens.coding.copy(), ens.row_peak
+        rep, ev = coherences(ens, z), evaluate(ens, z, y, p, grad=True)
+        base[:] = 0.0
+        np.testing.assert_array_equal(ens.coding, coding)
+        assert ens.row_peak == peak
+        after = coherences(ens, z)
+        assert (after.mu_sq, after.nu_sq) == (rep.mu_sq, rep.nu_sq) and 1.0 <= after.nu_sq <= d.Q
+        again = evaluate(ens, z, y, p, grad=True)
+        assert (again.f, again.g) == (ev.f, ev.g)
+        np.testing.assert_array_equal(again.grad.coefficients, ev.grad.coefficients)
 
 
 class TestCodedSpectraProperty:

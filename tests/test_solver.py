@@ -208,11 +208,29 @@ class TestProjectIncoherent:
         z = project_incoherent(np.zeros(4), dft_basis(8, 4), bound=1.0)
         assert np.all(z == 0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_large_bound_does_not_overflow(self):
+        """At bound 1e300, basis @ g = (sqrt(2), 0) has a zero entry, whose clip
+        factor radius / max(0, radius) is 1: nothing overflows."""
+        z = project_incoherent(np.array([1, 1]), dft_basis(2, 2), 1e300)
+        np.testing.assert_allclose(z, [1, 1], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-303, 1e-306, 1e100])
+    def test_scale_equivariant(self, scale, rng):
+        """The projection of s g at bound s is s times that of g at bound 1,
+        also where the entries |v| clipped lie below 1e-300."""
+        basis = dft_basis(8, 8)
+        g = 3.0 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        ref = project_incoherent(g, basis, bound=1.0)
+        z = project_incoherent(scale * g, basis, bound=scale)
+        np.testing.assert_allclose(z / scale, ref, rtol=1e-12, atol=1e-15)
+
     def test_bad_bound(self):
-        """A nonpositive or NaN bound, a point that does not fit the basis,
-        or a point with a NaN or inf entry is a ValueError; neither a NaN
-        bound nor a non-finite point runs the rounds out."""
-        for bound in (0.0, -1.0, np.nan):
+        """A nonpositive, NaN or infinite bound, one whose radius
+        bound / sqrt(rows) underflows to 0, a point that does not fit the
+        basis, or a point with a NaN or inf entry is a ValueError; neither a
+        NaN bound nor a non-finite point runs the rounds out."""
+        for bound in (0.0, -1.0, np.nan, np.inf, 5e-324):
             with pytest.raises(ValueError, match="bound must be positive"):
                 project_incoherent(np.ones(4), dft_basis(8, 4), bound=bound)
         with pytest.raises(ValueError, match="point length"):
@@ -767,6 +785,17 @@ class TestSinglePrecision:
             assert single.switch_row is None and double.switch_row is None
             assert abs(err - ref_err) <= 1e-6 and err < SUCCESS_THRESHOLD
             assert abs(single.rel_err[-1] - err) <= 1e-6
+
+    def test_noisy_q800_switches_and_stops_on_grad_tol(self):
+        """At 10 dB on L=3200, Q=800, M=K=22 seeds 0-3 switch to complex128
+        and stop on "grad_tol" within 40 iterations (they take 21-23).  A
+        switch point of 1e-5 d^2 fails all four: two run 2,000 iterations in
+        complex64 and two stop on "no_decrease" after the switch."""
+        for seed in range(4):
+            ens, _, obs = make_instance(Dimensions(L=3200, Q=800, M=22, K=22, N=2),
+                                        seed=seed, snr_db=10.0)
+            _, trace = solve(ens, obs, SolverConfig(max_iters=40))
+            assert trace.switch_row is not None and trace.stop_reason == "grad_tol"
 
     def test_noisy_solve_switches_and_stays_monotone(self, monkeypatch):
         """At 10 dB float32 cannot reach `_GRAD_TOL` d^2: seeds 0-2 switch to
