@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,11 +133,11 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float) -> np.nda
     """Euclidean projection of g onto {z : sqrt(rows) * ||basis z||_inf <= bound}.
 
     basis must have orthonormal columns (partial DFT or a coding matrix).
-    Dykstra's alternating projections between the range of the basis and the
-    infinity ball converge to the exact projection, to within
-    `_PROJECTION_TOL`.  The returned point is always feasible (a final
-    rescale enforces the constraint if the iteration hits
-    `_PROJECTION_MAX_ITERS` first, with a RuntimeWarning).  A radius bound /
+    Dykstra's alternating projections need a correction for the infinity ball
+    only, as the projection onto the range is linear.  Where the bound binds,
+    the rounds seldom reach `_PROJECTION_TOL` by `_PROJECTION_MAX_ITERS`; a
+    final rescale, with a RuntimeWarning, then returns a feasible point closer
+    to g than g's radial rescale, but not the projection.  A radius bound /
     sqrt(rows) that is not positive and finite, or a non-finite g, is a ValueError.
     """
     basis = np.asarray(basis)
@@ -153,15 +153,12 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float) -> np.nda
 
     u = basis @ g
     p = np.zeros_like(u)
-    q = np.zeros_like(u)
     scale = max(1.0, float(np.linalg.norm(u)))
     for _ in range(_PROJECTION_MAX_ITERS):
         v = u + p
         y = v * (radius / np.maximum(np.abs(v), radius))  # factor exactly 1 inside the radius, v = 0 too
         p = v - y
-        w = y + q
-        u_new = basis @ (basis.conj().T @ w)
-        q = w - u_new
+        u_new = basis @ (basis.conj().T @ y)
         step = np.linalg.norm(u_new - u)
         u = u_new
         infeas = max(0.0, float(np.max(np.abs(u))) - radius)
@@ -287,13 +284,13 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
 
     `solve` is blind: its penalty takes mu, nu = `_COHERENCE_MARGIN` times
     the spectral start's coherences, d_n its leading singular values and
-    rho = d^2.  The truth only scores, through `relative_errors`: the
-    trace's rel_err column, which no stop reads.  The descent keeps each
-    row's point, and one batched call scores them all after it; a blind
-    solve keeps none.  The "residual" stop reads only f: its estimate
-    r / sqrt(1 - q) takes the residual r = sqrt(f) / ||y|| and the rate q at
-    which r contracted over the last rows, so an ill-conditioned instance,
-    which contracts slowly, descends further than an easy one.
+    rho = d^2.  The truth, its shape checked first, only scores through
+    `relative_errors`: the trace's rel_err column, which no stop reads.  The
+    descent keeps each row's point, and one batched call scores them all
+    after it; a blind solve keeps none.  The "residual" stop reads only f:
+    its estimate r / sqrt(1 - q) takes the residual r = sqrt(f) / ||y|| and
+    the rate q at which r contracted over the last rows, so an ill-conditioned
+    instance, which contracts slowly, descends further than an easy one.
 
     Each iteration evaluates the objective once per step-size trial, with
     the gradient: the accepted trial's gradient drives the next step, so
@@ -323,6 +320,8 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     j = _scale_exponent(y_hat.samples)
     c = float(np.ldexp(1.0, -j))  # factors scale by c, y by c^2
     y_hat = ObservationVector(c * (c * y_hat.samples))  # c * c overflows for a subnormal y
+    if truth is not None:  # a mis-shaped truth fails before any work
+        truth.check_dims(ens.dims)
     init = _spectral_start(ens, y_hat)
     z, d_n = init.start, init.d_n
     rep = coherences(ens, z)
@@ -369,7 +368,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
         if w_ens is not ens and (failed or gn < _SINGLE_GRAD_TOL * d**2):
             w_ens, w_y, z, switch_row = ens, y_hat, z.astype(complex), len(rows) - 1
             ev = evaluate(ens, z, y_hat, p, grad=True)
-            cur, g = ev if ev.f_tilde <= cur.f_tilde else replace(cur, grad=ev.grad), ev.grad
+            cur, g = (ev if ev.f_tilde <= cur.f_tilde else cur), ev.grad
             rows[-1] = (*rows[-1][:5], rows[-1][5] + 1)  # counts the re-evaluation
             continue
         if gn < _GRAD_TOL * d**2:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.fft import dct
 
 from conftest import small_dimensions, strict_json
+from moddemix.cli import EXIT_OK, main
 from moddemix.instances import (
     TrialSpec,
     _coding_stack,
@@ -26,6 +27,7 @@ from moddemix.instances import (
     synthesize,
 )
 from moddemix.operators import BlockFactorPair, Dimensions, ObservationVector, forward_map
+from moddemix.solver import solve
 
 DIMS = Dimensions(L=32, Q=16, M=4, K=3, N=2)
 
@@ -379,6 +381,21 @@ class TestSnapshot:
         spec2, _, _, obs2 = snapshot_from_json(text)
         assert spec2 == spec
         np.testing.assert_array_equal(obs2.samples, obs.samples)
+
+    def test_replay_reproduces_the_trial(self, tmp_path):
+        """A `moddemix trial --dump-instance` snapshot, loaded and solved
+        blind, gives the trial's record exactly: iterations, stop reason,
+        evaluations and rel_err."""
+        rec_path, inst_path = tmp_path / "rec.json", tmp_path / "inst.json"
+        assert main(["trial", "--L", "64", "--Q", "64", "--M", "3", "--K", "3", "--N", "2",
+                     "--seed", "3", "--snr-db", "30", "--out", str(rec_path),
+                     "--dump-instance", str(inst_path)]) == EXIT_OK
+        rec = strict_json(rec_path.read_text(encoding="utf-8"))
+        _, ens, truth, obs = snapshot_from_json(inst_path.read_text(encoding="utf-8"))
+        est, trace = solve(ens, obs)
+        replay = {"iterations": trace.iterations, "stop_reason": trace.stop_reason,
+                  "evaluations": int(trace.evals.sum()), "rel_err": relative_error(est, truth)}
+        assert replay == {k: rec[k] for k in replay}
 
     def test_ignores_noise_of_older_snapshots(self):
         """A snapshot written with the simulation's noise beside the samples

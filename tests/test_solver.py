@@ -204,6 +204,22 @@ class TestProjectIncoherent:
                 trial *= 1.0 / attained
             assert np.linalg.norm(trial - g) >= best - 1e-8
 
+    def test_binding_bound_at_the_default_budget(self, rng):
+        """At 0.9 times a 320 x 8 DFT point's own peak the bound binds, and
+        the rounds run out before `_PROJECTION_TOL`: the complex-magnitude
+        bound is curved, so even 50,000 rounds still move the distance.  The
+        rescaled result is feasible and closer to g than the radial rescale
+        g * bound / attained, though not the projection to within the
+        tolerance."""
+        basis = dft_basis(320, 8)
+        g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        attained = np.sqrt(320) * np.max(np.abs(basis @ g))
+        bound = 0.9 * attained
+        with pytest.warns(RuntimeWarning, match="incoherence projection hit max_iters"):
+            z = project_incoherent(g, basis, bound)
+        assert self._feasible(z, basis, bound)
+        assert np.linalg.norm(z - g) < np.linalg.norm(g * (bound / attained) - g)
+
     def test_zero_input(self):
         z = project_incoherent(np.zeros(4), dft_basis(8, 4), bound=1.0)
         assert np.all(z == 0)
@@ -336,6 +352,20 @@ class TestSolve:
         ens, _, _ = make_instance(EASY, seed=1)
         with pytest.raises(ValueError, match=r"samples shape .* != \(64,\)"):
             solve(ens, ObservationVector(samples))
+
+    @pytest.mark.parametrize("part", ["channels", "coefficients"])
+    def test_mis_shaped_truth_fails_before_any_work(self, part, monkeypatch):
+        """A truth with one tap or coefficient too few is a ValueError naming
+        it before the spectral start: no objective is evaluated."""
+        calls = []
+        real = solver_module.evaluate
+        monkeypatch.setattr(solver_module, "evaluate",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        ens, truth, obs = make_instance(DESK, seed=1)
+        cut = dataclasses.replace(truth, **{part: getattr(truth, part)[:, :7]})
+        with pytest.raises(ValueError, match=rf"{part} shape \(2, 7\) != \(2, 8\)"):
+            solve(ens, obs, truth=cut)
+        assert calls == []
 
     def test_monotone_objective_backtracking(self):
         ens, truth, obs = make_instance(TWO, seed=3, snr_db=20.0)
