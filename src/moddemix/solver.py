@@ -96,7 +96,7 @@ class SolveTrace:
     truth's score, made after the descent (NaN without a truth), and err_est
     the estimated error the "residual" stop reads (`_error_estimate`; NaN on
     row 0 unless f = 0 there).  switch_row is the row `solve` went on from in
-    complex128, its evals counting that re-evaluation (None: no switch)."""
+    complex128 (None: no switch)."""
 
     f: np.ndarray
     g: np.ndarray
@@ -251,11 +251,12 @@ def _scaled(z: BlockFactorPair, c: float) -> BlockFactorPair:
 def _scale_exponent(y: np.ndarray) -> int:
     """j such that 4^j is the power of four nearest ||y|| (0 for y = 0 and
     for an empty y, which `_spectral_start` then rejects by its shape)."""
-    peak = float(np.max(np.abs(y), initial=0.0))
+    parts = np.abs([y.real, y.imag])  # finite, where |y| may overflow
+    peak = float(np.max(parts, initial=0.0))
     if peak == 0.0:
         return 0
-    e = math.frexp(peak)[1]  # |y| 2^-e is exact and finite, also for a subnormal peak
-    return round((e + math.log2(np.linalg.norm(np.ldexp(np.abs(y), -e)))) / 2)
+    e = math.frexp(peak)[1]  # parts 2^-e are finite, also for a subnormal peak
+    return round((e + math.log2(np.linalg.norm(np.ldexp(parts, -e)))) / 2)
 
 
 def _error_estimate(r: list[float]) -> float:
@@ -314,7 +315,8 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     Above `_SINGLE_BYTES`, the descent starts on complex64 copies (made
     without __post_init__) of the coded spectra, basis, y and iterates.  Below
     `_SINGLE_GRAD_TOL` d^2, or after a failed search, it goes on in complex128
-    from the last row, evaluated again; its first search accepts no point above it.
+    from the last row's point, cast; the next search steps along that row's
+    gradient and tests against its value, and its gradient norm stops nothing.
     """
     cfg = cfg or SolverConfig()
     j = _scale_exponent(y_hat.samples)
@@ -367,11 +369,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
         gn = np.sqrt(gn_sq)
         if w_ens is not ens and (failed or gn < _SINGLE_GRAD_TOL * d**2):
             w_ens, w_y, z, switch_row = ens, y_hat, z.astype(complex), len(rows) - 1
-            ev = evaluate(ens, z, y_hat, p, grad=True)
-            cur, g = (ev if ev.f_tilde <= cur.f_tilde else cur), ev.grad
-            rows[-1] = (*rows[-1][:5], rows[-1][5] + 1)  # counts the re-evaluation
-            continue
-        if gn < _GRAD_TOL * d**2:
+        elif gn < _GRAD_TOL * d**2:
             stop = "grad_tol"
             break
         z, cur, eta, evals = _backtrack(w_ens, z, w_y, p, g, gn_sq, cur, start)

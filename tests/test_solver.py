@@ -738,6 +738,32 @@ class TestSolve:
                           (est.coefficients, ref.coefficients)]:
             assert np.linalg.norm(got - root * want) <= 1e-9 * root * np.linalg.norm(want)
 
+    @pytest.mark.filterwarnings("error")
+    def test_peak_modulus_above_the_double_range(self):
+        """A finite y whose largest modulus overflows (both parts of y[0] are
+        1.5e308, the rest is below 2^1000) solves with no warning, contiguous
+        or strided, the same bits both ways: the scale exponent reads the real
+        and imaginary parts, which are finite."""
+        ens, _, obs = make_instance(DESK, seed=0)
+        peak = np.max(np.abs([obs.samples.real, obs.samples.imag]))
+        y = np.ldexp(1.0, 1000 - math.frexp(peak)[1]) * obs.samples
+        y[0] = 1.5e308 + 1.5e308j
+        buf = np.zeros(2 * DESK.L, dtype=complex)
+        buf[::2] = y
+        runs = []
+        for samples in (y, buf[::2]):
+            obs = ObservationVector(samples)
+            assert obs.samples.flags.c_contiguous == (samples is y)
+            assert solver_module._scale_exponent(obs.samples) == 512
+            runs.append(solve(ens, obs, SolverConfig()))
+        for est, trace in runs:
+            assert (trace.stop_reason, trace.scale_exponent) == ("grad_tol", 512)
+            assert np.all(np.isfinite(est.channels)) and np.all(np.isfinite(est.coefficients))
+        (ref, ref_trace), (est, trace) = runs
+        np.testing.assert_array_equal(est.channels, ref.channels)
+        np.testing.assert_array_equal(est.coefficients, ref.coefficients)
+        np.testing.assert_array_equal(trace.f_tilde, ref_trace.f_tilde)
+
     def test_deterministic(self):
         ens, truth, obs = make_instance(TWO, seed=7)
         est1, tr1 = solve(ens, obs, SolverConfig(), truth=truth)
@@ -776,6 +802,21 @@ def _dtype_spy(monkeypatch) -> list:
 
     monkeypatch.setattr(solver_module, "evaluate", spy)
     return seen
+
+
+def _fail_single_steps(monkeypatch) -> list:
+    """Rebind the solver's evaluate so every complex64 step trial is
+    non-finite; each call appends z's dtype to the returned list."""
+    real, calls = solver_module.evaluate, []
+
+    def single_steps_fail(ens, z, y_hat, p, grad=False):
+        calls.append(z.channels.dtype)
+        if grad and z.channels.dtype == np.complex64:  # a step trial
+            return Evaluation(np.inf, 0.0)
+        return real(ens, z, y_hat, p, grad=grad)
+
+    monkeypatch.setattr(solver_module, "evaluate", single_steps_fail)
+    return calls
 
 
 class TestSinglePrecision:
@@ -829,9 +870,10 @@ class TestSinglePrecision:
 
     def test_noisy_solve_switches_and_stays_monotone(self, monkeypatch):
         """At 10 dB float32 cannot reach `_GRAD_TOL` d^2: seeds 0-2 switch to
-        complex128, every row from the switch row's successor on is evaluated
-        in complex128, they stop on "grad_tol", and f_tilde does not rise by
-        more than criterion 8's slack of 1e-12 max(1, f_tilde[0])."""
+        complex128, every evaluation up to and including the switch row's
+        search is complex64 and every later one complex128, they stop on
+        "grad_tol", and f_tilde does not rise by more than criterion 8's slack
+        of 1e-12 max(1, f_tilde[0])."""
         seen = _dtype_spy(monkeypatch)
         for seed in range(3):
             seen.clear()
@@ -840,76 +882,78 @@ class TestSinglePrecision:
             assert trace.stop_reason == "grad_tol" and trace.switch_row is not None
             slack = 1e-12 * max(1.0, float(trace.f_tilde[0]))
             assert np.max(np.diff(trace.f_tilde)) <= slack
-            # evaluations up to the switch row, but for its re-evaluation, are
-            # complex64 (less the start's gradient), the rest complex128
-            single = int(trace.evals[:trace.switch_row + 1].sum()) - 2
+            # the start's gradient (grad_total) does not pass the spy
+            single = int(trace.evals[:trace.switch_row + 1].sum()) - 1
             assert seen == [np.complex64] * single + [np.complex128] * (len(seen) - single)
             assert len(seen) + 1 == trace.evals.sum()
             assert np.all(np.isfinite(trace.rel_err))
 
     def test_first_complex128_search_accepts_nothing_above_the_row(self, monkeypatch):
-        """The switch row's point, evaluated again in complex128, may score
-        above the row's complex64 value: the first complex128 search then
-        tests sufficient decrease against the row's value (with the new
-        gradient), and against the new value where that is lower."""
-        real = solver_module.evaluate
+        """The switch is a cast: the first complex128 search steps from the
+        switch row's point, cast to complex128, along that row's complex64
+        gradient, and tests sufficient decrease against the row's own value."""
         searches = []
         backtrack = solver_module._backtrack
 
         def spy(ens, z, y_hat, p, g, gn_sq, cur, eta):
-            searches.append((z.channels.dtype, cur))
-            return backtrack(ens, z, y_hat, p, g, gn_sq, cur, eta)
+            out = backtrack(ens, z, y_hat, p, g, gn_sq, cur, eta)
+            searches.append((z.channels.dtype, g, cur, out[1]))
+            return out
 
         monkeypatch.setattr(solver_module, "_backtrack", spy)
-        for factor in (1.0 + 1e-3, 1.0 - 1e-3):
-            dtypes = []
-
-            def shifted(ens, z, y_hat, p, grad=False, factor=factor):
-                """The first complex128 evaluation is the switch row's."""
-                ev = real(ens, z, y_hat, p, grad=grad)
-                first = z.channels.dtype == np.complex128 and np.complex128 not in dtypes
-                dtypes.append(z.channels.dtype)
-                return Evaluation(ev.f * factor, ev.g, ev.grad) if first else ev
-
-            monkeypatch.setattr(solver_module, "evaluate", shifted)
-            searches.clear()
-            ens, _, obs = make_instance(PAPER, seed=0, snr_db=10.0)
-            _, trace = solve(ens, obs, SolverConfig())
-            k = trace.switch_row
-            assert k is not None
-            first = next(cur for dt, cur in searches if dt == np.complex128)
-            if factor > 1.0:  # the row's value
-                assert first.f_tilde == trace.f_tilde[k]
-            else:  # the lower complex128 value
-                assert first.f_tilde < trace.f_tilde[k]
-                assert first.f_tilde == pytest.approx(factor * trace.f[k] + trace.g[k], rel=1e-6)
-            assert trace.f_tilde[k + 1] <= trace.f_tilde[k]
+        ens, _, obs = make_instance(PAPER, seed=0, snr_db=10.0)
+        _, trace = solve(ens, obs, SolverConfig())
+        k = trace.switch_row
+        assert k is not None and k >= 1
+        # search i makes row i + 1, so row k's evaluation is search k - 1's
+        assert [dt for dt, *_ in searches] == [np.complex64] * k + [np.complex128] * (
+            len(searches) - k)
+        _, g, first, _ = searches[k]
+        row = searches[k - 1][3]
+        assert first.f_tilde == trace.f_tilde[k] == row.f_tilde
+        for got, want in ((g.channels, row.grad.channels),
+                          (g.coefficients, row.grad.coefficients)):
+            np.testing.assert_array_equal(got, want)
+        assert trace.f_tilde[k + 1] <= trace.f_tilde[k]
 
     def test_failed_search_switches(self, monkeypatch):
         """A complex64 search that finds no decrease (here every complex64
-        trial is non-finite) is a row with eta 0; the descent goes on in
-        complex128 from its point, which it evaluates once more on that row,
-        and recovers."""
-        real = solver_module.evaluate
-        calls = []
-
-        def single_steps_fail(ens, z, y_hat, p, grad=False):
-            calls.append(z.channels.dtype)
-            if grad and z.channels.dtype == np.complex64:  # a step trial
-                return Evaluation(np.inf, 0.0)
-            return real(ens, z, y_hat, p, grad=grad)
-
-        monkeypatch.setattr(solver_module, "evaluate", single_steps_fail)
+        trial is non-finite) is a row with eta 0 and its own trials as evals;
+        the descent goes on in complex128 from its point and recovers."""
+        calls = _fail_single_steps(monkeypatch)
         ens, truth, obs = make_instance(PAPER, seed=1)
         est, trace = solve(ens, obs, SolverConfig(), truth=truth)
         # the start's value passes the spy, its gradient (grad_total) does not
         trials = calls.count(np.complex64) - 1
         assert trace.switch_row == 1 and trace.eta[1] == 0.0
-        assert trace.evals[1] == trials + 1 and trials > 1
+        assert trace.evals[1] == trials == 62
         assert trace.f_tilde[1] == trace.f_tilde[0]
         assert set(calls[trials + 1:]) == {np.dtype(np.complex128)}
         assert trace.stop_reason == "residual" and relative_error(est, truth) < SUCCESS_THRESHOLD
         assert trace.evals.sum() == len(calls) + 1
+
+    @pytest.mark.parametrize("seed,snr_db,fail", [(0, 10.0, False), (1, 10.0, False),
+                                                  (2, 10.0, False), (1, None, True)])
+    def test_evals_count_each_rows_own_search(self, monkeypatch, seed, snr_db, fail):
+        """Every row after row 0 counts only its own search's evaluations,
+        the switch row too, and no solve stops at its switch row, where the
+        gradient norm is a complex64 one: noisy switching solves and the
+        forced-failure solve of `test_failed_search_switches`."""
+        counts = []
+        backtrack = solver_module._backtrack
+
+        def spy(*args):
+            out = backtrack(*args)
+            counts.append(out[3])
+            return out
+
+        monkeypatch.setattr(solver_module, "_backtrack", spy)
+        if fail:
+            _fail_single_steps(monkeypatch)
+        ens, _, obs = make_instance(PAPER, seed=seed, snr_db=snr_db)
+        _, trace = solve(ens, obs, SolverConfig())
+        assert trace.switch_row is not None and trace.iterations > trace.switch_row
+        assert trace.evals[1:].tolist() == counts
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
