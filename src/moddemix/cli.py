@@ -12,12 +12,13 @@ import json
 import math
 import os
 import sys
-from contextlib import ExitStack
 from dataclasses import asdict, replace
+from pathlib import Path
 
 from .harness import (
     PROBE_DIMS,
     SweepGrid,
+    check_writable,
     run_convergence_trace,
     run_phase_transition,
     run_probe,
@@ -130,33 +131,28 @@ def _cmd_trial(args) -> int:
     dims = Dimensions(L=args.L, Q=args.Q, M=args.M, K=args.K, N=args.N)
     spec = TrialSpec(dims, seed=args.seed, snr_db=args.snr_db)
     cfg = SolverConfig(args.max_iters)
-    paths = (args.dump_instance, args.out)
+    paths = (args.out, args.dump_instance)
     if None not in paths and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
         raise ValueError("--out and --dump-instance name the same file")
-    if args.out is not None:  # an --out that cannot be opened fails here, emptying nothing
-        open(args.out, "a", encoding="utf-8").close()
-    with ExitStack() as stack:  # the dump first: one that cannot be opened leaves --out be
-        dump, out = (None if p is None else stack.enter_context(open(p, "w", encoding="utf-8"))
-                     for p in paths)
-        if dump is not None:
-            dump.write(snapshot_to_json(spec, *synthesize(spec)))
-        # a failed solve's rel_err is inf, which JSON (RFC 8259) has no word for
-        record = {k: None if isinstance(v, float) and not math.isfinite(v) else v
-                  for k, v in asdict(run_trial(spec, cfg)).items()}
-        text = json.dumps(record, indent=2, allow_nan=False)
-        if out is not None:
-            out.write(text + "\n")
+    check_writable(*paths)  # --out first; each file is written once its document exists
+    if args.dump_instance is not None:
+        Path(args.dump_instance).write_text(snapshot_to_json(spec, *synthesize(spec)),
+                                            encoding="utf-8")
+    # a failed solve's rel_err is inf, which JSON (RFC 8259) has no word for
+    record = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+              for k, v in asdict(run_trial(spec, cfg)).items()}
+    text = json.dumps(record, indent=2, allow_nan=False)
+    if args.out is not None:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(text)
     return EXIT_OK
 
 
 def _cmd_phase(args) -> int:
     grid = SweepGrid.paper_scale() if args.paper_scale else SweepGrid()
-    grid = replace(grid, L=grid.L if args.L is None else args.L, N=args.N, trials=args.trials)
-    for name in ("Q_values", "K_values", "M_values"):
-        vals = getattr(args, name)
-        if vals is not None:
-            grid = replace(grid, **{name: tuple(vals)})
+    grid = replace(grid, L=grid.L if args.L is None else args.L, N=args.N, trials=args.trials,
+                   **{k: tuple(v) for k in ("Q_values", "K_values", "M_values")
+                      if (v := getattr(args, k)) is not None})
     rows = run_phase_transition(grid, SolverConfig(args.max_iters),
                                 out=args.out, base_seed=args.seed, workers=args.workers)
     print(f"phase grid: {len(rows)} cells"

@@ -16,13 +16,16 @@ process per CPU.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -92,6 +95,12 @@ def run_trial(spec: TrialSpec, cfg: SolverConfig | None = None) -> TrialRecord:
         iterations=iters, rel_err=err, success=err < SUCCESS_THRESHOLD,
         wall_time=time.perf_counter() - t0, stop_reason=reason, evaluations=evals,
     )
+
+
+def check_writable(*paths) -> None:
+    """Open each path but None to append, and close it: OSError if one cannot be written."""
+    for path in (p for p in paths if p is not None):
+        open(path, "a", encoding="utf-8").close()
 
 
 @contextmanager
@@ -258,16 +267,9 @@ def run_transmitter_sweep(cfg: SolverConfig | None = None, out=None,
             return sum(r.success for r in recs) >= target
 
         for N, grid_pts in grids:
-            lo, hi = 0, len(grid_pts) - 1
-            L_min = math.nan
-            if succeeds(N, grid_pts[hi]):
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if succeeds(N, grid_pts[mid]):
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                L_min = grid_pts[hi]
+            top = len(grid_pts) - 1
+            L_min = (grid_pts[bisect_left(grid_pts, True, hi=top, key=lambda L: succeeds(N, L))]
+                     if succeeds(N, grid_pts[top]) else math.nan)
             rows.append(emit((N, L_min, K, M, trials, target)))
     return rows
 
@@ -279,9 +281,10 @@ def run_convergence_trace(spec: TrialSpec, cfg: SolverConfig | None = None,
               "scale_exponent"]
     formats = {"f_tilde": ".10e", "f": ".10e", "g": ".10e",
                "rel_err": ".6e", "err_est": ".6e", "grad_norm": ".6e", "eta": ".6e"}
+    check_writable(out)
+    ens, truth, obs = synthesize(spec)
+    est, trace = solve(ens, obs, cfg or SolverConfig(), truth=truth)
     with _csv_rows(out, header, formats) as emit:
-        ens, truth, obs = synthesize(spec)
-        est, trace = solve(ens, obs, cfg or SolverConfig(), truth=truth)
         for row in zip(trace.t, trace.f_tilde, trace.f, trace.g, trace.rel_err,
                        trace.err_est, trace.grad_norm, trace.eta, trace.evals):
             emit((*row, trace.scale_exponent))
@@ -402,10 +405,8 @@ def run_probe(kind: str, params: dict | None = None, out=None) -> dict:
     `seed` and the kind's count (`trials` or `draws`), defaults per kind in
     `_PROBES`; any other key, a count that is not an integer >= 1, a seed
     that is not an integer >= 0 or an isometry over its Q*N guard is
-    rejected before `out` is opened, and `out` is opened before the probe
-    runs."""
-    import json
-
+    rejected before `out` is checked, `out` is checked before the probe
+    runs, and written once it is done."""
     if kind not in _PROBES:
         raise ValueError(f"unknown probe kind {kind!r}")
     probe, dims, count, default = _PROBES[kind]
@@ -422,8 +423,8 @@ def run_probe(kind: str, params: dict | None = None, out=None) -> dict:
             f"exhaustive isometry needs Q*N <= {_ISOMETRY_GUARD}, got {dims.Q * dims.N}; "
             "reduce Q or N (or use the rip probe for Monte-Carlo sampling)")
     seed = int(seed)  # exact once checked, and json writes no numpy integer
-    with nullcontext() if out is None else open(out, "w", encoding="utf-8") as fh:
-        report = {"kind": kind, "seed": seed, **probe(dims, seed, *counts.values())}
-        if fh is not None:
-            json.dump(report, fh, indent=2)
+    check_writable(out)
+    report = {"kind": kind, "seed": seed, **probe(dims, seed, *counts.values())}
+    if out is not None:
+        Path(out).write_text(json.dumps(report, indent=2), encoding="utf-8")
     return report

@@ -46,6 +46,8 @@ _STREAM_CHANNELS = 2
 _STREAM_COEFFICIENTS = 3
 _STREAM_NOISE = 4
 
+_SNR_DB_MIN = -20.0 * math.log10(np.finfo(float).max)  # 10^(-snr_db / 20) overflows
+
 
 def _rng(seed: int, *tags: int) -> np.random.Generator:
     check_seeds(seed=seed)
@@ -56,8 +58,8 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 class TrialSpec:
     """One reproducible experiment instance: geometry, seed (an integer
     >= 0, kept as an int) and optional SNR in dB (kept as a float; None =
-    noiseless, and +inf is stored as None; NaN, -inf and anything but a
-    real, non-bool number are a ValueError)."""
+    noiseless, and +inf is stored as None; NaN, anything not above
+    `_SNR_DB_MIN` and anything but a real, non-bool number is a ValueError)."""
 
     dims: Dimensions
     seed: int
@@ -67,9 +69,9 @@ class TrialSpec:
         check_seeds(seed=self.seed)
         s = self.snr_db
         if s is not None and (isinstance(s, bool) or not isinstance(s, numbers.Real)
-                              or not s > -math.inf):
-            raise ValueError(f"snr_db must be above -inf and not NaN (a real number, "
-                             f"not a bool), got {s!r}")
+                              or not s > _SNR_DB_MIN):
+            raise ValueError(f"snr_db must be above -inf and not NaN (a real number above "
+                             f"{_SNR_DB_MIN!r} dB, not a bool), got {s!r}")
         object.__setattr__(self, "seed", int(self.seed))  # JSON writes no numpy scalar
         object.__setattr__(self, "snr_db", None if s is None or s == math.inf else float(s))
 
@@ -120,7 +122,7 @@ def synthesize(spec: TrialSpec) -> tuple[MeasurementEnsemble, BlockFactorPair, O
     if spec.snr_db is not None:
         rng = _rng(spec.seed, _STREAM_NOISE)
         e = rng.standard_normal(d.L) + 1j * rng.standard_normal(d.L)
-        target = np.linalg.norm(y) * 10.0 ** (-float(spec.snr_db) / 20.0)
+        target = float(np.linalg.norm(y)) * 10.0 ** (-float(spec.snr_db) / 20.0)  # inf: no warning
         y = y + e * (target / np.linalg.norm(e))
     return ens, truth, ObservationVector(y)
 
@@ -176,9 +178,10 @@ def _rescaled_error(h, x, h0, x0) -> float:
     between 2^(k - hi) times est's rescaled blocks and 2^-hi times the
     truth's, hi = max(k, 0), over sqrt(E0), E0 the truth's rescaled energy:
     no term overflows, and one that underflows is negligible."""
-    # 2^-e, finite for e >= -1022, puts a factor's largest entry in [0.5, 1);
-    # a zero factor takes the least e, as its blocks are zero at any scale
-    e = [max(math.frexp(m)[1], -1022) if (m := abs(a).max()) else -1022 for a in (h, x, h0, x0)]
+    # 2^-e (finite for e >= -1022) puts a factor's largest real or imaginary part
+    # in [0.5, 1); a zero factor takes the least e, its blocks being 0 at any scale
+    e = [max(math.frexp(m)[1], -1022) if (m := np.abs([a.real, a.imag]).max()) else -1022
+         for a in (h, x, h0, x0)]
     h, x, h0, x0 = (a * 2.0 ** -ea for a, ea in zip((h, x, h0, x0), e))
     k = e[0] + e[1] - e[2] - e[3]
     h0_sq = np.vecdot(h0, h0).real

@@ -41,6 +41,10 @@ def _fail_solve(*args, **kwargs):
     raise NumericalFailureError("non-finite objective (nan) at the start point")
 
 
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
 # a valid command line of each subcommand (of each probe kind), at tiny sizes
 _VALID_ARGV = {
     "trial": ["trial", *TINY, "--max-iters", "5"],
@@ -293,12 +297,13 @@ class TestSweeps:
         assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("points", [[20.0, math.nan], [-math.inf, 20.0], [True, 30.0],
-                                        [30.0, "30"], [1j]],
-                             ids=["nan", "minus_inf", "bool", "str", "complex"])
+                                        [30.0, "30"], [1j], [20.0, -7000.0]],
+                             ids=["nan", "minus_inf", "bool", "str", "complex",
+                                  "below_noise_bound"])
     def test_snr_sweep_rejects_bad_point_before_any_trial(self, points, tmp_path, monkeypatch):
         """A NaN, -inf (not the noiseless point), bool (not 1 dB) or non-real
-        SNR point is a ValueError before any trial runs, leaving `out` as it
-        was."""
+        SNR point, or one whose noise gain leaves the double range, is a
+        ValueError before any trial runs, leaving `out` as it was."""
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
         out = tmp_path / "snr.csv"
@@ -336,6 +341,16 @@ class TestSweeps:
         err_est = [float(row[5]) for row in data[1:]]
         np.testing.assert_allclose(err_est, res["trace"].err_est, rtol=1e-6)
         assert {row[-1] for row in data[1:]} == {str(res["trace"].scale_exponent)}
+
+    def test_interrupted_trace_keeps_existing_out(self, tmp_path, monkeypatch):
+        """A trace interrupted during its solve leaves an existing `out` as it
+        was: the CSV is written once the solve is done, not header first."""
+        monkeypatch.setattr(harness, "solve", _interrupt)
+        out = tmp_path / "trace.csv"
+        out.write_text("kept\n")
+        with pytest.raises(KeyboardInterrupt):
+            run_convergence_trace(TrialSpec(EASY, seed=1), out=out)
+        assert out.read_bytes() == b"kept\n"
 
     def test_phase_keeps_rows_finished_before_a_failure(self, tmp_path, monkeypatch):
         """Rows are written as their cells end: when the third cell raises,
@@ -545,6 +560,16 @@ class TestProbes:
         with pytest.raises(ValueError, match="unused"):
             run_probe("adjoint", {"trials": 2, "bogus": 1})
 
+    def test_interrupted_probe_keeps_existing_out(self, tmp_path, monkeypatch):
+        """A probe interrupted after `out` is checked leaves it as it was: the
+        report is written once the probe is done."""
+        monkeypatch.setattr(harness, "synthesize", _interrupt)
+        out = tmp_path / "rip.json"
+        out.write_text("kept\n")
+        with pytest.raises(KeyboardInterrupt):
+            run_probe("rip", {"draws": 3}, out=out)
+        assert out.read_bytes() == b"kept\n"
+
     def test_json_output(self, tmp_path):
         out = tmp_path / "probe.json"
         run_probe("adjoint", {"trials": 2}, out=out)
@@ -686,6 +711,23 @@ class TestCli:
         assert "name the same file" in capsys.readouterr().err
         assert calls == [] and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("stage", ["synthesize", "run_trial"])
+    def test_trial_interrupted_keeps_existing_files(self, stage, tmp_path, monkeypatch):
+        """A trial interrupted after its paths are checked leaves an existing
+        `--out` as it was, and `--dump-instance` too unless the snapshot was
+        done: each file is written once its document exists."""
+        monkeypatch.setattr(cli, stage, _interrupt)
+        out, inst = tmp_path / "t.json", tmp_path / "i.json"
+        for path in (out, inst):
+            path.write_text("kept\n")
+        with pytest.raises(KeyboardInterrupt):
+            main([*_VALID_ARGV["trial"], "--out", str(out), "--dump-instance", str(inst)])
+        assert out.read_bytes() == b"kept\n"
+        if stage == "synthesize":
+            assert inst.read_bytes() == b"kept\n"
+        else:
+            assert snapshot_from_json(inst.read_text())[0].dims.L == 32
+
     def test_trial_failed_solve_is_strict_json(self, tmp_path, monkeypatch, capsys):
         """A solve that raised NumericalFailureError is recorded with
         rel_err null, not the non-JSON Infinity, in the file and on stdout."""
@@ -778,6 +820,21 @@ class TestCli:
                 assert [r["target"] for r in csv.DictReader(fh)] == [str(rows[0]["target"])]
             seen.append((trials, rows[0]["target"]))
         assert seen == [(1, 1), (3, 3), (9, 9), (10, 9), (11, 10), (20, 18)]
+
+    @pytest.mark.parametrize("command", ["trial", "trace", "snr"])
+    def test_snr_below_the_noise_bound_is_usage_error_before_output(self, command, tmp_path,
+                                                                    monkeypatch, capsys):
+        """`--snr-db -7000`, whose noise gain 10^350 leaves the double range,
+        exits 1 as an invalid argument naming the bound, before any work:
+        an existing `--out` is left as it was.  It was an OverflowError
+        traceback that left `trial`'s `--out` empty."""
+        calls = _forbid_work(monkeypatch)
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        assert main([command, *TINY, "--snr-db", "-7000", "--out", str(out)]) == EXIT_USAGE
+        assert "invalid arguments: snr_db must be above -inf and not NaN (a real number " \
+               "above -6165.09" in capsys.readouterr().err
+        assert calls == [] and out.read_bytes() == b"kept\n"
 
     def test_snr_nan_is_usage_error(self, tmp_path, monkeypatch, capsys):
         calls = []

@@ -175,6 +175,26 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=r"Q=16, K=9, M=4: N=2 codings need K \* N <= Q"):
             Dimensions(L=32, Q=16, M=4, K=9, N=2)
 
+    def test_snr_at_or_below_the_noise_bound_rejected(self):
+        """At and below -20 log10(DBL_MAX), about -6165.09 dB, the noise gain
+        10^(-snr_db / 20) leaves the double range: a ValueError naming the
+        bound, not an OverflowError from `synthesize`.  Just above, it is kept."""
+        bound = -20.0 * math.log10(np.finfo(float).max)
+        for snr in (-7000, bound):
+            with pytest.raises(ValueError, match=r"above -6165\.09\d* dB"):
+                TrialSpec(DIMS, seed=4, snr_db=snr)
+        assert TrialSpec(DIMS, seed=4, snr_db=-6165.09).snr_db == -6165.09
+
+    @pytest.mark.filterwarnings("error")
+    def test_noise_beyond_the_double_range_is_a_value_error(self):
+        """Just above the bound, seed 4's noise at -6163 dB still leaves the
+        double range: a ValueError for its non-finite samples, with no
+        overflow warning on the way.  At -6160 dB its samples are finite."""
+        with pytest.raises(ValueError, match="non-finite observation samples"):
+            synthesize(TrialSpec(DIMS, seed=4, snr_db=-6163.0))
+        _, _, obs = synthesize(TrialSpec(DIMS, seed=4, snr_db=-6160.0))
+        assert np.all(np.isfinite(obs.samples))
+
     @pytest.mark.parametrize("snr", [math.nan, -math.inf, True, np.True_, "20", 1j],
                              ids=["nan", "-inf", "True", "np.True_", "str", "complex"])
     def test_nan_or_minus_inf_snr_rejected(self, snr):
@@ -284,6 +304,16 @@ class TestRelativeError:
         scaled = BlockFactorPair(s * truth.channels, truth.coefficients)
         assert relative_error(scaled, truth) == pytest.approx(abs(s - 1.0), rel=1e-12)
         assert relative_error(truth, scaled) == pytest.approx(abs(1.0 - s) / s, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_estimate_whose_modulus_overflows(self):
+        """(1.5e308 h0, x0 / 1.5e308) has the truth's blocks, though the
+        modulus of 1.5e308 (1 + 1j) overflows: the rescaling reads each
+        factor's real and imaginary parts, so it scores as the truth does
+        (it was NaN, or an overflow warning)."""
+        h0, x0 = np.array([[1 + 1j, 0.5, -0.25j]]), np.array([[1, 2 - 1j]])
+        truth = BlockFactorPair(h0, x0)
+        assert relative_error(BlockFactorPair(1.5e308 * h0, x0 / 1.5e308), truth) < 1e-15
 
     def test_zero_truth_raises(self):
         _, truth, _ = synthesize(TrialSpec(DIMS, seed=0))
