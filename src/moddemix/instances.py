@@ -25,6 +25,7 @@ from .operators import (
     Dimensions,
     MeasurementEnsemble,
     ObservationVector,
+    _frozen,
     check_seeds,
     forward_map,
 )
@@ -85,9 +86,7 @@ def _coding_stack(Q: int, K: int, N: int) -> np.ndarray:
     unit vectors (`Dimensions`) gives column k of C_n as column k*N + n.  One
     entry serves every M of a (Q, K) row, at most 1.2 MB on the paper grid."""
     columns = dct(np.eye(Q, K * N), norm="ortho", axis=0)
-    stack = columns.reshape(Q, K, N).transpose(2, 0, 1).copy()
-    stack.setflags(write=False)
-    return stack
+    return _frozen(columns.reshape(Q, K, N).transpose(2, 0, 1).copy())
 
 
 def make_modulation(Q: int, n: int, seed: int) -> np.ndarray:

@@ -67,20 +67,28 @@ def _coded_messages(ens: MeasurementEnsemble, x: np.ndarray) -> np.ndarray:
     return (ens.coding @ pairs).view(complex)[..., 0].T
 
 
+def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a 2^-e, e): e puts a's peak |Re|, |Im| in [0.5, 1) (0 for a = 0), 2^-e finite."""
+    e = max(math.frexp(np.abs([a.real, a.imag]).max())[1], np.finfo(a.dtype).minexp)
+    return a * math.ldexp(1.0, -e), e
+
+
 def coherences(ens: MeasurementEnsemble, z: BlockFactorPair) -> CoherenceReport:
-    """Compute mu^2, nu^2 and the per-component energies d_n."""
+    """mu^2, nu^2 (in z's dtype) and the energies d_n, from factors scaled by powers
+    of two (`_unit_scaled`), at any scale of z; a d_n or d0 past the double range is inf or 0."""
     z.check_dims(ens.dims)
     d = ens.dims
-    h, x = z.channels, z.coefficients
+    (h, eh), (x, ex) = map(_unit_scaled, (z.channels, z.coefficients))
     h_sq, x_sq = np.vecdot(h, h).real, np.vecdot(x, x).real
     if np.any(h_sq == 0.0) or np.any(x_sq == 0.0):
         raise DegenerateInputError("coherences undefined for zero factors")
     spectra = h @ ens.basis.T                                         # (N, L)
     mu_sq = d.L * np.max(np.abs(spectra).max(axis=1) ** 2 / h_sq)
     nu_sq = d.Q * np.max(np.max(np.abs(_coded_messages(ens, x)), axis=0) ** 2 / x_sq)
-    d_n = np.sqrt(h_sq) * np.sqrt(x_sq)
-    return CoherenceReport(mu_sq=float(mu_sq), nu_sq=float(nu_sq), d_n=d_n,
-                           d0=float(np.sqrt(np.sum(d_n**2))))
+    root = np.sqrt(h_sq, dtype=float) * np.sqrt(x_sq, dtype=float)  # d_n 2^-(eh + ex)
+    with np.errstate(over="ignore"):
+        return CoherenceReport(float(mu_sq), float(nu_sq), np.ldexp(root, eh + ex),
+                               float(np.ldexp(np.sqrt(np.sum(root**2)), eh + ex)))
 
 
 @dataclass(frozen=True, slots=True)

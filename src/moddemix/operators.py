@@ -99,17 +99,27 @@ def _check_integers(values: dict, least: int) -> None:
             raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @functools.lru_cache(maxsize=32)
 def dft_basis(L: int, W: int) -> np.ndarray:
     """Dense L x W matrix F_W, the first W columns of the unitary L-point DFT
-    (a zero-padded FFT of the identity), cached and read-only (32 shapes hold
-    the paper grid's 23 values of M at one L).  F_W v is ``F @ v`` and
-    F_W^H w is ``conj(conj(w).T @ F)``.  Raises ValueError for W > L."""
+    (a zero-padded FFT of the identity), cached and read-only like `_single_basis`
+    (32 shapes hold the paper grid's 23 values of M at one L).  F_W v is
+    ``F @ v`` and F_W^H w is ``conj(conj(w).T @ F)``.  Raises ValueError for W > L."""
     if W > L:
         raise ValueError(f"basis width {W} exceeds L={L}")
-    basis = np.fft.fft(np.eye(W), n=L, axis=0) / np.sqrt(L)
-    basis.setflags(write=False)
-    return basis
+    return _frozen(np.fft.fft(np.eye(W), n=L, axis=0) / np.sqrt(L))
+
+
+@functools.lru_cache(maxsize=32)
+def _single_basis(L: int, W: int) -> np.ndarray:
+    """`dft_basis(L, W)` in complex64, column-major: ``h @ basis.T`` then reads
+    a C-contiguous (W, L) block, twice as fast as row-major at L=3200, W=12."""
+    return _frozen(np.asfortranarray(dft_basis(L, W), dtype=np.complex64))
 
 
 @dataclass(frozen=True)
@@ -142,8 +152,7 @@ class MeasurementEnsemble:
         if not np.all(np.abs(modulation) == 1.0):
             raise ValueError("modulation entries must be exactly +-1")
         object.__setattr__(self, "row_peak", _coding_facts(coding))
-        spectra = _conj_coded_spectra(modulation[:, :, None] * coding, d.L)
-        spectra.setflags(write=False)
+        spectra = _frozen(_conj_coded_spectra(modulation[:, :, None] * coding, d.L))
         vars(self).update(modulation=modulation, coding=coding, coded_spectra=spectra,
                           basis=dft_basis(d.L, d.M))  # bypasses the frozen __setattr__
 
@@ -181,8 +190,7 @@ def _read_only(a, name: str) -> np.ndarray:
             and not a.flags.writeable):
         if np.iscomplexobj(a):
             raise ValueError(f"{name} must be real, got a complex array")
-        a = np.array(a, dtype=float)
-        a.setflags(write=False)
+        a = _frozen(np.array(a, dtype=float))
     return a
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .instances import relative_errors
 from .objective import DegenerateInputError, PenaltyParams, coherences, evaluate, grad_total
 from .operators import (BlockFactorPair, MeasurementEnsemble, ObservationVector, _adjoint_blocks,
-                        check_counts)
+                        _single_basis, check_counts)
 
 __all__ = [
     "SolverConfig",
@@ -51,7 +51,7 @@ _GRAD_TOL = 1e-7
 # contains it, the initial projection would return it unchanged, and `solve`
 # skips that projection.
 _COHERENCE_MARGIN = 1.5
-# `solve` descends in complex64 above this many bytes of read-only operands,
+# `solve` starts and descends in complex64 above this many bytes of read-only operands,
 # where halving them speeds an evaluation 1.3x (below, per-call overhead binds),
 # then in complex128 below _SINGLE_GRAD_TOL d^2 (float32's floor is near 1e-6 d^2).
 _SINGLE_BYTES = 640 << 10
@@ -312,11 +312,12 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     scaled back by 2^j, and the trace stays at the descent's scale with j
     as its scale_exponent, so its columns are finite at any scale of y.
 
-    Above `_SINGLE_BYTES`, the descent starts on complex64 copies (made
-    without __post_init__) of the coded spectra, basis, y and iterates.  Below
-    `_SINGLE_GRAD_TOL` d^2, or after a failed search, it goes on in complex128
-    from the last row's point, cast; the next search steps along that row's
-    gradient and tests against its value, and its gradient norm stops nothing.
+    Above `_SINGLE_BYTES`, the start (its SVD aside) and the descent run on
+    complex64 copies of the coded spectra, y and the start, made first, and on
+    `_single_basis`.  Below `_SINGLE_GRAD_TOL` d^2, or after a failed search, it
+    goes on in complex128 from the last row's point, cast: the next search steps
+    along that row's gradient and tests against its value, and that row's
+    gradient norm stops nothing.
     """
     cfg = cfg or SolverConfig()
     j = _scale_exponent(y_hat.samples)
@@ -324,9 +325,15 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     y_hat = ObservationVector(c * (c * y_hat.samples))  # c * c overflows for a subnormal y
     if truth is not None:  # a mis-shaped truth fails before any work
         truth.check_dims(ens.dims)
-    init = _spectral_start(ens, y_hat)
-    z, d_n = init.start, init.d_n
-    rep = coherences(ens, z)
+    w_ens, w_y = ens, y_hat
+    if ens.coded_spectra.nbytes + ens.basis.nbytes > _SINGLE_BYTES:
+        w_ens, w_y = copy.copy(ens), copy.copy(y_hat)
+        vars(w_ens).update(coded_spectra=ens.coded_spectra.astype(np.complex64),
+                           basis=_single_basis(ens.dims.L, ens.dims.M))
+        vars(w_y).update(samples=y_hat.samples.astype(np.complex64))
+    init = _spectral_start(w_ens, w_y)
+    z, d_n = init.start.astype(w_y.samples.dtype), init.d_n
+    rep = coherences(w_ens, z)
     d = float(np.sqrt(np.sum(d_n**2)))
     p = PenaltyParams(rho=d**2, d=d, d_n=d_n, mu=_COHERENCE_MARGIN * rep.mu,
                       nu=_COHERENCE_MARGIN * rep.nu)
@@ -347,13 +354,6 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
             points.append((z.channels, z.coefficients))
         return est
 
-    w_ens, w_y = ens, y_hat
-    if ens.coded_spectra.nbytes + ens.basis.nbytes > _SINGLE_BYTES:
-        w_ens, w_y = copy.copy(ens), copy.copy(y_hat)
-        vars(w_ens).update(coded_spectra=ens.coded_spectra.astype(np.complex64),
-                           basis=ens.basis.astype(np.complex64))
-        vars(w_y).update(samples=y_hat.samples.astype(np.complex64))
-        z = z.astype(np.complex64)
     cur = evaluate(w_ens, z, w_y, p)
     if not np.isfinite(cur.f_tilde):
         raise NumericalFailureError(f"non-finite objective ({cur.f_tilde}) at the start point")

@@ -88,6 +88,30 @@ class TestCoherences:
         with pytest.raises(DegenerateInputError):
             coherences(ens, z)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype,scales", [
+        (np.complex128, (1e-170, 1e-161, 1e-100, 1e100, 1e160)),
+        (np.complex64, (1e-25, 1e-18, 1e18, 1e25))], ids=["complex128", "complex64"])
+    def test_any_scale(self, dtype, scales):
+        """mu^2 and nu^2 do not see the scale s of both factors, and d_n, d0
+        (float64) are s^2 times the unit-scale ones, 0 below the double range
+        and inf above it, with no warning.  On the desk instance the entries'
+        squares are out of the factors' range at 1e-161 and 1e160 (complex64:
+        1e-25 and 1e25), and d_n^2 at 1e-100 and 1e100 (float32: 1e-18, 1e18)."""
+        ens, truth, _ = make_instance(Dimensions(L=320, Q=320, M=8, K=8, N=2))
+
+        def at(s):
+            return coherences(ens, BlockFactorPair.unchecked(
+                (s * truth.channels).astype(dtype), (s * truth.coefficients).astype(dtype)))
+
+        ref, rtol = at(1.0), 1e-14 if dtype == np.complex128 else 1e-6
+        for s in scales:
+            rep = at(s)
+            assert rep.mu_sq == pytest.approx(ref.mu_sq, rel=rtol)
+            assert rep.nu_sq == pytest.approx(ref.nu_sq, rel=rtol)
+            np.testing.assert_allclose(rep.d_n, (s * s) * ref.d_n, rtol=rtol, atol=1e-323)
+            assert rep.d0 == pytest.approx((s * s) * ref.d0, rel=rtol, abs=1e-323)
+
     def test_report_properties(self):
         rep = CoherenceReport(mu_sq=4.0, nu_sq=9.0, d_n=np.ones(1), d0=1.0)
         assert rep.mu == 2.0 and rep.nu == 3.0

@@ -20,6 +20,7 @@ from moddemix.operators import (
     ObservationVector,
     _adjoint_blocks,
     _coding_facts,
+    _single_basis,
     adjoint_component,
     component_spectra,
     dense_oracle,
@@ -60,6 +61,19 @@ class TestPartialDft:
         """W > L is rejected."""
         with pytest.raises(ValueError, match="exceeds L"):
             dft_basis(8, 9)
+
+    @pytest.mark.parametrize("L,W", [(3200, 12), (320, 8), (33, 20)])
+    def test_single_basis_is_a_cached_column_major_copy(self, L, W):
+        """The complex64 basis a paper-scale solve reads is cast once per
+        (L, W), read-only, and column-major, so ``h @ basis.T`` reads a
+        C-contiguous block; its entries are the complex128 basis's, rounded."""
+        basis = _single_basis(L, W)
+        assert _single_basis(L, W) is basis
+        assert basis.dtype == np.complex64 and basis.flags.f_contiguous
+        assert basis.T.flags.c_contiguous and not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0.0
+        np.testing.assert_array_equal(basis, dft_basis(L, W).astype(np.complex64))
 
 
 class TestDimensions:

@@ -826,16 +826,39 @@ class TestSinglePrecision:
 
     def test_paper_scale_takes_the_single_path_and_desk_does_not(self, monkeypatch):
         """The size test reads the input: 16 L (N K + M) bytes in complex128.
-        The criterion-6 grid's largest cell (L=320, K=M=22) stays complex128."""
+        The criterion-6 grid's largest cell (L=320, K=M=22) stays complex128.
+        The working copies come first: the spectral start's adjoint and
+        `coherences` run on them too, at paper scale on the cached complex64
+        basis, and no solve casts the ensemble's own basis."""
         seen = _dtype_spy(monkeypatch)
+        starts, bases = [], []
+        adjoint, coherence = solver_module._adjoint_blocks, solver_module.coherences
+
+        def adjoint_spy(ens, w, *args):
+            starts.append(("adjoint", ens.coded_spectra.dtype, ens.basis.dtype, w.dtype))
+            bases.append(ens.basis)
+            return adjoint(ens, w, *args)
+
+        def coherence_spy(ens, z):
+            starts.append(("coherences", ens.basis.dtype, z.channels.dtype, z.coefficients.dtype))
+            bases.append(ens.basis)
+            return coherence(ens, z)
+
+        monkeypatch.setattr(solver_module, "_adjoint_blocks", adjoint_spy)
+        monkeypatch.setattr(solver_module, "coherences", coherence_spy)
         for dims, single in ((PAPER, True), (DESK, False),
                              (Dimensions(L=320, Q=320, M=22, K=22, N=2), False)):
-            seen.clear()
+            for spied in (seen, starts, bases):
+                spied.clear()
             ens, _, obs = make_instance(dims, seed=0)
             assert (ens.coded_spectra.nbytes + ens.basis.nbytes
                     == 16 * dims.L * (dims.N * dims.K + dims.M))
             est, _ = solve(ens, obs, SolverConfig(max_iters=3))
-            assert set(seen) == {np.dtype(np.complex64 if single else np.complex128)}
+            dt = np.dtype(np.complex64 if single else np.complex128)
+            assert set(seen) == {dt}
+            assert starts == [("adjoint", dt, dt, dt), ("coherences", dt, dt, dt)]
+            basis = solver_module._single_basis(dims.L, dims.M) if single else ens.basis
+            assert bases[0] is bases[1] is basis
             assert est.channels.dtype == est.coefficients.dtype == np.complex128
 
     def test_noiseless_matches_complex128(self, monkeypatch):
@@ -856,6 +879,31 @@ class TestSinglePrecision:
             assert single.switch_row is None and double.switch_row is None
             assert abs(err - ref_err) <= 1e-6 and err < SUCCESS_THRESHOLD
             assert abs(single.rel_err[-1] - err) <= 1e-6
+
+    def test_complex64_start_tracks_complex128(self, monkeypatch):
+        """On seeds 0-2 the penalty a solve takes from its complex64 start (the
+        SVD's d_n, mu and nu from `coherences`) agrees within 1e-6 relative
+        with the one from the complex128 start of a solve forced to complex128,
+        but is not the same bits: the start did run in complex64."""
+        params, real = [], solver_module.PenaltyParams
+
+        def spy(**kwargs):
+            params.append(real(**kwargs))
+            return params[-1]
+
+        monkeypatch.setattr(solver_module, "PenaltyParams", spy)
+        sizes = (solver_module._SINGLE_BYTES, math.inf)
+        for seed in range(3):
+            ens, _, obs = make_instance(PAPER, seed=seed)
+            for single_bytes in sizes:
+                monkeypatch.setattr(solver_module, "_SINGLE_BYTES", single_bytes)
+                solve(ens, obs, SolverConfig(max_iters=1))
+            single, double = params[-2:]
+            np.testing.assert_allclose(single.d_n, double.d_n, rtol=1e-6)
+            assert single.mu == pytest.approx(double.mu, rel=1e-6)
+            assert single.nu == pytest.approx(double.nu, rel=1e-6)
+            assert single.mu != double.mu and single.nu != double.nu
+            assert not np.array_equal(single.d_n, double.d_n)
 
     def test_noisy_q800_switches_and_stops_on_grad_tol(self):
         """At 10 dB on L=3200, Q=800, M=K=22 seeds 0-3 switch to complex128
