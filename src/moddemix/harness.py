@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import TrialSpec, relative_error, synthesize
+from .instances import TrialSpec, _complex_normal, relative_error, synthesize
 from .objective import PenaltyParams, coherences, grad_total, loss_total
 from .operators import (BlockFactorPair, Dimensions, MeasurementEnsemble, adjoint_component,
                         check_counts, check_seeds, forward_map)
@@ -294,10 +294,6 @@ def run_convergence_trace(spec: TrialSpec, cfg: SolverConfig | None = None,
 # ---------------------------------------------------------------------------
 # numerical probes
 
-def _complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def _perturbed_point(dims: Dimensions, seed: int, tag: int):
     """Seed's ensemble, truth Z0, Z = Z0 + 0.3 complex noise (stream `tag`), ||Z - Z0||_F^2."""
     ens, truth, _ = synthesize(TrialSpec(dims, seed=seed))
@@ -375,8 +371,7 @@ def _probe_gradcheck(dims: Dimensions, seed: int, trials: int) -> dict:
         scale = 1.0 if t % 2 == 0 else 1.6  # odd trials push into the hinges
         z = BlockFactorPair(scale * _complex_normal(rng, dims.N, dims.M),
                             scale * _complex_normal(rng, dims.N, dims.K))
-        dh = _complex_normal(rng, dims.N, dims.M)
-        dx = _complex_normal(rng, dims.N, dims.K)
+        dh, dx = _complex_normal(rng, dims.N, dims.M), _complex_normal(rng, dims.N, dims.K)
         g = grad_total(ens, z, obs, p)
 
         def val(s):

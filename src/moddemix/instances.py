@@ -26,6 +26,7 @@ from .operators import (
     MeasurementEnsemble,
     ObservationVector,
     _frozen,
+    _unit_scaled,
     check_seeds,
     forward_map,
 )
@@ -53,6 +54,11 @@ _SNR_DB_MIN = -20.0 * math.log10(np.finfo(float).max)  # 10^(-snr_db / 20) overf
 def _rng(seed: int, *tags: int) -> np.random.Generator:
     check_seeds(seed=seed)
     return np.random.default_rng(np.random.SeedSequence([seed, *tags]))
+
+
+def _complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Standard normal real parts, then imaginary parts, of the given shape."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @dataclass(frozen=True)
@@ -98,10 +104,8 @@ def make_modulation(Q: int, n: int, seed: int) -> np.ndarray:
 def make_ground_truth(spec: TrialSpec) -> BlockFactorPair:
     """Complex Gaussian factors, each rescaled to unit norm."""
     d = spec.dims
-    rng_h = _rng(spec.seed, _STREAM_CHANNELS)
-    rng_x = _rng(spec.seed, _STREAM_COEFFICIENTS)
-    h = rng_h.standard_normal((d.N, d.M)) + 1j * rng_h.standard_normal((d.N, d.M))
-    x = rng_x.standard_normal((d.N, d.K)) + 1j * rng_x.standard_normal((d.N, d.K))
+    h = _complex_normal(_rng(spec.seed, _STREAM_CHANNELS), d.N, d.M)
+    x = _complex_normal(_rng(spec.seed, _STREAM_COEFFICIENTS), d.N, d.K)
     h *= (1.0 / np.linalg.norm(h, axis=1))[:, None]
     x *= (1.0 / np.linalg.norm(x, axis=1))[:, None]
     return BlockFactorPair(h, x)
@@ -119,8 +123,7 @@ def synthesize(spec: TrialSpec) -> tuple[MeasurementEnsemble, BlockFactorPair, O
     truth = make_ground_truth(spec)
     y = forward_map(ens, truth)
     if spec.snr_db is not None:
-        rng = _rng(spec.seed, _STREAM_NOISE)
-        e = rng.standard_normal(d.L) + 1j * rng.standard_normal(d.L)
+        e = _complex_normal(_rng(spec.seed, _STREAM_NOISE), d.L)
         target = float(np.linalg.norm(y)) * 10.0 ** (-float(spec.snr_db) / 20.0)  # inf: no warning
         y = y + e * (target / np.linalg.norm(e))
     return ens, truth, ObservationVector(y)
@@ -172,17 +175,13 @@ def _distance_sq(h, x, h0, x0, h0_sq) -> np.ndarray:
 
 def _rescaled_error(h, x, h0, x0) -> float:
     """relative_error where an energy leaves the double range.  Each factor is
-    scaled by its own power of two, so est's blocks are 2^k times the rescaled
-    ones relative to the truth's.  The error is 2^hi times the distance
-    between 2^(k - hi) times est's rescaled blocks and 2^-hi times the
-    truth's, hi = max(k, 0), over sqrt(E0), E0 the truth's rescaled energy:
-    no term overflows, and one that underflows is negligible."""
-    # 2^-e (finite for e >= -1022) puts a factor's largest real or imaginary part
-    # in [0.5, 1); a zero factor takes the least e, its blocks being 0 at any scale
-    e = [max(math.frexp(m)[1], -1022) if (m := np.abs([a.real, a.imag]).max()) else -1022
-         for a in (h, x, h0, x0)]
-    h, x, h0, x0 = (a * 2.0 ** -ea for a, ea in zip((h, x, h0, x0), e))
-    k = e[0] + e[1] - e[2] - e[3]
+    scaled by its own power of two (`_unit_scaled`; a zero factor's blocks are 0
+    at any scale), so est's blocks are 2^k times the rescaled ones relative to the
+    truth's.  The error is 2^hi times the distance between 2^(k - hi) times est's
+    rescaled blocks and 2^-hi times the truth's, hi = max(k, 0), over sqrt(E0), E0
+    the truth's rescaled energy: no term overflows, one that underflows is negligible."""
+    (h, eh), (x, ex), (h0, eh0), (x0, ex0) = map(_unit_scaled, (h, x, h0, x0))
+    k = eh + ex - eh0 - ex0
     h0_sq = np.vecdot(h0, h0).real
     energy0 = float(np.dot(h0_sq, np.vecdot(x0, x0).real))
     if not energy0 > 0:

@@ -21,6 +21,7 @@ from .operators import (
     BlockFactorPair,
     MeasurementEnsemble,
     ObservationVector,
+    _unit_scaled,
     component_spectra,
 )
 
@@ -65,12 +66,6 @@ def _coded_messages(ens: MeasurementEnsemble, x: np.ndarray) -> np.ndarray:
     one real product on x's (re, im) pairs, viewed as complex (complex128)."""
     pairs = np.ascontiguousarray(x).view(x.real.dtype).reshape(*x.shape, 2)
     return (ens.coding @ pairs).view(complex)[..., 0].T
-
-
-def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(a 2^-e, e): e puts a's peak |Re|, |Im| in [0.5, 1) (0 for a = 0), 2^-e finite."""
-    e = max(math.frexp(np.abs([a.real, a.imag]).max())[1], np.finfo(a.dtype).minexp)
-    return a * math.ldexp(1.0, -e), e
 
 
 def coherences(ens: MeasurementEnsemble, z: BlockFactorPair) -> CoherenceReport:
@@ -171,6 +166,8 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     y_hat.check_dims(ens.dims)
     z.check_dims(ens.dims)
     d = ens.dims
+    if p.d_n.shape != (d.N,):  # zip over d_n would stop at the shorter
+        raise ValueError(f"d_n shape {p.d_n.shape} != ({d.N},)")
     h, x = z.channels, z.coefficients
     spectra, coded_spectra = component_spectra(ens, z)                # (L, N) each
     residual = (spectra * coded_spectra).sum(axis=1) - y_hat.samples

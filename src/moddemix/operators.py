@@ -30,6 +30,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -102,6 +103,16 @@ def _check_integers(values: dict, least: int) -> None:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a 2^-e, e): e puts a's largest |Re| or |Im| (finite where |a| overflows) in
+    [0.5, 1), floored at the dtype's least normal exponent (-1022 complex128, -126
+    complex64) so 2^-e is finite; a zero or empty a takes the floor."""
+    least = np.finfo(a.dtype).minexp
+    peak = np.abs([a.real, a.imag]).max(initial=0.0)
+    e = max(math.frexp(peak)[1], least) if peak else least
+    return a * math.ldexp(1.0, -e), e
 
 
 @functools.lru_cache(maxsize=32)

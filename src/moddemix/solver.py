@@ -20,7 +20,7 @@ import numpy as np
 from .instances import relative_errors
 from .objective import DegenerateInputError, PenaltyParams, coherences, evaluate, grad_total
 from .operators import (BlockFactorPair, MeasurementEnsemble, ObservationVector, _adjoint_blocks,
-                        _single_basis, check_counts)
+                        _single_basis, _unit_scaled, check_counts)
 
 __all__ = [
     "SolverConfig",
@@ -249,14 +249,11 @@ def _scaled(z: BlockFactorPair, c: float) -> BlockFactorPair:
 
 
 def _scale_exponent(y: np.ndarray) -> int:
-    """j such that 4^j is the power of four nearest ||y|| (0 for y = 0 and
-    for an empty y, which `_spectral_start` then rejects by its shape)."""
-    parts = np.abs([y.real, y.imag])  # finite, where |y| may overflow
-    peak = float(np.max(parts, initial=0.0))
-    if peak == 0.0:
-        return 0
-    e = math.frexp(peak)[1]  # parts 2^-e are finite, also for a subnormal peak
-    return round((e + math.log2(np.linalg.norm(np.ldexp(parts, -e)))) / 2)
+    """j such that 4^j is the power of four nearest ||y||, from the finite norm of
+    y 2^-e (`_unit_scaled`); 0 for a zero or empty y (`_spectral_start` rejects both)."""
+    unit, e = _unit_scaled(y)
+    norm = float(np.linalg.norm(unit))
+    return round((e + math.log2(norm)) / 2) if norm else 0
 
 
 def _error_estimate(r: list[float]) -> float:

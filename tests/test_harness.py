@@ -881,6 +881,15 @@ class TestCli:
                      "--N", "1", "--out", "/nonexistent-dir/x.json"])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("command", ["trace", "snr", "scaling"])
+    def test_out_in_a_missing_directory_builds_no_instance(self, command, tmp_path, monkeypatch,
+                                                           capsys):
+        """trace and the snr and scaling sweeps exit 2 before any trial runs."""
+        monkeypatch.setattr(harness, "synthesize", _interrupt)
+        out = tmp_path / "missing" / "out.csv"
+        assert main([*_VALID_ARGV[command], "--out", str(out)]) == EXIT_IO
+        assert "I/O failure" in capsys.readouterr().err and not out.parent.exists()
+
     def test_probe_guard_maps_to_usage(self):
         assert main(["probe", "isometry", "--Q", "32", "--L", "32"]) == EXIT_USAGE
 

@@ -18,6 +18,7 @@ from moddemix.cli import EXIT_OK, main
 from moddemix.instances import (
     TrialSpec,
     _coding_stack,
+    _complex_normal,
     make_ground_truth,
     make_modulation,
     relative_error,
@@ -125,6 +126,19 @@ class TestGroundTruth:
         for factor in (truth.channels, truth.coefficients):
             np.testing.assert_allclose(np.linalg.norm(factor, axis=1), 1.0, rtol=1e-12)
             assert np.all(np.any(factor.imag != 0, axis=1))
+
+    def test_one_complex_draw_real_parts_first(self):
+        """Each factor is `_complex_normal` of its own stream (channels 2,
+        coefficients 3): all real parts, then all imaginary parts, normalized."""
+        truth = make_ground_truth(TrialSpec(DIMS, seed=3))
+        for tag, factor in ((2, truth.channels), (3, truth.coefficients)):
+            rng = np.random.default_rng(np.random.SeedSequence([3, tag]))
+            real = rng.standard_normal(factor.shape)
+            draw = real + 1j * rng.standard_normal(factor.shape)
+            np.testing.assert_array_equal(factor,
+                                          draw * (1.0 / np.linalg.norm(draw, axis=1))[:, None])
+            rng = np.random.default_rng(np.random.SeedSequence([3, tag]))
+            np.testing.assert_array_equal(_complex_normal(rng, *factor.shape), draw)
 
 
 class TestSynthesize:

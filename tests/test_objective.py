@@ -585,3 +585,20 @@ class TestEvaluate:
             evaluate(ens, bad, obs, p)
         with pytest.raises(ValueError):
             evaluate(ens, truth, ObservationVector(np.ones(31)), p)
+
+    @pytest.mark.parametrize("d_n", [1.0, (1.0,), (1.0, 1.0, 1e-9)], ids=["0-d", "short", "long"])
+    def test_d_n_of_another_length_raises(self, d_n):
+        """`PenaltyParams` cannot know N, so `evaluate` checks d_n: the idle
+        certificate zipped over it and stopped at the shorter, so a short or
+        long d_n gave G = 0 where the hinge is active (a 0-d one a TypeError)."""
+        ens, truth, obs = make_instance(Dimensions(L=64, Q=64, M=4, K=4, N=2))
+        z = BlockFactorPair(truth.channels * np.array([[1.0], [5.0]]), truth.coefficients)
+        rep = coherences(ens, truth)
+
+        def at(d_n):
+            return evaluate(ens, z, obs, PenaltyParams(rho=1.0, d=1.0, d_n=d_n,
+                                                        mu=rep.mu, nu=rep.nu))
+
+        assert at((1.0, 1.0)).g == pytest.approx(175.46, abs=0.01)
+        with pytest.raises(ValueError, match="d_n shape"):
+            at(d_n)

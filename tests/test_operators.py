@@ -21,6 +21,7 @@ from moddemix.operators import (
     _adjoint_blocks,
     _coding_facts,
     _single_basis,
+    _unit_scaled,
     adjoint_component,
     component_spectra,
     dense_oracle,
@@ -74,6 +75,51 @@ class TestPartialDft:
         with pytest.raises(ValueError):
             basis[0, 0] = 0.0
         np.testing.assert_array_equal(basis, dft_basis(L, W).astype(np.complex64))
+
+
+class TestUnitScaled:
+    """`_unit_scaled`, the one power-of-two rule every binary scale is read through."""
+
+    @staticmethod
+    def peak(a):
+        return max(np.max(np.abs(a.real), initial=0.0), np.max(np.abs(a.imag), initial=0.0))
+
+    @pytest.mark.parametrize("dtype,least", [(np.complex128, -1022), (np.complex64, -126)])
+    @pytest.mark.parametrize("shape", [(2, 3), (0,)], ids=["zero", "empty"])
+    def test_zero_or_empty_takes_the_least_normal_exponent(self, dtype, least, shape):
+        scaled, e = _unit_scaled(np.zeros(shape, dtype=dtype))
+        assert e == least and scaled.dtype == dtype and not np.any(scaled)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_peak_is_floored(self):
+        a = np.array([[1e-310 + 0j, -3e-311j], [0, 2e-320]])
+        scaled, e = _unit_scaled(a)
+        assert e == -1022
+        assert np.all(np.isfinite(scaled)) and np.array_equal(scaled, np.ldexp(1.0, 1022) * a)
+
+    @pytest.mark.filterwarnings("error")
+    def test_part_whose_modulus_overflows(self):
+        a = np.array([1.5e308 + 1.5e308j, -1.0, 2j])
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.abs(a[0]))
+        scaled, e = _unit_scaled(a)
+        assert e == 1024 and np.all(np.isfinite(scaled.view(float)))
+        assert 0.5 <= self.peak(scaled) < 1.0
+
+    def test_strided_view_equals_a_contiguous_copy(self, rng):
+        a = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
+        view = a[::2, 1::3]
+        (scaled, e), (ref, e_ref) = _unit_scaled(view), _unit_scaled(view.copy())
+        assert e == e_ref and np.array_equal(scaled, ref)
+
+    @pytest.mark.parametrize("dtype,scale", [
+        *((np.complex128, s) for s in (1e-300, 1e-30, 0.5, 1.0, 1e30, 1e300)),
+        *((np.complex64, s) for s in (1e-30, 1e-3, 1.0, 1e3, 1e30))])
+    def test_normal_peak_lands_in_half_to_one(self, dtype, scale, rng):
+        a = (scale * (rng.standard_normal(7) + 1j * rng.standard_normal(7))).astype(dtype)
+        scaled, e = _unit_scaled(a)
+        assert 0.5 <= self.peak(scaled) < 1.0 and scaled.dtype == dtype
+        assert np.array_equal(scaled, np.ldexp(1.0, -e) * a.astype(complex))
 
 
 class TestDimensions:
