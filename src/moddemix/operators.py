@@ -117,10 +117,10 @@ def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 @functools.lru_cache(maxsize=32)
 def dft_basis(L: int, W: int) -> np.ndarray:
-    """Dense L x W matrix F_W, the first W columns of the unitary L-point DFT
-    (a zero-padded FFT of the identity), cached and read-only like `_single_basis`
+    """Dense row-major L x W matrix F_W: the first W columns of the unitary L-point
+    DFT (a zero-padded FFT of the identity), cached and read-only like `_single_basis`
     (32 shapes hold the paper grid's 23 values of M at one L).  F_W v is
-    ``F @ v`` and F_W^H w is ``conj(conj(w).T @ F)``.  Raises ValueError for W > L."""
+    ``np.matvec(F, v)`` and F_W^H w is ``conj(conj(w).T @ F)``.  Raises ValueError for W > L."""
     if W > L:
         raise ValueError(f"basis width {W} exceeds L={L}")
     return _frozen(np.fft.fft(np.eye(W), n=L, axis=0) / np.sqrt(L))
@@ -128,9 +128,8 @@ def dft_basis(L: int, W: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _single_basis(L: int, W: int) -> np.ndarray:
-    """`dft_basis(L, W)` in complex64, column-major: ``h @ basis.T`` then reads
-    a C-contiguous (W, L) block, twice as fast as row-major at L=3200, W=12."""
-    return _frozen(np.asfortranarray(dft_basis(L, W), dtype=np.complex64))
+    """`dft_basis(L, W)` cast to complex64, row-major like its source."""
+    return _frozen(dft_basis(L, W).astype(np.complex64))
 
 
 @dataclass(frozen=True)
@@ -279,11 +278,11 @@ class ObservationVector:
 def component_spectra(ens: MeasurementEnsemble,
                       z: BlockFactorPair) -> tuple[np.ndarray, np.ndarray]:
     """Channel spectra F_M h_n and coded spectra conj(B_n) conj(x_n), both as
-    (L, N) columns, each from one matrix product.  Their product summed over
+    (L, N) columns, each from one batched matvec.  Their product summed over
     n is A(Z(h, x)).  Dimensions are the caller's to check."""
     # column-major (L, N): summing over n, as the residual does, is then fast
-    spectra = (z.channels @ ens.basis.T).T
-    return spectra, np.matvec(ens.coded_spectra, np.conj(z.coefficients)).T
+    return (np.matvec(ens.basis, z.channels).T,
+            np.matvec(ens.coded_spectra, np.conj(z.coefficients)).T)
 
 
 def forward_map(ens: MeasurementEnsemble, z: BlockFactorPair) -> np.ndarray:
@@ -305,9 +304,10 @@ def adjoint_component(ens: MeasurementEnsemble, n: int, w: np.ndarray) -> np.nda
 
 
 def _adjoint_blocks(ens: MeasurementEnsemble, w: np.ndarray, n=...) -> np.ndarray:
-    """The (N, M, K) blocks A_n^*(w) of a checked complex w, or block n alone,
-    from one product whose only temporary is the (L, M) scaled basis."""
-    return np.conj((np.conj(w)[:, None] * ens.basis).T @ ens.coded_spectra[n])
+    """The (N, M, K) blocks A_n^*(w) of a checked complex w, or block n alone, from one
+    product whose only temporary is the (L, M) scaled basis, column-major: read as (M, L)."""
+    scaled = np.multiply(np.conj(w)[:, None], ens.basis, order="F")
+    return np.conj(scaled.T @ ens.coded_spectra[n])
 
 
 def dense_oracle(ens: MeasurementEnsemble, n: int) -> np.ndarray:

@@ -26,6 +26,9 @@ from moddemix.operators import (
     Dimensions,
     MeasurementEnsemble,
     ObservationVector,
+    _adjoint_blocks,
+    _single_basis,
+    adjoint_component,
     component_spectra,
     dense_oracle,
     dft_basis,
@@ -475,19 +478,28 @@ class TestEvaluate:
     @pytest.mark.parametrize("dims", SMALL_DIMS, ids=str)
     @pytest.mark.parametrize("scale", [1.0, 1.6], ids=["truth", "hinge"])
     def test_complex64_operands(self, dims, scale, rng):
-        """complex64 copies of the coded spectra, basis, y and z, as `solve`
-        descends on at paper scale: the gradient is complex64, also where the
-        hinge (formed in float64) is active, and agrees with complex128; F
-        sums the complex64 residual in float64."""
+        """complex64 copies of the coded spectra, y and z, and the cached
+        `_single_basis`, as `solve` starts and descends on at paper scale:
+        the gradient is complex64, also where the hinge (formed in float64)
+        is active, and agrees with complex128; F sums the complex64 residual
+        in float64.  The start's adjoint blocks agree with complex128 to
+        float32 rounding, and `adjoint_component` is block n bit for bit."""
         ens, truth, obs = make_instance(dims, snr_db=30.0)
         p = oracle_params(ens, truth)
         z = truth if scale == 1.0 else random_pair(dims, rng, scale=scale)
         ens32, obs32 = copy.copy(ens), copy.copy(obs)
         vars(ens32).update(coded_spectra=ens.coded_spectra.astype(np.complex64),
-                           basis=ens.basis.astype(np.complex64))
+                           basis=_single_basis(dims.L, dims.M))
         vars(obs32).update(samples=obs.samples.astype(np.complex64))
         z32 = z.astype(np.complex64)
         assert ens32.basis.dtype == np.complex64
+        blocks = _adjoint_blocks(ens32, obs32.samples)
+        ref_blocks = _adjoint_blocks(ens, obs.samples)
+        assert blocks.dtype == np.complex64
+        assert np.linalg.norm(blocks - ref_blocks) <= 1e-6 * np.linalg.norm(ref_blocks)
+        for n in range(dims.N):
+            np.testing.assert_array_equal(adjoint_component(ens, n, obs.samples), ref_blocks[n])
+            np.testing.assert_array_equal(_adjoint_blocks(ens32, obs32.samples, n), blocks[n])
         assert ens.coded_spectra.dtype == obs.samples.dtype == np.complex128
         ev, ref = evaluate(ens32, z32, obs32, p, grad=True), evaluate(ens, z, obs, p, grad=True)
         assert (ev.g > 0.0) == (ref.g > 0.0) == (scale > 1.0)

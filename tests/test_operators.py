@@ -64,14 +64,15 @@ class TestPartialDft:
             dft_basis(8, 9)
 
     @pytest.mark.parametrize("L,W", [(3200, 12), (320, 8), (33, 20)])
-    def test_single_basis_is_a_cached_column_major_copy(self, L, W):
+    def test_single_basis_is_a_cached_row_major_copy(self, L, W):
         """The complex64 basis a paper-scale solve reads is cast once per
-        (L, W), read-only, and column-major, so ``h @ basis.T`` reads a
-        C-contiguous block; its entries are the complex128 basis's, rounded."""
+        (L, W), read-only, and row-major like `dft_basis`, so every product
+        reads it as it reads the complex128 basis; its entries are the
+        complex128 basis's, rounded."""
         basis = _single_basis(L, W)
         assert _single_basis(L, W) is basis
-        assert basis.dtype == np.complex64 and basis.flags.f_contiguous
-        assert basis.T.flags.c_contiguous and not basis.flags.writeable
+        assert basis.dtype == np.complex64 and not basis.flags.writeable
+        assert basis.flags.c_contiguous and dft_basis(L, W).flags.c_contiguous
         with pytest.raises(ValueError):
             basis[0, 0] = 0.0
         np.testing.assert_array_equal(basis, dft_basis(L, W).astype(np.complex64))
