@@ -3,7 +3,7 @@
 The objective is ``F_tilde = F + G`` where ``F`` is the squared residual of
 the measurement map and ``G`` is a hinge penalty that keeps the iterates
 norm-bounded and spectrally incoherent.  `evaluate` is the single kernel:
-it computes ``F``, ``G`` and, on request, the gradient, batched over
+it forms the spectra and residual, then ``F``, ``G`` and, on request, the gradient, batched over
 components, with its contractions as batched BLAS products; `loss_total`
 and `grad_total` are thin wrappers around it.
 Gradients follow the Wirtinger convention (derivative w.r.t. the conjugated
@@ -21,6 +21,7 @@ from .operators import (
     BlockFactorPair,
     MeasurementEnsemble,
     ObservationVector,
+    _peak,
     _unit_scaled,
     component_spectra,
 )
@@ -69,11 +70,13 @@ def _coded_messages(ens: MeasurementEnsemble, x: np.ndarray) -> np.ndarray:
 
 
 def coherences(ens: MeasurementEnsemble, z: BlockFactorPair) -> CoherenceReport:
-    """mu^2, nu^2 (in z's dtype) and the energies d_n, from factors scaled by powers
-    of two (`_unit_scaled`), at any scale of z; a d_n or d0 past the double range is inf or 0."""
+    """mu^2, nu^2 (in z's dtype) and the energies d_n at any scale of z: unless both peaks are
+    within 2^+-60, factors scaled by powers of two (`_unit_scaled`); d_n, d0 may be inf or 0."""
     z.check_dims(ens.dims)
     d = ens.dims
-    (h, eh), (x, ex) = map(_unit_scaled, (z.channels, z.coefficients))
+    h, x, eh, ex = z.channels, z.coefficients, 0, 0
+    if not all(2.0**-60 < _peak(a) < 2.0**60 for a in (h, x)):
+        (h, eh), (x, ex) = map(_unit_scaled, (h, x))
     h_sq, x_sq = np.vecdot(h, h).real, np.vecdot(x, x).real
     if np.any(h_sq == 0.0) or np.any(x_sq == 0.0):
         raise DegenerateInputError("coherences undefined for zero factors")
@@ -81,6 +84,8 @@ def coherences(ens: MeasurementEnsemble, z: BlockFactorPair) -> CoherenceReport:
     mu_sq = d.L * np.max(np.abs(spectra).max(axis=1) ** 2 / h_sq)
     nu_sq = d.Q * np.max(np.max(np.abs(_coded_messages(ens, x)), axis=0) ** 2 / x_sq)
     root = np.sqrt(h_sq, dtype=float) * np.sqrt(x_sq, dtype=float)  # d_n 2^-(eh + ex)
+    if eh == ex == 0:
+        return CoherenceReport(float(mu_sq), float(nu_sq), root, float(np.sqrt(np.sum(root**2))))
     with np.errstate(over="ignore"):
         return CoherenceReport(float(mu_sq), float(nu_sq), np.ldexp(root, eh + ex),
                                float(np.ldexp(np.sqrt(np.sum(root**2)), eh + ex)))
@@ -125,12 +130,15 @@ def _hinge_prime(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """The objective at one point: measurement loss f, penalty g and, when
-    requested, the Wirtinger gradient of f + g."""
+    """The objective at one point: loss f, penalty g, the Wirtinger gradient of f + g on request,
+    and the (L, N) channel and coded spectra and residual it read (z's dtype, written by none)."""
 
     f: float
     g: float
     grad: BlockFactorPair | None = None
+    spectra: np.ndarray | None = None
+    coded_spectra: np.ndarray | None = None
+    residual: np.ndarray | None = None
 
     @property
     def f_tilde(self) -> float:
@@ -165,12 +173,21 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     """
     y_hat.check_dims(ens.dims)
     z.check_dims(ens.dims)
+    if p.d_n.shape != (ens.dims.N,):  # zip over d_n would stop at the shorter
+        raise ValueError(f"d_n shape {p.d_n.shape} != ({ens.dims.N},)")
+    return _kernel(ens, z, p, *_formed(ens, z, y_hat), grad)
+
+
+def _formed(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVector) -> tuple:
+    """The (L, N) channel and coded spectra at z and the residual A(Z(h, x)) - y_hat they give."""
+    spectra, coded_spectra = component_spectra(ens, z)
+    return spectra, coded_spectra, (spectra * coded_spectra).sum(axis=1) - y_hat.samples
+
+
+def _kernel(ens, z, p, spectra, coded_spectra, residual, grad: bool) -> Evaluation:
+    """`evaluate` at z from its spectra and their residual, however they were formed."""
     d = ens.dims
-    if p.d_n.shape != (d.N,):  # zip over d_n would stop at the shorter
-        raise ValueError(f"d_n shape {p.d_n.shape} != ({d.N},)")
     h, x = z.channels, z.coefficients
-    spectra, coded_spectra = component_spectra(ens, z)                # (L, N) each
-    residual = (spectra * coded_spectra).sum(axis=1) - y_hat.samples
     h_sq, x_sq = np.vecdot(h, h).real, np.vecdot(x, x).real
     f = float(np.vdot(wide := residual.astype(complex, copy=False), wide).real)  # float64 sums
     g = 0.0
@@ -185,7 +202,7 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
         coded_arg = np.abs(coded) ** 2 * (d.Q / (8 * p.nu**2) / p.d_n)
         g = p.rho * float(sum(np.sum(_hinge(a)) for a in (h_arg, x_arg, spec_arg, coded_arg)))
     if not grad or not math.isfinite(f + g):
-        return Evaluation(f, g)
+        return Evaluation(f, g, None, spectra, coded_spectra, residual)
 
     conj_residual = np.conj(residual)
     conj_w = conj_residual[:, None] * coded_spectra                   # conj(w), (L, N)
@@ -199,7 +216,7 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     gh = np.conj(conj_w.T @ ens.basis)
     if g > 0:
         gh += (scale * _hinge_prime(h_arg))[:, None] * h
-    return Evaluation(f, g, BlockFactorPair.unchecked(gh, gx))
+    return Evaluation(f, g, BlockFactorPair.unchecked(gh, gx), spectra, coded_spectra, residual)
 
 
 def loss_total(ens: MeasurementEnsemble, z: BlockFactorPair,

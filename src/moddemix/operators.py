@@ -105,12 +105,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _peak(a: np.ndarray) -> float:
+    """a's largest |Re| or |Im|, finite where its largest modulus overflows."""
+    return float(np.abs(np.ascontiguousarray(a).view(a.real.dtype)).max(initial=0.0))
+
+
 def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     """(a 2^-e, e): e puts a's largest |Re| or |Im| (finite where |a| overflows) in
     [0.5, 1), floored at the dtype's least normal exponent (-1022 complex128, -126
     complex64) so 2^-e is finite; a zero or empty a takes the floor."""
     least = np.finfo(a.dtype).minexp
-    peak = np.abs([a.real, a.imag]).max(initial=0.0)
+    peak = _peak(a)
     e = max(math.frexp(peak)[1], least) if peak else least
     return a * math.ldexp(1.0, -e), e
 

@@ -3,9 +3,9 @@
 The spectral start is the exact leading singular triple (one stacked SVD)
 of each back-projected M x K observation block; `initialize` pushes it into the
 incoherent set by a convex projection.  `solve` needs no ground truth: it
-takes its penalty parameters from the start point and runs simultaneous
-Wirtinger updates of all channel and coefficient blocks, with a
-backtracking step size that guarantees a non-increasing objective.
+takes its penalty parameters from the start point and runs conjugate-gradient
+updates of all blocks at once, each step the exact minimiser of the loss along
+its direction, halved until the objective decreases enough.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import relative_errors
-from .objective import DegenerateInputError, PenaltyParams, coherences, evaluate, grad_total
+from .objective import (DegenerateInputError, Evaluation, PenaltyParams, _formed, _kernel,
+                        coherences, evaluate, grad_total)
 from .operators import (BlockFactorPair, MeasurementEnsemble, ObservationVector, _adjoint_blocks,
-                        _single_basis, _unit_scaled, check_counts)
+                        _single_basis, _unit_scaled, check_counts, component_spectra)
 
 __all__ = [
     "SolverConfig",
@@ -34,9 +35,10 @@ __all__ = [
 ]
 
 
-# Backtracking gives up below this step size; the descent then stops with
-# "no_decrease".
+# A search gives up below this step size; the descent then stops with
+# "no_decrease".  Every _RESTART-th row's search steps along -g.
 _MIN_ETA = 1e-20
+_RESTART = 20
 # The descent stops once its estimated error (`_error_estimate`, which reads
 # the residuals of the last _WINDOW rows at most) is below _ERROR_TOL, or
 # once the gradient norm is below _GRAD_TOL * d^2 (noisy y has a residual
@@ -90,8 +92,8 @@ class SolveTrace:
     """Per-iteration history at the scale `solve` descends in, y / 4^j with
     j = scale_exponent: in y's units f, g and f_tilde are 16^j times these,
     grad_norm 8^j times and eta 4^-j times.  Row 0 is the starting point.
-    eta is the accepted step (0 on row 0 and where a search failed; its
-    search started at eta 2^(evals - 1)), evals the row's objective
+    eta is the accepted step t along the row's search direction (0 on row 0
+    and where a search failed), evals the row's objective
     evaluations (row 0: the start value and its gradient, so 2), rel_err the
     truth's score, made after the descent (NaN without a truth), and err_est
     the estimated error the "residual" stop reads (`_error_estimate`; NaN on
@@ -199,36 +201,47 @@ def initialize(ens: MeasurementEnsemble, y_hat: ObservationVector,
     return init
 
 
-def _apply_step(z: BlockFactorPair, g: BlockFactorPair, eta: float) -> BlockFactorPair:
-    return BlockFactorPair.unchecked(z.channels - eta * g.channels,
-                                     z.coefficients - eta * g.coefficients)
+def _quartic_min(c1: float, c2: float, c3: float, c4: float) -> float:
+    """The t > 0 minimising c1 t + c2 t^2 + c3 t^3 + c4 t^4 (Python floats), a real root of its
+    derivative (Cardano's formula); 0.0 where c4 <= 0, no root is positive or one overflows."""
+    if not c4 > 0.0:
+        return 0.0
+    b, k, e = 0.75 * c3 / c4, 0.5 * c2 / c4, 0.25 * c1 / c4  # t^3 + b t^2 + k t + e
+    p, q = k - b * b / 3, b * (2 * b * b - 9 * k) / 27 + e   # u^3 + p u + q at t = u - b / 3
+    disc = q * q / 4 + p * p * p / 27
+    if not math.isfinite(disc):
+        return 0.0
+    if disc > 0.0:  # one real root A + B, A B = -p / 3: nothing cancels
+        a = -math.copysign((abs(q) / 2 + math.sqrt(disc)) ** (1 / 3), q)
+        us = [a - p / (3 * a)]
+    else:  # three, trigonometrically
+        r = math.sqrt(-p / 3)
+        phi = math.acos(max(-1.0, min(1.0, -q / (2 * r * r * r)))) if r else 0.0
+        us = [2 * r * math.cos((phi - 2 * math.pi * i) / 3) for i in range(3)]
+    ts = [u - b / 3 for u in us if u > b / 3]
+    return min(ts, key=lambda t: (((c4 * t + c3) * t + c2) * t + c1) * t) if ts else 0.0
 
 
-def _backtrack(ens, z, y_hat, p, g, gn_sq, cur, eta):
-    """Halve eta until sufficient decrease; returns (z_new, evaluation at
-    z_new with its gradient, eta, evaluations made), with z, cur and eta 0.0
-    when no decrease is achievable (plateau).  A non-finite trial fails the
-    test and is halved like any other."""
-    evals = 0
-    while eta > _MIN_ETA:
-        trial = _apply_step(z, g, eta)
-        ev = evaluate(ens, trial, y_hat, p, grad=True)
-        evals += 1
-        if ev.f_tilde <= cur.f_tilde - 0.05 * eta * gn_sq:
-            return trial, ev, eta, evals
-        eta *= 0.5
-    return z, cur, 0.0, evals
-
-
-def _next_start(g, g_new, eta, evals, eta0):
-    """Barzilai-Borwein Re<s, y>/||y||^2 (s = -eta g, y = g_new - g) rounded to
-    eta0 2^k; if Re<s, y> <= 0 or y = 0, 2 eta after a 1-trial search, else eta."""
-    yc, yx = g_new.channels - g.channels, g_new.coefficients - g.coefficients
-    sy = -eta * (np.vdot(g.channels, yc).real + np.vdot(g.coefficients, yx).real)
-    yy = np.vdot(yc, yc).real + np.vdot(yx, yx).real
-    if sy > 0.0 and yy > 0.0:
-        return math.ldexp(eta0, round(math.log2(sy / yy / eta0)))
-    return 2.0 * eta if evals == 1 else eta
+def _search(ens, p, z, cur, D, slope):
+    """Search from z along D, slope = Re<g, D> < 0, from the t minimising the quartic F(z + t D)
+    (else 1/(2 N M d)), halving until f~(t) <= f~(0) + 0.05 t slope; trials' spectra and residual
+    by linearity.  Returns (point, its evaluation, t, trials), or z, cur, 0.0 below _MIN_ETA."""
+    sd, cd = component_spectra(ens, D)
+    s, c, r = cur.spectra, cur.coded_spectra, cur.residual
+    a1, a2 = (sd * c + s * cd).sum(axis=1), (sd * cd).sum(axis=1)  # r(t) = r + t a1 + t^2 a2
+    r1, r2, g11, g12, g22 = (float(np.vdot(u, v).real) for u, v in
+                             ((r, a1), (r, a2), (a1, a1), (a1, a2), (a2, a2)))  # Re<u, v>
+    t = _quartic_min(2 * r1, g11 + 2 * r2, 2 * g12, g22) or 0.5 / (ens.dims.N * ens.dims.M * p.d)
+    trials = 0
+    while t > _MIN_ETA:
+        trial = BlockFactorPair.unchecked(z.channels + t * D.channels,
+                                          z.coefficients + t * D.coefficients)
+        ev = _kernel(ens, trial, p, s + t * sd, c + t * cd, r + t * (a1 + t * a2), True)
+        trials += 1
+        if ev.f_tilde <= cur.f_tilde + 0.05 * t * slope:
+            return trial, ev, t, trials
+        t *= 0.5
+    return z, cur, 0.0, trials
 
 
 def _normalize_output(z: BlockFactorPair) -> BlockFactorPair:
@@ -280,41 +293,28 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     is below `_GRAD_TOL` d^2 ("grad_tol"), no step decreases the objective
     ("no_decrease") or max_iters ends it.
 
-    `solve` is blind: its penalty takes mu, nu = `_COHERENCE_MARGIN` times
-    the spectral start's coherences, d_n its leading singular values and
-    rho = d^2.  The truth, its shape checked first, only scores through
-    `relative_errors`: the trace's rel_err column, which no stop reads.  The
-    descent keeps each row's point, and one batched call scores them all
-    after it; a blind solve keeps none.  The "residual" stop reads only f:
-    its estimate r / sqrt(1 - q) takes the residual r = sqrt(f) / ||y|| and
-    the rate q at which r contracted over the last rows, so an ill-conditioned
-    instance, which contracts slowly, descends further than an easy one.
+    `solve` is blind: its penalty takes mu, nu = `_COHERENCE_MARGIN` times the
+    start's coherences, d_n its singular values and rho = d^2.  A truth (its
+    shape checked first) only fills the rel_err column, all rows in one call
+    after the descent.  The "residual" stop reads r / sqrt(1 - q), r = sqrt(f) /
+    ||y|| and q its contraction rate over the last rows: slow instances run on.
 
-    Each iteration evaluates the objective once per step-size trial, with
-    the gradient: the accepted trial's gradient drives the next step, so
-    `grad_total` runs only for the start point.
+    Step rule (nonlinear conjugate gradients): D = -g + beta D_prev, beta =
+    max(0, Re<g, g - g_prev>) / ||g_prev||^2 (Polak-Ribiere+), reset to -g on
+    row 1, every `_RESTART`-th row, at the precision switch, after a failed
+    search and where Re<g, D> >= 0.  `_search` starts at the exact minimiser of
+    the quartic F(z + t D) and halves until the Armijo test holds (a failure
+    along -g stops the descent); `grad_total` runs only for the start.
 
-    Step rule (backtracking): a search halves until the Armijo test holds.
-    The first starts at 2 eta0, eta0 = 1/(2 N M d), every later one at the
-    Barzilai-Borwein step rounded to eta0 2^k (`_next_start`), so y -> s y
-    scales every step by exactly 1/s.  eta0 needs no operator norm:
-    ||A||^2 <= N M.  With z_nm the m-th row of Z_n and f_m the m-th column of
-    F_M, A(Z) = sum_nm f_m * conj(B_n) z_nm is a sum of N M isometries
-    (|f_m| = 1/sqrt(L), ||B_n v|| = sqrt(L) ||v||), so
-    ||A(Z)|| <= sqrt(N M) ||Z||_F by Cauchy-Schwarz.
-
-    The model is homogeneous: y -> s y takes the factors to sqrt(s) times
-    theirs.  The descent therefore runs on y / 4^j, 4^j the power of four
-    nearest ||y||, with the truth scaled to match; the estimate is
-    scaled back by 2^j, and the trace stays at the descent's scale with j
-    as its scale_exponent, so its columns are finite at any scale of y.
+    The model is homogeneous, so the descent runs on y / 4^j, 4^j the power of
+    four nearest ||y||; the estimate is scaled back by 2^j, and the trace stays
+    at the descent's scale, j its scale_exponent, finite at any scale of y.
 
     Above `_SINGLE_BYTES`, the start (its SVD aside) and the descent run on
     complex64 copies of the coded spectra, y and the start, made first, and on
     `_single_basis`.  Below `_SINGLE_GRAD_TOL` d^2, or after a failed search, it
-    goes on in complex128 from the last row's point, cast: the next search steps
-    along that row's gradient and tests against its value, and that row's
-    gradient norm stops nothing.
+    goes on in complex128 from the last row's point, cast, spectra re-formed: the
+    next search steps along -g of that row, whose gradient norm stops nothing.
     """
     cfg = cfg or SolverConfig()
     j = _scale_exponent(y_hat.samples)
@@ -335,9 +335,6 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     p = PenaltyParams(rho=d**2, d=d, d_n=d_n, mu=_COHERENCE_MARGIN * rep.mu,
                       nu=_COHERENCE_MARGIN * rep.nu)
 
-    eta0 = 1.0 / (2.0 * ens.dims.N * ens.dims.M * d)
-    start = 2.0 * eta0  # the first search's first step
-
     y_norm = float(np.linalg.norm(y_hat.samples))
     residuals = []  # sqrt(f) / ||y|| per row
     rows = []  # (f, g, err_est, grad_norm, eta, evals)
@@ -351,34 +348,41 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
             points.append((z.channels, z.coefficients))
         return est
 
+    def dot(a, b):  # Re<a, b>, a Python float: a numpy float64 would promote a complex64 point
+        return float(np.vdot(a.channels, b.channels).real
+                     + np.vdot(a.coefficients, b.coefficients).real)
+
     cur = evaluate(w_ens, z, w_y, p)
     if not np.isfinite(cur.f_tilde):
         raise NumericalFailureError(f"non-finite objective ({cur.f_tilde}) at the start point")
     g = grad_total(w_ens, z, w_y, p)
     est = record(cur, np.nan, 0.0, 2)
-    stop, switch_row, failed = "max_iters", None, False
+    stop, switch_row, failed, D = "max_iters", None, False, None
     while len(rows) <= cfg.max_iters:
         if est < _ERROR_TOL:
             stop = "residual"
             break
-        gn_sq = float(np.vdot(g.channels, g.channels).real
-                      + np.vdot(g.coefficients, g.coefficients).real)
-        gn = np.sqrt(gn_sq)
+        gn_sq = dot(g, g)
+        gn = math.sqrt(gn_sq)
         if w_ens is not ens and (failed or gn < _SINGLE_GRAD_TOL * d**2):
-            w_ens, w_y, z, switch_row = ens, y_hat, z.astype(complex), len(rows) - 1
+            w_ens, w_y, z, switch_row, D = ens, y_hat, z.astype(complex), len(rows) - 1, None
+            cur = Evaluation(cur.f, cur.g, None, *_formed(ens, z, y_hat))  # no float32 drift
         elif gn < _GRAD_TOL * d**2:
             stop = "grad_tol"
             break
-        z, cur, eta, evals = _backtrack(w_ens, z, w_y, p, g, gn_sq, cur, start)
-        if eta == 0.0:
-            est = record(cur, gn, 0.0, evals)
-            if failed := w_ens is not ens:
-                continue
+        if conjugate := D is not None and not failed and len(rows) % _RESTART:  # Polak-Ribiere+
+            beta = max(0.0, (gn_sq - dot(g, g_prev)) / gp_sq)
+            D = BlockFactorPair.unchecked(beta * D.channels - g.channels,
+                                          beta * D.coefficients - g.coefficients)
+        if steepest := not conjugate or (slope := dot(g, D)) >= 0.0:
+            D, slope = BlockFactorPair.unchecked(-g.channels, -g.coefficients), -gn_sq
+        z, cur, eta, evals = _search(w_ens, p, z, cur, D, slope)
+        est = record(cur, gn, eta, evals)
+        if not (failed := eta == 0.0):
+            g_prev, gp_sq, g = g, gn_sq, cur.grad
+        elif w_ens is ens and steepest:
             stop = "no_decrease"
             break
-        start = _next_start(g, cur.grad, eta, evals, eta0)
-        g = cur.grad
-        est = record(cur, gn, eta, evals)
 
     f, g, err_est, grad_norm, eta, evals = np.array(rows, dtype=float).T
     rel_err = np.full(len(rows), np.nan)

@@ -18,6 +18,7 @@ import moddemix
 import moddemix.solver as solver_module
 from conftest import make_instance, random_pair
 from moddemix.harness import SUCCESS_THRESHOLD
+from moddemix import objective
 from moddemix.instances import relative_error
 from moddemix.objective import (
     DegenerateInputError,
@@ -383,9 +384,10 @@ class TestSolve:
         assert trace.evals[0] == 2  # the start value and its gradient
         assert np.isnan(trace.err_est[0]) and np.all(trace.err_est[1:] > 0.0)
 
-    def test_non_finite_trial_is_rejected(self):
-        """A backtracking trial whose point overflows fails the Armijo test
-        and is halved like any other."""
+    def test_non_finite_trial_is_rejected(self, monkeypatch):
+        """A search trial whose point overflows fails the Armijo test and is
+        halved like any other: here the search starts at 1e308 in place of
+        the quartic's minimiser."""
         ens, truth, obs = make_instance(EASY, seed=1)
         obs = ObservationVector(1e12 * obs.samples)  # gradient entries near 1e16
         rep = coherences(ens, truth)
@@ -394,13 +396,13 @@ class TestSolve:
         p = PenaltyParams(rho=d**2, d=d, d_n=init.d_n, mu=rep.mu, nu=rep.nu)
         z = init.start
         cur = evaluate(ens, z, obs, p, grad=True)
-        g = cur.grad
-        gn_sq = float(np.linalg.norm(g.channels) ** 2 + np.linalg.norm(g.coefficients) ** 2)
+        D = BlockFactorPair(-cur.grad.channels, -cur.grad.coefficients)
+        slope = -float(np.linalg.norm(D.channels) ** 2 + np.linalg.norm(D.coefficients) ** 2)
+        monkeypatch.setattr(solver_module, "_quartic_min", lambda *c: 1e308)
         with np.errstate(all="ignore"):
-            trial = solver_module._apply_step(z, g, 1e308)
-            assert not np.all(np.isfinite(trial.channels))
-            new, ev, eta, evals = solver_module._backtrack(ens, z, obs, p, g, gn_sq, cur, 1e308)
-        assert 0.0 < eta < 1e308 and evals > 1
+            assert not np.all(np.isfinite(z.channels + 1e308 * D.channels))
+            new, ev, t, trials = solver_module._search(ens, p, z, cur, D, slope)
+        assert 0.0 < t < 1e308 and trials > 1
         assert np.isfinite(ev.f_tilde) and ev.f_tilde < cur.f_tilde
         assert np.all(np.isfinite(new.channels)) and np.all(np.isfinite(new.coefficients))
 
@@ -457,7 +459,7 @@ class TestSolve:
             lead = est.channels[n][np.nonzero(est.channels[n])[0][0]]
             assert abs(lead.imag) < 1e-10 * abs(lead)
 
-    @pytest.mark.parametrize("dims,seed,iterations", [(TWO, 2, 8), (EASY, 1, 4)])
+    @pytest.mark.parametrize("dims,seed,iterations", [(TWO, 2, 6), (EASY, 1, 3)])
     def test_pinned_iteration_count(self, dims, seed, iterations):
         """Step acceptance and stopping are part of the contract: the same
         seeded solves take the same number of iterations."""
@@ -466,33 +468,37 @@ class TestSolve:
         assert (trace.iterations, trace.stop_reason) == (iterations, "residual")
 
     def test_one_evaluation_per_step_trial(self, monkeypatch):
-        """grad_total runs once, at the start point; every other evaluate is
-        a backtracking trial, whose gradient is reused when it is accepted,
-        so no accepted point is evaluated a second time."""
-        points, grad_points, steps = [], [], []
+        """The start is evaluated twice, its value (`evaluate`) and its
+        gradient (`grad_total`); every other evaluation is a search trial,
+        with its gradient, whose gradient is reused when it is accepted, so
+        no accepted point is evaluated a second time.  Each search forms
+        only its direction's spectra: one spectra product per search, none
+        per trial."""
+        points, grad_points, trials, spectra = [], [], [], []
 
         def spy(fn, seen):
             def wrapper(ens, z, *args, **kwargs):
-                seen.append((z, kwargs.get("grad", False)))
+                seen.append((z, kwargs.get("grad", args[-1] if len(args) == 5 else False)))
                 return fn(ens, z, *args, **kwargs)
             return wrapper
 
-        apply_step = solver_module._apply_step
         monkeypatch.setattr(solver_module, "evaluate", spy(solver_module.evaluate, points))
         monkeypatch.setattr(solver_module, "grad_total",
                             spy(solver_module.grad_total, grad_points))
-        monkeypatch.setattr(solver_module, "_apply_step",
-                            lambda *args: steps.append(1) or apply_step(*args))
+        monkeypatch.setattr(solver_module, "_kernel", spy(solver_module._kernel, trials))
+        monkeypatch.setattr(solver_module, "component_spectra",
+                            spy(solver_module.component_spectra, spectra))
         ens, truth, obs = make_instance(TWO, seed=2)
         _, trace = solve(ens, obs, SolverConfig(), truth=truth)
-        assert (trace.iterations, trace.stop_reason) == (8, "residual")
-        assert len(grad_points) == 1 and grad_points[0][0] is points[0][0]
-        assert len(points) + len(grad_points) == trace.evals.sum()
-        assert len(points) == 1 + len(steps) and len(steps) >= trace.iterations
-        assert [g for _, g in points] == [False] + [True] * len(steps)
+        assert (trace.iterations, trace.stop_reason) == (6, "residual")
+        assert len(grad_points) == len(points) == 1 and grad_points[0][0] is points[0][0]
+        assert not points[0][1]
+        assert len(points) + len(grad_points) + len(trials) == trace.evals.sum()
+        assert all(g for _, g in trials) and len(trials) >= trace.iterations
+        assert len(spectra) == trace.iterations
         stacked = [np.concatenate([z.channels.ravel(), z.coefficients.ravel()])
-                   for z, _ in points]
-        assert len({a.tobytes() for a in stacked}) == len(points)
+                   for z, _ in points + trials]
+        assert len({a.tobytes() for a in stacked}) == len(stacked)
 
     @pytest.mark.parametrize("dims", [EASY, TWO, Dimensions(L=48, Q=24, M=5, K=3, N=3)],
                              ids=str)
@@ -528,9 +534,10 @@ class TestSolve:
             assert np.linalg.norm(out.lifted_block(n) - block) <= 1e-12 * np.linalg.norm(block)
 
     def test_evaluations_per_iteration(self):
-        """The step searches of desk seeds 0-3 make 40 evaluations over 38
-        iterations (48 with row 0's two); starting each search at 2 eta or
-        eta they made 62 over 45."""
+        """The exact-step searches of desk seeds 0-3 make 24 evaluations over
+        24 iterations (32 with row 0's two); the former Barzilai-Borwein
+        starts made 40 over 38, and starting each search at 2 eta or eta 62
+        over 45."""
         evals = iterations = 0
         for seed in range(4):
             ens, truth, obs = make_instance(DESK, seed=seed)
@@ -551,48 +558,17 @@ class TestSolve:
         est, trace = solve(ens, obs, SolverConfig(max_iters=max_iters), truth=truth)
         assert abs(trace.rel_err[-1] - relative_error(est, truth)) <= 1e-12
 
-    def test_search_starts_at_the_rounded_bb_step(self, monkeypatch):
-        """TWO seed 2: the first search starts at 2 eta0, eta0 = 1/(2 N M d);
-        every later one at the Barzilai-Borwein step Re<s, y> / ||y||^2
-        (s = -eta g, y the change in the gradient) rounded to the nearest
-        eta0 2^k.  A search's start is read back from the trace as
-        eta * 2^(evals - 1)."""
-        searches = []
-        backtrack = solver_module._backtrack
-
-        def spy(ens, z, y_hat, p, g, gn_sq, cur, eta):
-            out = backtrack(ens, z, y_hat, p, g, gn_sq, cur, eta)
-            searches.append((g, eta, out[2]))
-            return out
-
-        monkeypatch.setattr(solver_module, "_backtrack", spy)
-        ens, truth, obs = make_instance(TWO, seed=2)
-        rep = coherences(ens, truth)
-        d = float(np.linalg.norm(initialize(ens, obs, rep.mu, rep.nu).d_n))
-        eta0 = 1.0 / (2.0 * TWO.N * TWO.M * d)
-        _, trace = solve(ens, obs, SolverConfig(), truth=truth)
-        starts = trace.eta[1:] * 2.0 ** (trace.evals[1:] - 1)
-        k = np.log2(starts / eta0)
-        np.testing.assert_allclose(k, np.round(k), atol=1e-9)
-        assert np.round(k[0]) == 1 and np.max(k) > 1
-        # the same searches at the solve's own scale
-        eta0 = searches[0][1] / 2.0
-        for (g, _, eta), (g_new, start, _) in zip(searches, searches[1:]):
-            y = np.concatenate([(g_new.channels - g.channels).ravel(),
-                                (g_new.coefficients - g.coefficients).ravel()])
-            s = -eta * np.concatenate([g.channels.ravel(), g.coefficients.ravel()])
-            bb = np.vdot(s, y).real / np.vdot(y, y).real
-            assert bb > 0.0
-            assert np.log2(start / eta0) == np.round(np.log2(start / eta0))
-            assert abs(np.log2(start / bb)) <= 0.5 + 1e-12
-
-    def test_search_start_fallback(self, rng):
-        """Where Re<s, y> <= 0 or y = 0 the next search starts at 2 eta after
-        a first-trial accept and at eta after a halving."""
-        g = random_pair(TWO, rng)
-        for g_new in (g, BlockFactorPair(2.0 * g.channels, 2.0 * g.coefficients)):
-            assert solver_module._next_start(g, g_new, 0.25, 1, 1e-3) == 0.5
-            assert solver_module._next_start(g, g_new, 0.25, 3, 1e-3) == 0.25
+    def test_search_start_fallback(self, monkeypatch):
+        """Where the quartic's derivative has no positive root, where c4 is
+        not positive, or where a coefficient of its monic cubic overflows,
+        `_quartic_min` gives 0, and the search starts at eta0 instead."""
+        for c in ((1.0, 1.0, 0.0, 1.0), (1.0, 0.5, 0.5, 2.0), (-1.0, 1.0, 0.0, 0.0),
+                  (0.0, 0.0, 0.0, 0.0), (-1.0, np.nan, 0.0, 1.0), (-1.0, 1.0, 1e300, 1e-300)):
+            assert solver_module._quartic_min(*c) == 0.0
+        ens, obs, p, z, cur, D, slope = _desk_search_point()
+        monkeypatch.setattr(solver_module, "_quartic_min", lambda *c: 0.0)
+        _, _, t, trials = solver_module._search(ens, p, z, cur, D, slope)
+        assert (t, trials) == (1.0 / (2.0 * DESK.N * DESK.M * p.d), 1)
 
     def test_grid_cell_converges_within_budget(self):
         """The desk phase-grid cell L=320, Q=160, K=M=18 recovers on all four
@@ -614,19 +590,20 @@ class TestSolve:
             solve(ens, obs, SolverConfig(), truth=truth)
 
     def test_no_decrease_stop(self, monkeypatch):
-        """When every step trial is non-finite, the search halves from 2 eta0
-        down to _MIN_ETA and gives up: TWO seed 5 stops on "no_decrease" at
-        iteration 1, with eta 0, 63 trials and the start's rel_err."""
+        """When every search trial is non-finite, the search halves from the
+        quartic's minimiser t* down to _MIN_ETA and gives up, after one trial
+        per halving above it: TWO seed 5 stops on "no_decrease" at iteration
+        1, with eta 0, 66 trials and the start's rel_err.  Its first search
+        steps along -g, so no other direction is left to try."""
         ens, truth, obs = make_instance(TWO, seed=5)
-        real = solver_module.evaluate
-
-        def steps_fail(*args, grad=False):
-            return Evaluation(np.inf, 0.0) if grad else real(*args)
-
-        monkeypatch.setattr(solver_module, "evaluate", steps_fail)
+        starts, quartic_min = [], solver_module._quartic_min
+        monkeypatch.setattr(solver_module, "_quartic_min",
+                            lambda *c: starts.append(quartic_min(*c)) or starts[-1])
+        monkeypatch.setattr(solver_module, "_kernel", lambda *args: Evaluation(np.inf, 0.0))
         _, trace = solve(ens, obs, SolverConfig(), truth=truth)
         assert (trace.stop_reason, trace.iterations) == ("no_decrease", 1)
-        assert (trace.eta[-1], trace.evals[-1]) == (0.0, 63)
+        assert (trace.eta[-1], trace.evals[-1]) == (0.0, 66)
+        assert trace.evals[-1] == 1 + math.floor(math.log2(starts[0] / solver_module._MIN_ETA))
         assert trace.rel_err[-1] == trace.rel_err[0]
 
     @pytest.mark.filterwarnings("error")
@@ -634,14 +611,12 @@ class TestSolve:
         """f = 0 stops the descent at once, with err_est 0 and no 0/0: at the
         start, which has no window, and at row 1, whose window is one row."""
         ens, _, obs = make_instance(TWO, seed=5)
-        real = solver_module.evaluate
-        for at_start in (True, False):
-            def exact(*args, grad=False, at_start=at_start):
-                ev = real(*args, grad=grad)
-                return Evaluation(0.0, ev.g, ev.grad) if grad != at_start else ev
-
-            monkeypatch.setattr(solver_module, "evaluate", exact)
+        for at_start, name in ((True, "evaluate"), (False, "_kernel")):
+            real = getattr(solver_module, name)
+            monkeypatch.setattr(solver_module, name, lambda *args, real=real, **kwargs:
+                                dataclasses.replace(real(*args, **kwargs), f=0.0))
             _, trace = solve(ens, obs, SolverConfig())
+            monkeypatch.undo()
             row = 0 if at_start else 1
             assert (trace.stop_reason, trace.iterations) == ("residual", row)
             assert trace.err_est[row] == 0.0
@@ -655,7 +630,7 @@ class TestSolve:
 
         def tiny_start(*args, grad=False):
             ev = real(*args, grad=grad)
-            return ev if grad else Evaluation(1e-30 * ev.f, ev.g)
+            return dataclasses.replace(ev, f=1e-30 * ev.f)
 
         monkeypatch.setattr(solver_module, "evaluate", tiny_start)
         _, trace = solve(ens, obs, SolverConfig())
@@ -686,7 +661,7 @@ class TestSolve:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
     def test_scale_equivariant(self, scale):
-        """y * s takes the same path as y (TWO seed 5: 11 iterations to the
+        """y * s takes the same path as y (TWO seed 5: 6 iterations to the
         residual stop) and returns sqrt(s) times its estimate.  Its trace is
         at its own scale: with r = s 4^-j, f_tilde is r^2 times y's, grad_norm
         r^1.5 times and eta 1/r times."""
@@ -696,8 +671,8 @@ class TestSolve:
         est, trace = solve(ens, ObservationVector(scale * obs.samples), SolverConfig(),
                            truth=BlockFactorPair(root * truth.channels,
                                                  root * truth.coefficients))
-        assert (ref_trace.iterations, ref_trace.stop_reason) == (11, "residual")
-        assert (trace.iterations, trace.stop_reason) == (11, "residual")
+        assert (ref_trace.iterations, ref_trace.stop_reason) == (6, "residual")
+        assert (trace.iterations, trace.stop_reason) == (6, "residual")
         np.testing.assert_array_equal(trace.evals, ref_trace.evals)
         for got, want in [(est.channels, ref.channels),
                           (est.coefficients, ref.coefficients)]:
@@ -791,32 +766,22 @@ class TestSolve:
         assert out.stdout.split() == []
 
 
-def _dtype_spy(monkeypatch) -> list:
-    """Rebind the solver's evaluate so each call appends z's dtype to the
-    returned list (the start's gradient, from grad_total, does not pass it)."""
-    real, seen = solver_module.evaluate, []
+def _kernel_spy(monkeypatch, fail_single_trials=False) -> list:
+    """Rebind the objective kernel, in objective and in the solver, so each
+    call appends its point's dtype to the returned list: every evaluation of
+    a solve, the start's value and gradient included.  With
+    fail_single_trials, every complex64 search trial is non-finite."""
+    real, seen = objective._kernel, []
 
-    def spy(ens, z, y_hat, p, grad=False):
+    def spy(ens, z, p, spectra, coded_spectra, residual, grad):
         seen.append(z.channels.dtype)
-        return real(ens, z, y_hat, p, grad=grad)
-
-    monkeypatch.setattr(solver_module, "evaluate", spy)
-    return seen
-
-
-def _fail_single_steps(monkeypatch) -> list:
-    """Rebind the solver's evaluate so every complex64 step trial is
-    non-finite; each call appends z's dtype to the returned list."""
-    real, calls = solver_module.evaluate, []
-
-    def single_steps_fail(ens, z, y_hat, p, grad=False):
-        calls.append(z.channels.dtype)
-        if grad and z.channels.dtype == np.complex64:  # a step trial
+        if fail_single_trials and z.channels.dtype == np.complex64 and len(seen) > 2:
             return Evaluation(np.inf, 0.0)
-        return real(ens, z, y_hat, p, grad=grad)
+        return real(ens, z, p, spectra, coded_spectra, residual, grad)
 
-    monkeypatch.setattr(solver_module, "evaluate", single_steps_fail)
-    return calls
+    monkeypatch.setattr(objective, "_kernel", spy)
+    monkeypatch.setattr(solver_module, "_kernel", spy)
+    return seen
 
 
 class TestSinglePrecision:
@@ -830,7 +795,7 @@ class TestSinglePrecision:
         The working copies come first: the spectral start's adjoint and
         `coherences` run on them too, at paper scale on the cached complex64
         basis, and no solve casts the ensemble's own basis."""
-        seen = _dtype_spy(monkeypatch)
+        seen = _kernel_spy(monkeypatch)
         starts, bases = [], []
         adjoint, coherence = solver_module._adjoint_blocks, solver_module.coherences
 
@@ -922,7 +887,7 @@ class TestSinglePrecision:
         search is complex64 and every later one complex128, they stop on
         "grad_tol", and f_tilde does not rise by more than criterion 8's slack
         of 1e-12 max(1, f_tilde[0])."""
-        seen = _dtype_spy(monkeypatch)
+        seen = _kernel_spy(monkeypatch)
         for seed in range(3):
             seen.clear()
             ens, truth, obs = make_instance(PAPER, seed=seed, snr_db=10.0)
@@ -930,25 +895,50 @@ class TestSinglePrecision:
             assert trace.stop_reason == "grad_tol" and trace.switch_row is not None
             slack = 1e-12 * max(1.0, float(trace.f_tilde[0]))
             assert np.max(np.diff(trace.f_tilde)) <= slack
-            # the start's gradient (grad_total) does not pass the spy
-            single = int(trace.evals[:trace.switch_row + 1].sum()) - 1
+            single = int(trace.evals[:trace.switch_row + 1].sum())
             assert seen == [np.complex64] * single + [np.complex128] * (len(seen) - single)
-            assert len(seen) + 1 == trace.evals.sum()
+            assert len(seen) == trace.evals.sum()
             assert np.all(np.isfinite(trace.rel_err))
+
+    @pytest.mark.parametrize("seed,snr_db", [(0, 10.0), (1, None)])
+    def test_kernel_reads_complex64_before_the_switch(self, monkeypatch, seed, snr_db):
+        """Every evaluation before the switch row's successor, search trials
+        included, reads a complex64 point, complex64 spectra and a complex64
+        residual: the step t and the direction's beta are Python floats, as a
+        numpy float64 would promote the iterate to complex128.  Noisy seed 0
+        switches; noiseless seed 1 never does."""
+        real, seen = objective._kernel, []
+
+        def spy(ens, z, p, *formed_and_grad):
+            seen.append({a.dtype for a in (z.channels, z.coefficients, *formed_and_grad[:3])})
+            return real(ens, z, p, *formed_and_grad)
+
+        monkeypatch.setattr(objective, "_kernel", spy)
+        monkeypatch.setattr(solver_module, "_kernel", spy)
+        ens, _, obs = make_instance(PAPER, seed=seed, snr_db=snr_db)
+        _, trace = solve(ens, obs, SolverConfig())
+        assert (trace.switch_row is None) == (snr_db is None)
+        rows = trace.iterations + 1 if trace.switch_row is None else trace.switch_row + 1
+        single = int(trace.evals[:rows].sum())
+        assert single >= rows + 1 and len(seen) == trace.evals.sum()
+        assert seen[:single] == [{np.dtype(np.complex64)}] * single
+        assert all(dt == {np.dtype(np.complex128)} for dt in seen[single:])
 
     def test_first_complex128_search_accepts_nothing_above_the_row(self, monkeypatch):
         """The switch is a cast: the first complex128 search steps from the
-        switch row's point, cast to complex128, along that row's complex64
-        gradient, and tests sufficient decrease against the row's own value."""
+        switch row's point, cast to complex128, along minus that row's
+        complex64 gradient, and tests sufficient decrease against the row's
+        own value, with spectra and residual formed anew from the cast
+        point."""
         searches = []
-        backtrack = solver_module._backtrack
+        search = solver_module._search
 
-        def spy(ens, z, y_hat, p, g, gn_sq, cur, eta):
-            out = backtrack(ens, z, y_hat, p, g, gn_sq, cur, eta)
-            searches.append((z.channels.dtype, g, cur, out[1]))
+        def spy(ens, p, z, cur, D, slope):
+            out = search(ens, p, z, cur, D, slope)
+            searches.append((z.channels.dtype, z, D, cur, out[1], p))
             return out
 
-        monkeypatch.setattr(solver_module, "_backtrack", spy)
+        monkeypatch.setattr(solver_module, "_search", spy)
         ens, _, obs = make_instance(PAPER, seed=0, snr_db=10.0)
         _, trace = solve(ens, obs, SolverConfig())
         k = trace.switch_row
@@ -956,29 +946,33 @@ class TestSinglePrecision:
         # search i makes row i + 1, so row k's evaluation is search k - 1's
         assert [dt for dt, *_ in searches] == [np.complex64] * k + [np.complex128] * (
             len(searches) - k)
-        _, g, first, _ = searches[k]
-        row = searches[k - 1][3]
+        _, z, D, first, _, p = searches[k]
+        row = searches[k - 1][4]
         assert first.f_tilde == trace.f_tilde[k] == row.f_tilde
-        for got, want in ((g.channels, row.grad.channels),
-                          (g.coefficients, row.grad.coefficients)):
+        for got, want in ((D.channels, -row.grad.channels),
+                          (D.coefficients, -row.grad.coefficients)):
             np.testing.assert_array_equal(got, want)
+        fresh = evaluate(ens, z, ObservationVector(obs.samples * 4.0**-trace.scale_exponent), p)
+        for name in ("spectra", "coded_spectra", "residual"):
+            assert getattr(first, name).dtype == np.complex128
+            np.testing.assert_array_equal(getattr(first, name), getattr(fresh, name))
         assert trace.f_tilde[k + 1] <= trace.f_tilde[k]
 
     def test_failed_search_switches(self, monkeypatch):
         """A complex64 search that finds no decrease (here every complex64
         trial is non-finite) is a row with eta 0 and its own trials as evals;
         the descent goes on in complex128 from its point and recovers."""
-        calls = _fail_single_steps(monkeypatch)
+        calls = _kernel_spy(monkeypatch, fail_single_trials=True)
         ens, truth, obs = make_instance(PAPER, seed=1)
         est, trace = solve(ens, obs, SolverConfig(), truth=truth)
-        # the start's value passes the spy, its gradient (grad_total) does not
-        trials = calls.count(np.complex64) - 1
+        # the start's value and gradient are complex64 too
+        trials = calls.count(np.complex64) - 2
         assert trace.switch_row == 1 and trace.eta[1] == 0.0
-        assert trace.evals[1] == trials == 62
+        assert trace.evals[1] == trials == 66
         assert trace.f_tilde[1] == trace.f_tilde[0]
-        assert set(calls[trials + 1:]) == {np.dtype(np.complex128)}
+        assert set(calls[trials + 2:]) == {np.dtype(np.complex128)}
         assert trace.stop_reason == "residual" and relative_error(est, truth) < SUCCESS_THRESHOLD
-        assert trace.evals.sum() == len(calls) + 1
+        assert trace.evals.sum() == len(calls)
 
     @pytest.mark.parametrize("seed,snr_db,fail", [(0, 10.0, False), (1, 10.0, False),
                                                   (2, 10.0, False), (1, None, True)])
@@ -988,16 +982,16 @@ class TestSinglePrecision:
         gradient norm is a complex64 one: noisy switching solves and the
         forced-failure solve of `test_failed_search_switches`."""
         counts = []
-        backtrack = solver_module._backtrack
+        search = solver_module._search
 
         def spy(*args):
-            out = backtrack(*args)
+            out = search(*args)
             counts.append(out[3])
             return out
 
-        monkeypatch.setattr(solver_module, "_backtrack", spy)
+        monkeypatch.setattr(solver_module, "_search", spy)
         if fail:
-            _fail_single_steps(monkeypatch)
+            _kernel_spy(monkeypatch, fail_single_trials=True)
         ens, _, obs = make_instance(PAPER, seed=seed, snr_db=snr_db)
         _, trace = solve(ens, obs, SolverConfig())
         assert trace.switch_row is not None and trace.iterations > trace.switch_row
@@ -1078,3 +1072,103 @@ class TestScaleProperty:
             assert (trace.iterations, trace.stop_reason) == (ref.iterations, ref.stop_reason)
             np.testing.assert_array_equal(trace.evals, ref.evals)
             _assert_rescaled(trace, ref, s, rtol=1e-9)
+
+
+def _desk_search_point(seed=0):
+    """The desk instance's spectral start in complex128, solve's penalty
+    at it (G = 0 there), its evaluation with gradient, and a descent
+    direction D = -g + a random pair, with its slope Re<g, D> < 0."""
+    ens, _, obs = make_instance(DESK, seed=seed)
+    init = solver_module._spectral_start(ens, obs)
+    z, d = init.start, float(np.linalg.norm(init.d_n))
+    rep = coherences(ens, z)
+    p = PenaltyParams(rho=d**2, d=d, d_n=init.d_n, mu=1.5 * rep.mu, nu=1.5 * rep.nu)
+    cur = evaluate(ens, z, obs, p, grad=True)
+    g, rand = cur.grad, random_pair(DESK, np.random.default_rng(seed), scale=0.1)
+    D = BlockFactorPair(rand.channels - g.channels, rand.coefficients - g.coefficients)
+    slope = float(np.vdot(g.channels, D.channels).real + np.vdot(g.coefficients, D.coefficients).real)
+    assert cur.g == 0.0 and slope < 0.0
+    return ens, obs, p, z, cur, D, slope
+
+
+def _along(z, D, t):
+    return BlockFactorPair(z.channels + t * D.channels, z.coefficients + t * D.coefficients)
+
+
+class TestExactStep:
+    """The search's step along a direction D, in complex128 on the desk
+    instance (L=Q=320, M=K=8, N=2): F(z + t D) is the quartic
+    f + c1 t + c2 t^2 + c3 t^3 + c4 t^4, and the search starts at its
+    positive minimiser."""
+
+    def _coefficients(self, monkeypatch):
+        ens, obs, p, z, cur, D, slope = _desk_search_point()
+        seen, quartic_min = [], solver_module._quartic_min
+        monkeypatch.setattr(solver_module, "_quartic_min",
+                            lambda *c: seen.append(c) or quartic_min(*c))
+        solver_module._search(ens, p, z, cur, D, slope)
+        return ens, obs, p, z, cur, D, seen[0]
+
+    def test_quartic_is_the_loss_along_the_direction(self, monkeypatch):
+        """With G = 0, the quartic's f(t) is evaluate's f at z + t D to 1e-12
+        relative at three steps, and c1 = 2 Re<g, D>, the slope."""
+        ens, obs, p, z, cur, D, c = self._coefficients(monkeypatch)
+        g = cur.grad
+        slope = np.vdot(g.channels, D.channels).real + np.vdot(g.coefficients, D.coefficients).real
+        assert all(type(ci) is float for ci in c)
+        assert c[0] == pytest.approx(2 * slope, rel=1e-10)
+        for t in (0.05, 0.4, 1.3):
+            quartic = cur.f + sum(ci * t ** (i + 1) for i, ci in enumerate(c))
+            assert quartic == pytest.approx(evaluate(ens, _along(z, D, t), obs, p).f, rel=1e-12)
+
+    def test_start_is_the_positive_minimiser(self, monkeypatch):
+        """t* > 0 is a root of the quartic's derivative, and evaluate's
+        f at t* (1 +- 1e-3) is no lower than at t*."""
+        ens, obs, p, z, cur, D, c = self._coefficients(monkeypatch)
+        t = solver_module._quartic_min(*c)
+        assert type(t) is float and t > 0.0
+        c1, c2, c3, c4 = c
+        assert abs(c1 + 2 * c2 * t + 3 * c3 * t**2 + 4 * c4 * t**3) <= 1e-9 * abs(c1)
+        f = [evaluate(ens, _along(z, D, s * t), obs, p).f for s in (1.0, 1 - 1e-3, 1 + 1e-3)]
+        assert f[0] <= f[1] and f[0] <= f[2]
+
+    @pytest.mark.parametrize("c,t", [((-6.0, 0.0, 0.0, 1.0), 1.5 ** (1 / 3)),
+                                     ((-32.0, 28.0, -28 / 3, 1.0), 4.0)])
+    def test_closed_form_roots(self, c, t):
+        """-6 t + t^4 has one real critical point, t^3 = 1.5.  The
+        derivative 4 (t - 1)(t - 2)(t - 4) has three: the quartic has local
+        minima at 1 and 4, and the lower, at 4, is taken."""
+        assert solver_module._quartic_min(*c) == pytest.approx(t, rel=1e-12)
+
+    def test_search_writes_no_operand(self, monkeypatch):
+        """The search reads the evaluation it starts from and writes none of
+        its spectra or residual: they may be read-only."""
+        ens, obs, p, z, cur, D, slope = _desk_search_point()
+        for a in (cur.spectra, cur.coded_spectra, cur.residual):
+            a.setflags(write=False)
+        new, ev, t, trials = solver_module._search(ens, p, z, cur, D, slope)
+        assert t > 0.0 and trials == 1 and ev.f_tilde < cur.f_tilde
+
+    def test_carried_residual_matches_a_fresh_one(self, monkeypatch):
+        """After 400 iterations (the criterion-6 cell L=320, Q=80, K=22, M=22,
+        base seed 0, trial 2, which runs to max_iters), the residual the
+        descent carried by linearity agrees with one formed afresh at the
+        last point to 1e-10 relative."""
+        from moddemix.harness import SweepGrid, TrialSpec, _derive_seed
+        from moddemix.instances import synthesize
+        cells = SweepGrid().cells()
+        ci = next(i for i, d in enumerate(cells) if (d.Q, d.K, d.M) == (80, 22, 22))
+        ens, _, obs = synthesize(TrialSpec(cells[ci], seed=_derive_seed(0, ci, 2)))
+        last, real = [], solver_module._kernel
+
+        def spy(ens, z, p, spectra, coded_spectra, residual, grad):
+            last[:] = [z, p, residual]
+            return real(ens, z, p, spectra, coded_spectra, residual, grad)
+
+        monkeypatch.setattr(solver_module, "_kernel", spy)
+        _, trace = solve(ens, obs, SolverConfig(max_iters=400))
+        assert (trace.iterations, trace.stop_reason, trace.switch_row) == (400, "max_iters", None)
+        z, p, carried = last
+        y = ObservationVector(obs.samples * 4.0**-trace.scale_exponent)
+        fresh = evaluate(ens, z, y, p).residual
+        assert np.linalg.norm(carried - fresh) <= 1e-10 * np.linalg.norm(fresh)
