@@ -1,11 +1,10 @@
-"""Spectral initialization and regularized Wirtinger gradient descent.
+"""Spectral initialization and regularized Wirtinger conjugate-gradient descent.
 
 The spectral start is the exact leading singular triple (one stacked SVD)
 of each back-projected M x K observation block; `initialize` pushes it into the
 incoherent set by a convex projection.  `solve` needs no ground truth: it
-takes its penalty parameters from the start point and runs conjugate-gradient
-updates of all blocks at once, each step the exact minimiser of the loss along
-its direction, halved until the objective decreases enough.
+takes its penalty parameters from the start point and updates all blocks at
+once, each step from the exact minimiser of the loss along its direction.
 """
 
 from __future__ import annotations
@@ -92,13 +91,13 @@ class SolveTrace:
     """Per-iteration history at the scale `solve` descends in, y / 4^j with
     j = scale_exponent: in y's units f, g and f_tilde are 16^j times these,
     grad_norm 8^j times and eta 4^-j times.  Row 0 is the starting point.
-    eta is the accepted step t along the row's search direction (0 on row 0
-    and where a search failed), evals the row's objective
-    evaluations (row 0: the start value and its gradient, so 2), rel_err the
-    truth's score, made after the descent (NaN without a truth), and err_est
-    the estimated error the "residual" stop reads (`_error_estimate`; NaN on
-    row 0 unless f = 0 there).  switch_row is the row `solve` went on from in
-    complex128 (None: no switch)."""
+    eta is the accepted step t along the row's direction (0 on row 0 and where
+    a search failed), evals the row's objective evaluations (row 0: the start
+    value and its gradient, so 2), rel_err the truth's score, made after the
+    descent (NaN without a truth), and err_est the estimated error the
+    "residual" stop reads (`_error_estimate`; NaN on row 0 unless f = 0
+    there).  switch_row is the row `solve` went on from in complex128 (None:
+    no switch)."""
 
     f: np.ndarray
     g: np.ndarray
@@ -366,7 +365,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
         gn = math.sqrt(gn_sq)
         if w_ens is not ens and (failed or gn < _SINGLE_GRAD_TOL * d**2):
             w_ens, w_y, z, switch_row, D = ens, y_hat, z.astype(complex), len(rows) - 1, None
-            cur = Evaluation(cur.f, cur.g, None, *_formed(ens, z, y_hat))  # no float32 drift
+            cur = Evaluation(cur.f, cur.g, None, *_formed(ens, z, y_hat))  # drop float32 drift
         elif gn < _GRAD_TOL * d**2:
             stop = "grad_tol"
             break
