@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 import moddemix
 import moddemix.solver as solver_module
 from conftest import make_instance, random_pair
-from moddemix.harness import SUCCESS_THRESHOLD
 from moddemix import objective
-from moddemix.instances import relative_error
+from moddemix.harness import SUCCESS_THRESHOLD, SweepGrid, TrialSpec, _derive_seed
+from moddemix.instances import relative_error, synthesize
 from moddemix.objective import (
     DegenerateInputError,
     Evaluation,
@@ -477,9 +477,9 @@ class TestSolve:
         points, grad_points, trials, spectra = [], [], [], []
 
         def spy(fn, seen):
-            def wrapper(ens, z, *args, **kwargs):
-                seen.append((z, kwargs.get("grad", args[-1] if len(args) == 5 else False)))
-                return fn(ens, z, *args, **kwargs)
+            def wrapper(*args, **kwargs):
+                seen.append((args, kwargs))
+                return fn(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(solver_module, "evaluate", spy(solver_module.evaluate, points))
@@ -491,13 +491,13 @@ class TestSolve:
         ens, truth, obs = make_instance(TWO, seed=2)
         _, trace = solve(ens, obs, SolverConfig(), truth=truth)
         assert (trace.iterations, trace.stop_reason) == (6, "residual")
-        assert len(grad_points) == len(points) == 1 and grad_points[0][0] is points[0][0]
-        assert not points[0][1]
+        assert len(grad_points) == len(points) == 1 and points[0][1] == {}
+        assert grad_points[0][0][1] is points[0][0][1]
         assert len(points) + len(grad_points) + len(trials) == trace.evals.sum()
-        assert all(g for _, g in trials) and len(trials) >= trace.iterations
+        assert all(args[-1] is True for args, _ in trials) and len(trials) >= trace.iterations
         assert len(spectra) == trace.iterations
-        stacked = [np.concatenate([z.channels.ravel(), z.coefficients.ravel()])
-                   for z, _ in points + trials]
+        stacked = [np.concatenate([args[1].channels.ravel(), args[1].coefficients.ravel()])
+                   for args, _ in points + trials]
         assert len({a.tobytes() for a in stacked}) == len(stacked)
 
     @pytest.mark.parametrize("dims", [EASY, TWO, Dimensions(L=48, Q=24, M=5, K=3, N=3)],
@@ -1154,8 +1154,6 @@ class TestExactStep:
         base seed 0, trial 2, which runs to max_iters), the residual the
         descent carried by linearity agrees with one formed afresh at the
         last point to 1e-10 relative."""
-        from moddemix.harness import SweepGrid, TrialSpec, _derive_seed
-        from moddemix.instances import synthesize
         cells = SweepGrid().cells()
         ci = next(i for i, d in enumerate(cells) if (d.Q, d.K, d.M) == (80, 22, 22))
         ens, _, obs = synthesize(TrialSpec(cells[ci], seed=_derive_seed(0, ci, 2)))
