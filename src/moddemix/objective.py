@@ -2,10 +2,9 @@
 
 The objective is ``F_tilde = F + G`` where ``F`` is the squared residual of
 the measurement map and ``G`` is a hinge penalty that keeps the iterates
-norm-bounded and spectrally incoherent.  `evaluate` is the single kernel:
-it forms the spectra and residual, then ``F``, ``G`` and, on request, the gradient, batched over
-components, with its contractions as batched BLAS products; `loss_total`
-and `grad_total` are thin wrappers around it.
+norm-bounded and spectrally incoherent.  `evaluate` forms the spectra and residual, ``F`` and
+``G`` (`_kernel`) and, on request, the gradient from what `_kernel` formed (`_gradient`), batched
+over components, with batched BLAS contractions; `loss_total` and `grad_total` wrap it.
 Gradients follow the Wirtinger convention (derivative w.r.t. the conjugated
 variable), so a descent step is ``z <- z - eta * grad``.
 """
@@ -13,7 +12,7 @@ variable), so a descent step is ``z <- z - eta * grad``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,15 +72,20 @@ def coherences(ens: MeasurementEnsemble, z: BlockFactorPair) -> CoherenceReport:
     """mu^2, nu^2 (in z's dtype) and the energies d_n at any scale of z: unless both peaks are
     within 2^+-60, factors scaled by powers of two (`_unit_scaled`); d_n, d0 may be inf or 0."""
     z.check_dims(ens.dims)
+    return _coherences(ens, z, None)
+
+
+def _coherences(ens: MeasurementEnsemble, z: BlockFactorPair, spectra) -> CoherenceReport:
+    """`coherences` of a checked z, reading its (L, N) channel spectra where given, z unscaled."""
     d = ens.dims
     h, x, eh, ex = z.channels, z.coefficients, 0, 0
     if not all(2.0**-60 < _peak(a) < 2.0**60 for a in (h, x)):
-        (h, eh), (x, ex) = map(_unit_scaled, (h, x))
+        (h, eh), (x, ex), spectra = _unit_scaled(h), _unit_scaled(x), None
     h_sq, x_sq = np.vecdot(h, h).real, np.vecdot(x, x).real
     if np.any(h_sq == 0.0) or np.any(x_sq == 0.0):
         raise DegenerateInputError("coherences undefined for zero factors")
-    spectra = np.matvec(ens.basis, h)                                 # (N, L)
-    mu_sq = d.L * np.max(np.abs(spectra).max(axis=1) ** 2 / h_sq)
+    spectra = np.matvec(ens.basis, h).T if spectra is None else spectra  # (L, N)
+    mu_sq = d.L * np.max(np.abs(spectra).max(axis=0) ** 2 / h_sq)
     nu_sq = d.Q * np.max(np.max(np.abs(_coded_messages(ens, x)), axis=0) ** 2 / x_sq)
     root = np.sqrt(h_sq, dtype=float) * np.sqrt(x_sq, dtype=float)  # d_n 2^-(eh + ex)
     if eh == ex == 0:
@@ -131,7 +135,8 @@ def _hinge_prime(z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Evaluation:
     """The objective at one point: loss f, penalty g, the Wirtinger gradient of f + g on request,
-    and the (L, N) channel and coded spectra and residual it read (z's dtype, written by none)."""
+    the (L, N) channel and coded spectra and residual it read (z's dtype, written by none) and,
+    where the certificate declined, the hinge terms h_arg, x_arg, spec_arg, coded_arg, coded."""
 
     f: float
     g: float
@@ -139,6 +144,7 @@ class Evaluation:
     spectra: np.ndarray | None = None
     coded_spectra: np.ndarray | None = None
     residual: np.ndarray | None = None
+    hinge: tuple | None = None
 
     @property
     def f_tilde(self) -> float:
@@ -175,7 +181,8 @@ def evaluate(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVec
     z.check_dims(ens.dims)
     if p.d_n.shape != (ens.dims.N,):  # zip over d_n would stop at the shorter
         raise ValueError(f"d_n shape {p.d_n.shape} != ({ens.dims.N},)")
-    return _kernel(ens, z, p, *_formed(ens, z, y_hat), grad)
+    ev = _kernel(ens, z, p, *_formed(ens, z, y_hat))
+    return replace(ev, grad=_gradient(ens, z, p, ev)) if grad and math.isfinite(ev.f_tilde) else ev
 
 
 def _formed(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVector) -> tuple:
@@ -184,39 +191,44 @@ def _formed(ens: MeasurementEnsemble, z: BlockFactorPair, y_hat: ObservationVect
     return spectra, coded_spectra, (spectra * coded_spectra).sum(axis=1) - y_hat.samples
 
 
-def _kernel(ens, z, p, spectra, coded_spectra, residual, grad: bool) -> Evaluation:
-    """`evaluate` at z from its spectra and their residual, however they were formed."""
+def _kernel(ens, z, p, spectra, coded_spectra, residual) -> Evaluation:
+    """`evaluate`'s value at z (F, G, hinge terms) from its spectra and residual, however formed."""
     d = ens.dims
     h, x = z.channels, z.coefficients
     h_sq, x_sq = np.vecdot(h, h).real, np.vecdot(x, x).real
     f = float(np.vdot(wide := residual.astype(complex, copy=False), wide).real)  # float64 sums
-    g = 0.0
+    g, hinge = 0.0, None
     h_cap, x_cap = max(1.0, d.M / (4 * p.mu**2)), max(1.0, d.Q * ens.row_peak / (4 * p.nu**2))
     # all(), not max(): a NaN argument must decline, and Python's max can skip one
     if not all(hs / (2 * dn) * h_cap <= _IDLE_BOUND and xs / (2 * dn) * x_cap <= _IDLE_BOUND
                for hs, xs, dn in zip(h_sq.tolist(), x_sq.tolist(), p.d_n.tolist())):
         # hinge arguments; the trailing axis is the component, matching d_n
-        h_arg, x_arg = h_sq / (2 * p.d_n), x_sq / (2 * p.d_n)
         coded = _coded_messages(ens, x)                               # (Q, N)
-        spec_arg = np.abs(spectra) ** 2 * (d.L / (8 * p.mu**2) / p.d_n)
-        coded_arg = np.abs(coded) ** 2 * (d.Q / (8 * p.nu**2) / p.d_n)
-        g = p.rho * float(sum(np.sum(_hinge(a)) for a in (h_arg, x_arg, spec_arg, coded_arg)))
-    if not grad or not math.isfinite(f + g):
-        return Evaluation(f, g, None, spectra, coded_spectra, residual)
+        hinge = (h_sq / (2 * p.d_n), x_sq / (2 * p.d_n),
+                 np.abs(spectra) ** 2 * (d.L / (8 * p.mu**2) / p.d_n),
+                 np.abs(coded) ** 2 * (d.Q / (8 * p.nu**2) / p.d_n), coded)
+        g = p.rho * float(sum(np.sum(_hinge(a)) for a in hinge[:4]))
+    return Evaluation(f, g, None, spectra, coded_spectra, residual, hinge)
 
-    conj_residual = np.conj(residual)
-    conj_w = conj_residual[:, None] * coded_spectra                   # conj(w), (L, N)
-    gx = ((conj_residual[:, None] * spectra).T[:, None, :] @ ens.coded_spectra)[:, 0]
-    if g > 0:  # G0' is zero wherever G0 is, so at g == 0 these terms vanish
+
+def _gradient(ens, z, p, ev: Evaluation) -> BlockFactorPair:
+    """The Wirtinger gradient of F + G at z from ev, `_kernel`'s finite value there, forming no
+    spectra, residual or hinge term anew."""
+    d = ens.dims
+    conj_residual = np.conj(ev.residual)
+    conj_w = conj_residual[:, None] * ev.coded_spectra                # conj(w), (L, N)
+    gx = ((conj_residual[:, None] * ev.spectra).T[:, None, :] @ ens.coded_spectra)[:, 0]
+    if ev.g > 0:  # G0' is zero wherever G0 is, so at g == 0 these terms vanish
+        h_arg, x_arg, spec_arg, coded_arg, coded = ev.hinge
         scale = p.rho / (2 * p.d_n)                                    # (N,)
-        conj_w += (scale * d.L / (4 * p.mu**2)) * _hinge_prime(spec_arg) * np.conj(spectra)
+        conj_w += (scale * d.L / (4 * p.mu**2)) * _hinge_prime(spec_arg) * np.conj(ev.spectra)
         coded_w = (scale * d.Q / (4 * p.nu**2)) * _hinge_prime(coded_arg) * coded
-        gx += (scale * _hinge_prime(x_arg))[:, None] * x
+        gx += (scale * _hinge_prime(x_arg))[:, None] * z.coefficients
         gx += (coded_w.T[:, None, :] @ ens.coding)[:, 0]
     gh = np.conj(conj_w.T @ ens.basis)
-    if g > 0:
-        gh += (scale * _hinge_prime(h_arg))[:, None] * h
-    return Evaluation(f, g, BlockFactorPair.unchecked(gh, gx), spectra, coded_spectra, residual)
+    if ev.g > 0:
+        gh += (scale * _hinge_prime(h_arg))[:, None] * z.channels
+    return BlockFactorPair.unchecked(gh, gx)
 
 
 def loss_total(ens: MeasurementEnsemble, z: BlockFactorPair,

@@ -13,12 +13,13 @@ import copy
 import math
 import warnings
 from dataclasses import dataclass
+from operator import iadd, imul
 
 import numpy as np
 
 from .instances import relative_errors
-from .objective import (DegenerateInputError, Evaluation, PenaltyParams, _formed, _kernel,
-                        coherences, evaluate, grad_total)
+from .objective import (DegenerateInputError, Evaluation, PenaltyParams, _coherences, _formed,
+                        _gradient, _kernel, grad_total)
 from .operators import (BlockFactorPair, MeasurementEnsemble, ObservationVector, _adjoint_blocks,
                         _single_basis, _unit_scaled, check_counts, component_spectra)
 
@@ -92,12 +93,12 @@ class SolveTrace:
     j = scale_exponent: in y's units f, g and f_tilde are 16^j times these,
     grad_norm 8^j times and eta 4^-j times.  Row 0 is the starting point.
     eta is the accepted step t along the row's direction (0 on row 0 and where
-    a search failed), evals the row's objective evaluations (row 0: the start
-    value and its gradient, so 2), rel_err the truth's score, made after the
-    descent (NaN without a truth), and err_est the estimated error the
-    "residual" stop reads (`_error_estimate`; NaN on row 0 unless f = 0
-    there).  switch_row is the row `solve` went on from in complex128 (None:
-    no switch)."""
+    a search failed), evals the row's value evaluations (row 0: the start's and
+    `grad_total`'s, so 2; gradients are formed only there and at rows the descent
+    goes on from), rel_err the truth's score, made after the descent (NaN
+    without a truth), and err_est the estimated error the "residual" stop reads
+    (`_error_estimate`; NaN on row 0 unless f = 0 there).  switch_row is the
+    row `solve` went on from in complex128 (None: no switch)."""
 
     f: np.ndarray
     g: np.ndarray
@@ -175,15 +176,15 @@ def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float) -> np.nda
     return z
 
 
-def _spectral_start(ens: MeasurementEnsemble, y_hat: ObservationVector) -> InitResult:
-    """d_n and the start (sqrt(d_n) u_n, sqrt(d_n) v_n), from the exact leading
+def _spectral_start(ens, y_hat: ObservationVector, pair=BlockFactorPair.unchecked) -> InitResult:
+    """d_n and the start pair(sqrt(d_n) u_n, sqrt(d_n) v_n), from the exact leading
     singular triples of the N stacked blocks A_n^*(y_hat), one stacked SVD."""
     y_hat.check_dims(ens.dims)
     if not np.any(y_hat.samples):
         raise DegenerateInputError("cannot initialize from a zero observation")
     d_n, u, v = leading_singular_triple(_adjoint_blocks(ens, y_hat.samples))
     root = np.sqrt(d_n)[:, None]
-    return InitResult(d_n=d_n, start=BlockFactorPair(root * u, root * v))
+    return InitResult(d_n=d_n, start=pair(root * u, root * v))
 
 
 def initialize(ens: MeasurementEnsemble, y_hat: ObservationVector,
@@ -191,7 +192,7 @@ def initialize(ens: MeasurementEnsemble, y_hat: ObservationVector,
     """Spectral initialization: per component, the exact leading singular
     triple of the back-projected M x K observation block, scaled by
     sqrt(d_n) and projected into the incoherent set."""
-    init = _spectral_start(ens, y_hat)
+    init = _spectral_start(ens, y_hat, BlockFactorPair)  # an unscaled y's sqrt(d_n) may overflow
     z = init.start
     for n, root in enumerate(np.sqrt(init.d_n)):
         z.channels[n] = project_incoherent(z.channels[n], ens.basis, 2 * root * mu)
@@ -224,7 +225,8 @@ def _quartic_min(c1: float, c2: float, c3: float, c4: float) -> float:
 def _search(ens, p, z, cur, D, slope):
     """Search from z along D, slope = Re<g, D> < 0, from the t minimising the quartic F(z + t D)
     (else 1/(2 N M d)), halving until f~(t) <= f~(0) + 0.05 t slope; trials' spectra and residual
-    by linearity.  Returns (point, its evaluation, t, trials), or z, cur, 0.0 below _MIN_ETA."""
+    by linearity, their values only.  Returns (point, its value, t, trials), or z, cur, 0.0 below
+    _MIN_ETA."""
     sd, cd = component_spectra(ens, D)
     s, c, r = cur.spectra, cur.coded_spectra, cur.residual
     a1, a2 = (sd * c + s * cd).sum(axis=1), (sd * cd).sum(axis=1)  # r(t) = r + t a1 + t^2 a2
@@ -235,7 +237,8 @@ def _search(ens, p, z, cur, D, slope):
     while t > _MIN_ETA:
         trial = BlockFactorPair.unchecked(z.channels + t * D.channels,
                                           z.coefficients + t * D.coefficients)
-        ev = _kernel(ens, trial, p, s + t * sd, c + t * cd, r + t * (a1 + t * a2), True)
+        rt = iadd(imul(iadd(a2 * t, a1), t), r)  # r + t (a1 + t a2), written in place, as are
+        ev = _kernel(ens, trial, p, iadd(sd * t, s), iadd(cd * t, c), rt)  # s + t sd, c + t cd
         trials += 1
         if ev.f_tilde <= cur.f_tilde + 0.05 * t * slope:
             return trial, ev, t, trials
@@ -243,21 +246,18 @@ def _search(ens, p, z, cur, D, slope):
     return z, cur, 0.0, trials
 
 
-def _normalize_output(z: BlockFactorPair) -> BlockFactorPair:
-    """Balance per-component factor norms and fix the phase so the first
-    nonzero channel entry is real positive; leaves h_n x_n^* unchanged.  A
-    component with a zero factor is left as it is."""
+def _normalize_output(z: BlockFactorPair, scale: float = 1.0) -> BlockFactorPair:
+    """Balance per-component factor norms, fix the phase so the first nonzero channel entry is
+    real positive and scale by a power of two (exact): h_n x_n^* becomes scale^2 times z's.  A
+    component with a zero factor is only scaled.  A non-finite result is a ValueError."""
     h, x = z.channels, z.coefficients
     hn, xn = np.sqrt(np.vecdot(h, h).real), np.sqrt(np.vecdot(x, x).real)
     live = (hn > 0.0) & (xn > 0.0)
     ratio = np.sqrt(np.divide(xn, hn, out=np.ones_like(hn), where=live))
     lead = h[np.arange(h.shape[0]), np.argmax(h != 0, axis=1)]
     phase = np.where(live, np.exp(-1j * np.angle(lead)), 1.0)
-    return BlockFactorPair.unchecked(h * (ratio * phase)[:, None], x * (phase / ratio)[:, None])
-
-
-def _scaled(z: BlockFactorPair, c: float) -> BlockFactorPair:
-    return BlockFactorPair(c * z.channels, c * z.coefficients)
+    return BlockFactorPair(h * (ratio * phase * scale)[:, None],
+                           x * (phase / ratio * scale)[:, None])
 
 
 def _scale_exponent(y: np.ndarray) -> int:
@@ -302,8 +302,8 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     max(0, Re<g, g - g_prev>) / ||g_prev||^2 (Polak-Ribiere+), reset to -g on
     row 1, every `_RESTART`-th row, at the precision switch, after a failed
     search and where Re<g, D> >= 0.  `_search` starts at the exact minimiser of
-    the quartic F(z + t D) and halves until the Armijo test holds (a failure
-    along -g stops the descent); `grad_total` runs only for the start.
+    the quartic F(z + t D) and halves until the Armijo test holds on value alone (a failure along
+    -g stops the descent); a row's gradient is formed once no stop ends the descent there.
 
     The model is homogeneous, so the descent runs on y / 4^j, 4^j the power of
     four nearest ||y||; the estimate is scaled back by 2^j, and the trace stays
@@ -318,9 +318,11 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
     cfg = cfg or SolverConfig()
     j = _scale_exponent(y_hat.samples)
     c = float(np.ldexp(1.0, -j))  # factors scale by c, y by c^2
-    y_hat = ObservationVector(c * (c * y_hat.samples))  # c * c overflows for a subnormal y
-    if truth is not None:  # a mis-shaped truth fails before any work
+    if truth is not None:  # a mis-shaped truth, or one c * truth overflows, fails before any work
         truth.check_dims(ens.dims)
+        truth = BlockFactorPair(c * truth.channels, c * truth.coefficients)
+    y_hat = copy.copy(y_hat)  # y was checked: its scaled copies are not, nor the start
+    vars(y_hat).update(samples=c * (c * y_hat.samples))  # c * c overflows for a subnormal y
     w_ens, w_y = ens, y_hat
     if ens.coded_spectra.nbytes + ens.basis.nbytes > _SINGLE_BYTES:
         w_ens, w_y = copy.copy(ens), copy.copy(y_hat)
@@ -329,7 +331,8 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
         vars(w_y).update(samples=y_hat.samples.astype(np.complex64))
     init = _spectral_start(w_ens, w_y)
     z, d_n = init.start.astype(w_y.samples.dtype), init.d_n
-    rep = coherences(w_ens, z)
+    formed = _formed(w_ens, z, w_y)
+    rep = _coherences(w_ens, z, formed[0])
     d = float(np.sqrt(np.sum(d_n**2)))
     p = PenaltyParams(rho=d**2, d=d, d_n=d_n, mu=_COHERENCE_MARGIN * rep.mu,
                       nu=_COHERENCE_MARGIN * rep.nu)
@@ -351,7 +354,7 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
         return float(np.vdot(a.channels, b.channels).real
                      + np.vdot(a.coefficients, b.coefficients).real)
 
-    cur = evaluate(w_ens, z, w_y, p)
+    cur = _kernel(w_ens, z, p, *formed)
     if not np.isfinite(cur.f_tilde):
         raise NumericalFailureError(f"non-finite objective ({cur.f_tilde}) at the start point")
     g = grad_total(w_ens, z, w_y, p)
@@ -361,6 +364,8 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
         if est < _ERROR_TOL:
             stop = "residual"
             break
+        if len(rows) > 1 and not failed:  # the descent goes on from the last search's point
+            g_prev, gp_sq, g = g, gn_sq, _gradient(w_ens, z, p, cur)
         gn_sq = dot(g, g)
         gn = math.sqrt(gn_sq)
         if w_ens is not ens and (failed or gn < _SINGLE_GRAD_TOL * d**2):
@@ -377,17 +382,15 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
             D, slope = BlockFactorPair.unchecked(-g.channels, -g.coefficients), -gn_sq
         z, cur, eta, evals = _search(w_ens, p, z, cur, D, slope)
         est = record(cur, gn, eta, evals)
-        if not (failed := eta == 0.0):
-            g_prev, gp_sq, g = g, gn_sq, cur.grad
-        elif w_ens is ens and steepest:
+        if (failed := eta == 0.0) and w_ens is ens and steepest:
             stop = "no_decrease"
             break
 
     f, g, err_est, grad_norm, eta, evals = np.array(rows, dtype=float).T
     rel_err = np.full(len(rows), np.nan)
     if truth is not None:  # one call scores every row, in complex128
-        rel_err = relative_errors(*map(np.array, zip(*points), [complex] * 2), _scaled(truth, c))
+        rel_err = relative_errors(*map(np.array, zip(*points), [complex] * 2), truth)
     trace = SolveTrace(f=f, g=g, rel_err=rel_err, err_est=err_est, grad_norm=grad_norm,
                        eta=eta, evals=evals.astype(int), stop_reason=stop,
                        iterations=len(rows) - 1, scale_exponent=j, switch_row=switch_row)
-    return _scaled(_normalize_output(z.astype(complex)), 1.0 / c), trace
+    return _normalize_output(z.astype(complex), 1.0 / c), trace
