@@ -2,7 +2,8 @@
 
 Recovers N channel/message pairs from the single observed sum of their
 modulated circular convolutions, using spectral initialization and
-regularized Wirtinger gradient descent on the factored rank-1 lifting.
+regularized Wirtinger conjugate-gradient descent on the factored rank-1
+lifting.
 """
 
 from .operators import (
@@ -26,7 +27,6 @@ from .solver import (
     SolverConfig,
     initialize,
     leading_singular_triple,
-    project_incoherent,
     solve,
 )
 from .instances import (

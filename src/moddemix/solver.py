@@ -1,8 +1,8 @@
 """Spectral initialization and regularized Wirtinger conjugate-gradient descent.
 
 The spectral start is the exact leading singular triple (one stacked SVD)
-of each back-projected M x K observation block; `initialize` pushes it into the
-incoherent set by a convex projection.  `solve` needs no ground truth: it
+of each back-projected M x K observation block; `initialize` rescales each of
+its factors into the incoherent set.  `solve` needs no ground truth: it
 takes its penalty parameters from the start point and updates all blocks at
 once, each step from the exact minimiser of the loss along its direction.
 """
@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import copy
 import math
-import warnings
 from dataclasses import dataclass
 from operator import iadd, imul
 
 import numpy as np
 
 from .instances import relative_errors
-from .objective import (DegenerateInputError, Evaluation, PenaltyParams, _coherences, _formed,
-                        _gradient, _kernel, grad_total)
+from .objective import (DegenerateInputError, Evaluation, PenaltyParams, _coded_messages,
+                        _coherences, _formed, _gradient, _kernel, grad_total)
 from .operators import (BlockFactorPair, MeasurementEnsemble, ObservationVector, _adjoint_blocks,
                         _single_basis, _unit_scaled, check_counts, component_spectra)
 
@@ -29,7 +28,6 @@ __all__ = [
     "SolveTrace",
     "NumericalFailureError",
     "leading_singular_triple",
-    "project_incoherent",
     "initialize",
     "solve",
 ]
@@ -50,17 +48,14 @@ _GRAD_TOL = 1e-7
 # point.  A spectral start h_n = sqrt(d_n) u_n has unit u_n, so
 # sqrt(L) ||F h_n||_inf <= sqrt(d_n) mu(start): the incoherent set
 # sqrt(L) ||F h_n||_inf <= 2 sqrt(d_n) mu (and likewise for x_n, nu) already
-# contains it, the initial projection would return it unchanged, and `solve`
-# skips that projection.
+# contains it, `initialize`'s rescale would leave it unchanged, and `solve`
+# skips that rescale.
 _COHERENCE_MARGIN = 1.5
 # `solve` starts and descends in complex64 above this many bytes of read-only operands,
 # where halving them speeds an evaluation 1.3x (below, per-call overhead binds),
 # then in complex128 below _SINGLE_GRAD_TOL d^2 (float32's floor is near 1e-6 d^2).
 _SINGLE_BYTES = 640 << 10
 _SINGLE_GRAD_TOL = 1e-3
-# `project_incoherent`'s relative convergence tolerance and round budget.
-_PROJECTION_TOL = 1e-8
-_PROJECTION_MAX_ITERS = 500
 
 
 class NumericalFailureError(RuntimeError):
@@ -81,7 +76,7 @@ class SolverConfig:
 @dataclass
 class InitResult:
     """Output of the spectral initializer: leading singular values d_n and the
-    projected scaled starting point."""
+    scaled starting point, rescaled into the incoherent set."""
 
     d_n: np.ndarray
     start: BlockFactorPair
@@ -131,51 +126,6 @@ def leading_singular_triple(A: np.ndarray) -> tuple[float | np.ndarray, np.ndarr
     return s[..., 0], U[..., 0], Vh[..., 0, :].conj()
 
 
-def project_incoherent(g: np.ndarray, basis: np.ndarray, bound: float) -> np.ndarray:
-    """Euclidean projection of g onto {z : sqrt(rows) * ||basis z||_inf <= bound}.
-
-    basis must have orthonormal columns (partial DFT or a coding matrix).
-    Dykstra's alternating projections need a correction for the infinity ball
-    only, as the projection onto the range is linear.  Where the bound binds,
-    the rounds seldom reach `_PROJECTION_TOL` by `_PROJECTION_MAX_ITERS`; a
-    final rescale, with a RuntimeWarning, then returns a feasible point closer
-    to g than g's radial rescale, but not the projection.  A radius bound /
-    sqrt(rows) that is not positive and finite, or a non-finite g, is a ValueError.
-    """
-    basis = np.asarray(basis)
-    g = np.asarray(g, dtype=complex)
-    rows, cols = basis.shape
-    radius = bound / np.sqrt(rows)
-    if not 0 < radius < math.inf:
-        raise ValueError("bound must be positive and finite")
-    if g.shape != (cols,):
-        raise ValueError(f"point length {g.shape} incompatible with basis {basis.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("point has non-finite entries")
-
-    u = basis @ g
-    p = np.zeros_like(u)
-    scale = max(1.0, float(np.linalg.norm(u)))
-    for _ in range(_PROJECTION_MAX_ITERS):
-        v = u + p
-        y = v * (radius / np.maximum(np.abs(v), radius))  # factor exactly 1 inside the radius, v = 0 too
-        p = v - y
-        u_new = basis @ (basis.conj().T @ y)
-        step = np.linalg.norm(u_new - u)
-        u = u_new
-        infeas = max(0.0, float(np.max(np.abs(u))) - radius)
-        if step <= _PROJECTION_TOL * scale and infeas <= _PROJECTION_TOL * radius:
-            break
-    else:
-        warnings.warn("incoherence projection hit max_iters; clipping to feasibility",
-                      RuntimeWarning, stacklevel=2)
-    z = basis.conj().T @ u
-    attained = np.sqrt(rows) * np.max(np.abs(basis @ z))
-    if attained > bound:
-        z *= bound / attained
-    return z
-
-
 def _spectral_start(ens, y_hat: ObservationVector, pair=BlockFactorPair.unchecked) -> InitResult:
     """d_n and the start pair(sqrt(d_n) u_n, sqrt(d_n) v_n), from the exact leading
     singular triples of the N stacked blocks A_n^*(y_hat), one stacked SVD."""
@@ -191,13 +141,21 @@ def initialize(ens: MeasurementEnsemble, y_hat: ObservationVector,
                mu: float, nu: float) -> InitResult:
     """Spectral initialization: per component, the exact leading singular
     triple of the back-projected M x K observation block, scaled by
-    sqrt(d_n) and projected into the incoherent set."""
+    sqrt(d_n) and rescaled into the incoherent set sqrt(L) ||F h_n||_inf <=
+    2 sqrt(d_n) mu, sqrt(Q) ||C_n x_n||_inf <= 2 sqrt(d_n) nu: a factor whose
+    peak `attained` exceeds its bound is multiplied by bound / attained, and
+    one within its bound is left as it is, bit for bit.  The paper projects
+    onto the set instead: the same start where no bound binds, a closer one
+    where bounds bind well below the truth's coherences (README).  A mu or
+    nu that is not positive and finite is a ValueError."""
+    if not (0 < mu < math.inf and 0 < nu < math.inf):
+        raise ValueError("coherence bound must be positive and finite")
     init = _spectral_start(ens, y_hat, BlockFactorPair)  # an unscaled y's sqrt(d_n) may overflow
-    z = init.start
-    for n, root in enumerate(np.sqrt(init.d_n)):
-        z.channels[n] = project_incoherent(z.channels[n], ens.basis, 2 * root * mu)
-        z.coefficients[n] = project_incoherent(z.coefficients[n], ens.coding[n],
-                                               2 * root * nu)
+    h, x, root = init.start.channels, init.start.coefficients, np.sqrt(init.d_n)
+    for factor, image, rows, c in ((h, np.matvec(ens.basis, h), ens.dims.L, mu),
+                                   (x, _coded_messages(ens, x).T, ens.dims.Q, nu)):
+        attained = math.sqrt(rows) * np.abs(image).max(axis=1)  # > 0: u_n, v_n are unit
+        factor *= np.minimum(1.0, 2 * root * c / attained)[:, None]
     return init
 
 

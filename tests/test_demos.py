@@ -1,4 +1,5 @@
-"""Each script in demos/ runs to completion against the package in src/."""
+"""Each script in demos/ runs to completion against the package in src/,
+with warnings as errors, as pyproject.toml sets them for the tests."""
 
 import os
 import subprocess
@@ -20,6 +21,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env["PYTHONWARNINGS"] = "error"
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

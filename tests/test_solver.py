@@ -1,5 +1,5 @@
-"""Tests for the spectral initializer, the incoherence projection and the
-regularized Wirtinger descent loop."""
+"""Tests for the spectral initializer, its rescale into the incoherent set and
+the regularized Wirtinger descent loop."""
 
 import dataclasses
 import functools
@@ -40,7 +40,6 @@ from moddemix.solver import (
     SolverConfig,
     initialize,
     leading_singular_triple,
-    project_incoherent,
     solve,
 )
 
@@ -160,106 +159,6 @@ class TestLeadingSingularTriple:
                                        np.outer(un, vn.conj()), atol=1e-12)
 
 
-class TestProjectIncoherent:
-    def _feasible(self, z, basis, bound):
-        return np.sqrt(basis.shape[0]) * np.max(np.abs(basis @ z)) <= bound * (1 + 1e-12)
-
-    @pytest.mark.parametrize("rows,cols", [(16, 16), (16, 5), (32, 7)])
-    @pytest.mark.filterwarnings("ignore:incoherence projection:RuntimeWarning")
-    def test_result_feasible(self, rows, cols, rng):
-        basis = np.linalg.qr(rng.standard_normal((rows, cols))
-                             + 1j * rng.standard_normal((rows, cols)))[0]
-        g = 5.0 * (rng.standard_normal(cols) + 1j * rng.standard_normal(cols))
-        z = project_incoherent(g, basis, bound=1.0)
-        assert self._feasible(z, basis, 1.0)
-
-    def test_identity_on_feasible_point(self, rng):
-        basis = dft_basis(16, 5)
-        g = 0.01 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
-        np.testing.assert_allclose(project_incoherent(g, basis, bound=1.0), g,
-                                   atol=1e-10)
-
-    def test_unitary_case_closed_form(self, rng):
-        basis = dft_basis(8, 8)
-        g = 3.0 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        z = project_incoherent(g, basis, bound=1.0)
-        # spectral magnitudes clipped at bound / sqrt(rows), phases kept
-        u = basis @ z
-        mags = np.abs(u)
-        assert np.max(mags) <= 1.0 / np.sqrt(8) + 1e-12
-        ref = basis @ g
-        keep = np.abs(ref) <= 1.0 / np.sqrt(8)
-        np.testing.assert_allclose(u[keep], ref[keep], atol=1e-12)
-
-    @pytest.mark.filterwarnings("ignore:incoherence projection:RuntimeWarning")
-    def test_optimality_against_perturbations(self, rng, monkeypatch):
-        monkeypatch.setattr(solver_module, "_PROJECTION_TOL", 1e-12)
-        monkeypatch.setattr(solver_module, "_PROJECTION_MAX_ITERS", 5000)
-        basis = dft_basis(24, 7)
-        g = 2.0 * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
-        z = project_incoherent(g, basis, bound=1.0)
-        best = np.linalg.norm(z - g)
-        for _ in range(200):
-            trial = z + 0.01 * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
-            attained = np.sqrt(24) * np.max(np.abs(basis @ trial))
-            if attained > 1.0:
-                trial *= 1.0 / attained
-            assert np.linalg.norm(trial - g) >= best - 1e-8
-
-    def test_binding_bound_at_the_default_budget(self, rng):
-        """At 0.9 times a 320 x 8 DFT point's own peak the bound binds, and
-        the rounds run out before `_PROJECTION_TOL`: the complex-magnitude
-        bound is curved, so even 50,000 rounds still move the distance.  The
-        rescaled result is feasible and closer to g than the radial rescale
-        g * bound / attained, though not the projection to within the
-        tolerance."""
-        basis = dft_basis(320, 8)
-        g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        attained = np.sqrt(320) * np.max(np.abs(basis @ g))
-        bound = 0.9 * attained
-        with pytest.warns(RuntimeWarning, match="incoherence projection hit max_iters"):
-            z = project_incoherent(g, basis, bound)
-        assert self._feasible(z, basis, bound)
-        assert np.linalg.norm(z - g) < np.linalg.norm(g * (bound / attained) - g)
-
-    def test_zero_input(self):
-        z = project_incoherent(np.zeros(4), dft_basis(8, 4), bound=1.0)
-        assert np.all(z == 0)
-
-    @pytest.mark.filterwarnings("error")
-    def test_large_bound_does_not_overflow(self):
-        """At bound 1e300, basis @ g = (sqrt(2), 0) has a zero entry, whose clip
-        factor radius / max(0, radius) is 1: nothing overflows."""
-        z = project_incoherent(np.array([1, 1]), dft_basis(2, 2), 1e300)
-        np.testing.assert_allclose(z, [1, 1], rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("scale", [1e-303, 1e-306, 1e100])
-    def test_scale_equivariant(self, scale, rng):
-        """The projection of s g at bound s is s times that of g at bound 1,
-        also where the entries |v| clipped lie below 1e-300."""
-        basis = dft_basis(8, 8)
-        g = 3.0 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        ref = project_incoherent(g, basis, bound=1.0)
-        z = project_incoherent(scale * g, basis, bound=scale)
-        np.testing.assert_allclose(z / scale, ref, rtol=1e-12, atol=1e-15)
-
-    def test_bad_bound(self):
-        """A nonpositive, NaN or infinite bound, one whose radius
-        bound / sqrt(rows) underflows to 0, a point that does not fit the
-        basis, or a point with a NaN or inf entry is a ValueError; neither a
-        NaN bound nor a non-finite point runs the rounds out."""
-        for bound in (0.0, -1.0, np.nan, np.inf, 5e-324):
-            with pytest.raises(ValueError, match="bound must be positive"):
-                project_incoherent(np.ones(4), dft_basis(8, 4), bound=bound)
-        with pytest.raises(ValueError, match="point length"):
-            project_incoherent(np.ones(3), dft_basis(8, 4), bound=1.0)
-        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-            g = np.ones(4, dtype=complex)
-            g[2] = bad
-            with pytest.raises(ValueError, match="non-finite"):
-                project_incoherent(g, dft_basis(8, 4), bound=1.0)
-
-
 class TestInitialize:
     def test_constraints_hold(self):
         ens, truth, obs = make_instance(TWO, seed=5)
@@ -289,14 +188,18 @@ class TestInitialize:
         np.testing.assert_allclose(init.d_n, d_n0, rtol=0.5)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
-    def test_scale_equivariant(self, scale):
+    @pytest.mark.parametrize("scale,factor", [
+        (1e-150, 1.0), (1e-100, 1.0), (1e100, 1.0), (1e150, 1.0), (1e150, 0.3),
+    ], ids=["1e-150", "1e-100", "1e+100", "1e+150", "1e+150-binding"])
+    def test_scale_equivariant(self, scale, factor):
         """The model is homogeneous: scaling y by s scales d_n by s and the
-        start by sqrt(s), without warnings, overflow or underflow."""
+        start by sqrt(s), without warnings, overflow or underflow, also where
+        factor times the truth's mu, nu binds every factor (at 0.3 here)."""
         ens, truth, obs = make_instance(TWO, seed=5)
         rep = coherences(ens, truth)
-        ref = initialize(ens, obs, rep.mu, rep.nu)
-        init = initialize(ens, ObservationVector(scale * obs.samples), rep.mu, rep.nu)
+        mu, nu = factor * rep.mu, factor * rep.nu
+        ref = initialize(ens, obs, mu, nu)
+        init = initialize(ens, ObservationVector(scale * obs.samples), mu, nu)
         np.testing.assert_allclose(init.d_n, scale * ref.d_n, rtol=1e-12)
         for got, want in [(init.start.channels, ref.start.channels),
                           (init.start.coefficients, ref.start.coefficients)]:
@@ -310,11 +213,47 @@ class TestInitialize:
             initialize(ens, obs, 1.0, 1.0)
 
     def test_nan_bounds_raise(self):
-        """NaN coherence bounds are rejected, not run through every
-        projection round."""
+        """A mu or nu that is NaN, infinite, zero or negative is a ValueError,
+        set on either bound alone: no bound / attained is formed from it."""
         ens, _, obs = make_instance(TWO, seed=5)
-        with pytest.raises(ValueError, match="bound must be positive"):
-            initialize(ens, obs, np.nan, np.nan)
+        for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+            for mu, nu in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(ValueError, match="bound must be positive"):
+                    initialize(ens, obs, mu, nu)
+
+    def test_idle_bound_leaves_the_start_bit_for_bit(self):
+        """At criterion 9's mu, nu (the truth's coherences; L=Q=320, M=K=8,
+        N=2, seed 0) no bound binds, and the start is the spectral start's
+        bits."""
+        ens, truth, obs = make_instance(DESK, seed=0)
+        rep = coherences(ens, truth)
+        ref = solver_module._spectral_start(ens, obs, BlockFactorPair)
+        init = initialize(ens, obs, rep.mu, rep.nu)
+        np.testing.assert_array_equal(init.d_n, ref.d_n)
+        np.testing.assert_array_equal(init.start.channels, ref.start.channels)
+        np.testing.assert_array_equal(init.start.coefficients, ref.start.coefficients)
+
+    def test_binding_bound_rescales(self):
+        """At 0.3 times criterion 9's mu, nu every bound binds: each factor is
+        the spectral start's times bound / attained, with attained
+        sqrt(rows) ||basis z||_inf, and the start is feasible to 1e-12."""
+        ens, truth, obs = make_instance(DESK, seed=0)
+        rep = coherences(ens, truth)
+        mu, nu = 0.3 * rep.mu, 0.3 * rep.nu
+        ref = solver_module._spectral_start(ens, obs, BlockFactorPair)
+        init = initialize(ens, obs, mu, nu)
+        d = ens.dims
+        for n, root in enumerate(np.sqrt(init.d_n)):
+            for got, start, basis, bound in (
+                    (init.start.channels[n], ref.start.channels[n], dft_basis(d.L, d.M),
+                     2 * root * mu),
+                    (init.start.coefficients[n], ref.start.coefficients[n], ens.coding[n],
+                     2 * root * nu)):
+                sqrt_rows = np.sqrt(basis.shape[0])
+                attained = sqrt_rows * np.max(np.abs(basis @ start))
+                assert attained > bound
+                np.testing.assert_allclose(got, start * (bound / attained), rtol=1e-12)
+                assert sqrt_rows * np.max(np.abs(basis @ got)) <= bound * (1 + 1e-12)
 
     @pytest.mark.parametrize("dims", [
         Dimensions(L=32, Q=16, M=4, K=3, N=1),
