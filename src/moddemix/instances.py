@@ -204,10 +204,14 @@ def _encode(arr: np.ndarray) -> dict:
     }
 
 
-def _decode(obj: dict) -> np.ndarray:
-    dtype = np.dtype(obj["dtype"]).newbyteorder("<")
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype=dtype).reshape(obj["shape"]).astype(obj["dtype"])
+def _decode(doc: dict, field: str) -> np.ndarray:
+    obj = doc[field]
+    try:  # one handler, so that any fault in the array names its field
+        raw = base64.b64decode(obj["data"], validate=True)
+        a = np.frombuffer(raw, dtype=np.dtype(obj["dtype"]).newbyteorder("<"))
+        return a.reshape(obj["shape"]).astype(obj["dtype"])
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ValueError(f"malformed instance snapshot field {field!r}: {exc!r}") from None
 
 
 def snapshot_to_json(spec: TrialSpec, ens: MeasurementEnsemble,
@@ -241,10 +245,10 @@ def snapshot_from_json(text: str) -> tuple[TrialSpec, MeasurementEnsemble,
     try:
         dims = Dimensions(**doc["dims"])
         spec = TrialSpec(dims=dims, seed=doc["seed"], snr_db=doc["snr_db"])
-        ens = MeasurementEnsemble(dims=dims, modulation=_decode(doc["modulation"]),
-                                  coding=_decode(doc["coding"]))
-        truth = BlockFactorPair(_decode(doc["channels"]), _decode(doc["coefficients"]))
-        obs = ObservationVector(_decode(doc["samples"]))
+        ens = MeasurementEnsemble(dims=dims, modulation=_decode(doc, "modulation"),
+                                  coding=_decode(doc, "coding"))
+        truth = BlockFactorPair(_decode(doc, "channels"), _decode(doc, "coefficients"))
+        obs = ObservationVector(_decode(doc, "samples"))
         truth.check_dims(dims)
         obs.check_dims(dims)
     except (KeyError, TypeError) as exc:  # a field missing, or of the wrong JSON type

@@ -7,8 +7,8 @@ with the ensemble's `basis`, the cached partial DFT `dft_basis(L, M)`,
 forward and adjoint alike: `component_spectra` forms all N channel and coded
 spectra, and `_adjoint_blocks` all N adjoint blocks A_n^*(w) (`adjoint_component`: one).
 A dense matrix oracle (`dense_oracle`) exists purely so tests can
-cross-check these products.  The solver's first step size needs no norm
-of A: ||A||^2 <= N M holds for every ensemble (see `moddemix.solver.solve`).
+cross-check these products.  The solver reads no norm of A: its fallback step
+1/(2 N M d) rests on ||A||^2 <= N M, true of every ensemble (README, Step rule).
 
 Conventions
 -----------

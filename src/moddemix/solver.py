@@ -45,11 +45,9 @@ _ERROR_TOL = 2.5e-3
 _WINDOW = 10
 _GRAD_TOL = 1e-7
 # `solve` takes mu, nu as this margin times the coherences of its start
-# point.  A spectral start h_n = sqrt(d_n) u_n has unit u_n, so
-# sqrt(L) ||F h_n||_inf <= sqrt(d_n) mu(start): the incoherent set
-# sqrt(L) ||F h_n||_inf <= 2 sqrt(d_n) mu (and likewise for x_n, nu) already
-# contains it, `initialize`'s rescale would leave it unchanged, and `solve`
-# skips that rescale.
+# point.  `initialize` multiplies the unit u_n by min(1, 2 mu / mu_n), mu_n =
+# sqrt(L) ||F u_n||_inf <= mu(start) (and v_n by min(1, 2 nu / nu_n)), which is
+# 1 at this margin: `solve` skips that rescale.
 _COHERENCE_MARGIN = 1.5
 # `solve` starts and descends in complex64 above this many bytes of read-only operands,
 # where halving them speeds an evaluation 1.3x (below, per-call overhead binds),
@@ -88,12 +86,12 @@ class SolveTrace:
     j = scale_exponent: in y's units f, g and f_tilde are 16^j times these,
     grad_norm 8^j times and eta 4^-j times.  Row 0 is the starting point.
     eta is the accepted step t along the row's direction (0 on row 0 and where
-    a search failed), evals the row's value evaluations (row 0: the start's and
-    `grad_total`'s, so 2; gradients are formed only there and at rows the descent
-    goes on from), rel_err the truth's score, made after the descent (NaN
-    without a truth), and err_est the estimated error the "residual" stop reads
-    (`_error_estimate`; NaN on row 0 unless f = 0 there).  switch_row is the
-    row `solve` went on from in complex128 (None: no switch)."""
+    a search failed), evals the row's value evaluations (row 0: the start's and `grad_total`'s,
+    so 2; gradients are formed only there and at rows the descent goes on from), grad_norm the
+    gradient norm at the point the row stepped from (row t - 1's; NaN on row 0), rel_err the
+    truth's score, made after the descent (NaN without a truth), and err_est the estimated error
+    the "residual" stop reads (`_error_estimate`; NaN on row 0 unless f = 0 there).  switch_row
+    is the row `solve` went on from in complex128 (None: no switch)."""
 
     f: np.ndarray
     g: np.ndarray
@@ -126,37 +124,34 @@ def leading_singular_triple(A: np.ndarray) -> tuple[float | np.ndarray, np.ndarr
     return s[..., 0], U[..., 0], Vh[..., 0, :].conj()
 
 
-def _spectral_start(ens, y_hat: ObservationVector, pair=BlockFactorPair.unchecked) -> InitResult:
-    """d_n and the start pair(sqrt(d_n) u_n, sqrt(d_n) v_n), from the exact leading
-    singular triples of the N stacked blocks A_n^*(y_hat), one stacked SVD."""
+def _spectral_start(ens, y_hat: ObservationVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact leading singular triples (d_n, u_n, v_n), unit u_n, v_n, of the N stacked
+    blocks A_n^*(y_hat), from one stacked SVD."""
     y_hat.check_dims(ens.dims)
     if not np.any(y_hat.samples):
         raise DegenerateInputError("cannot initialize from a zero observation")
-    d_n, u, v = leading_singular_triple(_adjoint_blocks(ens, y_hat.samples))
-    root = np.sqrt(d_n)[:, None]
-    return InitResult(d_n=d_n, start=pair(root * u, root * v))
+    return leading_singular_triple(_adjoint_blocks(ens, y_hat.samples))
 
 
 def initialize(ens: MeasurementEnsemble, y_hat: ObservationVector,
                mu: float, nu: float) -> InitResult:
-    """Spectral initialization: per component, the exact leading singular
-    triple of the back-projected M x K observation block, scaled by
-    sqrt(d_n) and rescaled into the incoherent set sqrt(L) ||F h_n||_inf <=
-    2 sqrt(d_n) mu, sqrt(Q) ||C_n x_n||_inf <= 2 sqrt(d_n) nu: a factor whose
-    peak `attained` exceeds its bound is multiplied by bound / attained, and
-    one within its bound is left as it is, bit for bit.  The paper projects
-    onto the set instead: the same start where no bound binds, a closer one
-    where bounds bind well below the truth's coherences (README).  A mu or
-    nu that is not positive and finite is a ValueError."""
+    """Spectral initialization: per component, the exact leading singular triple (d_n, u_n, v_n)
+    of the back-projected M x K observation block, u_n times min(1, 2 mu / mu_n) and v_n times
+    min(1, 2 nu / nu_n), mu_n = sqrt(L) ||F u_n||_inf >= 1 and nu_n = sqrt(Q) ||C_n v_n||_inf
+    their own coherences, both then times sqrt(d_n): the start lies in the incoherent set
+    sqrt(L) ||F h_n||_inf <= 2 sqrt(d_n) mu, sqrt(Q) ||C_n x_n||_inf <= 2 sqrt(d_n) nu, and a
+    factor within its bound keeps its bits.  The paper projects onto the set instead: the same
+    start where no bound binds, a closer one where bounds bind well below the truth's coherences
+    (README).  A mu or nu that is not positive and finite is a ValueError."""
     if not (0 < mu < math.inf and 0 < nu < math.inf):
         raise ValueError("coherence bound must be positive and finite")
-    init = _spectral_start(ens, y_hat, BlockFactorPair)  # an unscaled y's sqrt(d_n) may overflow
-    h, x, root = init.start.channels, init.start.coefficients, np.sqrt(init.d_n)
-    for factor, image, rows, c in ((h, np.matvec(ens.basis, h), ens.dims.L, mu),
-                                   (x, _coded_messages(ens, x).T, ens.dims.Q, nu)):
-        attained = math.sqrt(rows) * np.abs(image).max(axis=1)  # > 0: u_n, v_n are unit
-        factor *= np.minimum(1.0, 2 * root * c / attained)[:, None]
-    return init
+    d_n, u, v = _spectral_start(ens, y_hat)
+    for unit, image, rows, c in ((u, np.matvec(ens.basis, u), ens.dims.L, mu),
+                                 (v, _coded_messages(ens, v).T, ens.dims.Q, nu)):
+        own = math.sqrt(rows) * np.abs(image).max(axis=1)  # >= 1: the vectors are unit
+        unit *= (2 * np.minimum(own / 2, c) / own)[:, None]  # exactly 1.0 where c >= own / 2
+    root = np.sqrt(d_n)[:, None]  # an unscaled y's sqrt(d_n) may overflow: the pair is checked
+    return InitResult(d_n=d_n, start=BlockFactorPair(root * u, root * v))
 
 
 def _quartic_min(c1: float, c2: float, c3: float, c4: float) -> float:
@@ -287,8 +282,9 @@ def solve(ens: MeasurementEnsemble, y_hat: ObservationVector,
         vars(w_ens).update(coded_spectra=ens.coded_spectra.astype(np.complex64),
                            basis=_single_basis(ens.dims.L, ens.dims.M))
         vars(w_y).update(samples=y_hat.samples.astype(np.complex64))
-    init = _spectral_start(w_ens, w_y)
-    z, d_n = init.start.astype(w_y.samples.dtype), init.d_n
+    d_n, u, v = _spectral_start(w_ens, w_y)
+    root = np.sqrt(d_n)[:, None]
+    z = BlockFactorPair.unchecked(root * u, root * v).astype(w_y.samples.dtype)
     formed = _formed(w_ens, z, w_y)
     rep = _coherences(w_ens, z, formed[0])
     d = float(np.sqrt(np.sum(d_n**2)))

@@ -501,6 +501,19 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=f"{field} shape"):
             snapshot_from_json(text)
 
+    @pytest.mark.parametrize("fault", ["data", "shape", "dtype"])
+    @pytest.mark.parametrize("field", ["modulation", "coding", "channels", "coefficients",
+                                       "samples"])
+    def test_malformed_array_names_its_field(self, field, fault):
+        """Data that is not base64, a shape the data does not fill or an unknown
+        dtype is a ValueError naming the array's field."""
+        spec = TrialSpec(DIMS, seed=11)
+        doc = json.loads(snapshot_to_json(spec, *synthesize(spec)))
+        doc[field][fault] = {"data": "not base64!", "dtype": "nope",
+                             "shape": [2 * n for n in doc[field]["shape"]]}[fault]
+        with pytest.raises(ValueError, match=f"malformed instance snapshot field '{field}'"):
+            snapshot_from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("path", [("dims",), ("seed",), ("coding",), ("samples",),
                                       ("dims", "L"), ("coding", "dtype"), ()])
     def test_rejects_malformed_snapshot(self, path):

@@ -36,6 +36,7 @@ from moddemix.operators import (
     dft_basis,
 )
 from moddemix.solver import (
+    InitResult,
     NumericalFailureError,
     SolverConfig,
     initialize,
@@ -59,6 +60,12 @@ def _assert_rescaled(trace, ref, s, rtol):
     np.testing.assert_allclose(trace.eta, ref.eta / r, rtol=rtol)
     np.testing.assert_allclose(trace.rel_err, ref.rel_err, rtol=rtol)
     np.testing.assert_allclose(trace.err_est, ref.err_est, rtol=rtol)
+
+
+def _spectral_pair(ens, obs):
+    """The spectral start, not rescaled: d_n and sqrt(d_n) (u_n, v_n) from the triple."""
+    d_n, u, v = solver_module._spectral_start(ens, obs)
+    return InitResult(d_n, BlockFactorPair(np.sqrt(d_n)[:, None] * u, np.sqrt(d_n)[:, None] * v))
 
 
 def _assert_recovered(est, trace, truth, obs):
@@ -227,7 +234,7 @@ class TestInitialize:
         bits."""
         ens, truth, obs = make_instance(DESK, seed=0)
         rep = coherences(ens, truth)
-        ref = solver_module._spectral_start(ens, obs, BlockFactorPair)
+        ref = _spectral_pair(ens, obs)
         init = initialize(ens, obs, rep.mu, rep.nu)
         np.testing.assert_array_equal(init.d_n, ref.d_n)
         np.testing.assert_array_equal(init.start.channels, ref.start.channels)
@@ -240,7 +247,7 @@ class TestInitialize:
         ens, truth, obs = make_instance(DESK, seed=0)
         rep = coherences(ens, truth)
         mu, nu = 0.3 * rep.mu, 0.3 * rep.nu
-        ref = solver_module._spectral_start(ens, obs, BlockFactorPair)
+        ref = _spectral_pair(ens, obs)
         init = initialize(ens, obs, mu, nu)
         d = ens.dims
         for n, root in enumerate(np.sqrt(init.d_n)):
@@ -255,6 +262,22 @@ class TestInitialize:
                 np.testing.assert_allclose(got, start * (bound / attained), rtol=1e-12)
                 assert sqrt_rows * np.max(np.abs(basis @ got)) <= bound * (1 + 1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bound", [1e-308, 1e308, np.finfo(float).max],
+                             ids=["1e-308", "1e+308", "max"])
+    @pytest.mark.parametrize("which", ["both", "mu", "nu"])
+    def test_extreme_bound_gives_a_finite_start(self, bound, which):
+        """Any positive finite mu, nu gives a finite start without warnings, set
+        on both bounds or on one alone beside the truth's (criterion 9's instance)."""
+        ens, truth, obs = make_instance(DESK, seed=0)
+        rep = coherences(ens, truth)
+        mu = bound if which != "nu" else rep.mu
+        nu = bound if which != "mu" else rep.nu
+        init = initialize(ens, obs, mu, nu)
+        assert np.all(np.isfinite(init.d_n))
+        assert np.all(np.isfinite(init.start.channels))
+        assert np.all(np.isfinite(init.start.coefficients))
+
     @pytest.mark.parametrize("dims", [
         Dimensions(L=32, Q=16, M=4, K=3, N=1),
         Dimensions(L=24, Q=16, M=5, K=8, N=2),   # K N = Q
@@ -263,14 +286,16 @@ class TestInitialize:
     def test_batched_start_matches_each_component(self, dims):
         """The start's d_n and rank-one blocks d_n u_n v_n^H, from one batched
         adjoint and one stacked SVD, are each component's own leading
-        singular triple of A_n^*(y) to 1e-12 relative."""
+        singular triple of A_n^*(y) to 1e-12 relative, with unit u_n, v_n."""
         ens, _, obs = make_instance(dims, seed=4, snr_db=20.0)
-        init = solver_module._spectral_start(ens, obs)
+        d_n, u_n, v_n = solver_module._spectral_start(ens, obs)
+        for unit in (u_n, v_n):
+            np.testing.assert_allclose(np.linalg.norm(unit, axis=1), 1.0, rtol=1e-12)
         for n in range(dims.N):
             d, u, v = leading_singular_triple(adjoint_component(ens, n, obs.samples))
-            assert init.d_n[n] == pytest.approx(d, rel=1e-12)
+            assert d_n[n] == pytest.approx(d, rel=1e-12)
             block = d * np.outer(u, v.conj())
-            assert np.linalg.norm(init.start.lifted_block(n) - block) \
+            assert np.linalg.norm(d_n[n] * np.outer(u_n[n], v_n[n].conj()) - block) \
                 <= 1e-12 * np.linalg.norm(block)
 
 
@@ -1080,7 +1105,7 @@ def _desk_search_point(seed=0):
     at it (G = 0 there), its evaluation with gradient, and a descent
     direction D = -g + a random pair, with its slope Re<g, D> < 0."""
     ens, _, obs = make_instance(DESK, seed=seed)
-    init = solver_module._spectral_start(ens, obs)
+    init = _spectral_pair(ens, obs)
     z, d = init.start, float(np.linalg.norm(init.d_n))
     rep = coherences(ens, z)
     p = PenaltyParams(rho=d**2, d=d, d_n=init.d_n, mu=1.5 * rep.mu, nu=1.5 * rep.nu)
